@@ -12,9 +12,10 @@ overrides to exercise the recycling machinery.
 
 import numpy as np
 
-from macresolve import Dist, IdealizedOverrides, achieved_rates, build_mac_code, \
-    make_rng, run_trials, tv_exhaustive, tv_monte_carlo
-from macresolve.evaluator import exact_report, independence_diagnostics
+from macresolve import Dist, IdealizedOverrides, achieved_rates, \
+    assemble_mc_metrics, build_mac_code, make_rng, run_trials, \
+    transcript_features, tv_exhaustive
+from macresolve.evaluator import exact_report
 from macresolve.probcore import Alphabet, MacChannel
 
 transition = np.zeros((2, 2, 3))
@@ -45,10 +46,14 @@ for n in (8, 16, 32):
     code = build_mac_code(adder, inputs, block_len=n, k=5, xi=0.05,
                           idealized=IdealizedOverrides(), rng=make_rng(100 + n))
     bt = run_trials(code, 100_000, make_rng(7))
-    rows = {m.name: m for m in tv_monte_carlo(code, 0, make_rng(8),
-                                              transcript=bt, n_boot=200)}
-    ind = {m.name: m for m in independence_diagnostics(bt, code, make_rng(9),
-                                                       n_boot=200)}
+    feats = transcript_features(code, bt)
+    # window TVs and dependence checks, each bootstrapped from its own stream
+    win = {k: v for k, v in feats.items() if k.startswith("win")}
+    dep = {k: v for k, v in feats.items() if not k.startswith("win")}
+    rows = {m.name: m for m in assemble_mc_metrics(
+        code, win, make_rng(8).spawn(1)[0], n_boot=200)}
+    ind = {m.name: m for m in assemble_mc_metrics(
+        code, dep, make_rng(9).spawn(1)[0], n_boot=200)}
     w = rows["windowed_tv_w2"]
     d = ind["recycled_independence_tv_mean"]
     print(f"  N={n:2d}: windowed TV {w.value:.4f} [{w.ci_lo:.4f}, {w.ci_hi:.4f}]"

@@ -36,13 +36,14 @@ from .evaluator import (
     MetricRow,
     RegionSpec,
     RunReport,
+    assemble_mc_metrics,
     exact_report,
-    independence_diagnostics,
     lhl_bound_check,
+    mc_chunk_features,
     region_2user,
     region_multi,
+    transcript_features,
     tv_exhaustive,
-    tv_monte_carlo,
 )
 
 __version__ = "0.1.0"

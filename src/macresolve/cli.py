@@ -66,9 +66,12 @@ class ExperimentConfig:
     def validate(self):
         if self.n < 1 or self.n & (self.n - 1):
             raise ValueError(f"--n must be a positive power of two, got {self.n}")
-        for name in ("k", "trials", "workers"):
+        for name in ("k", "workers"):
             if getattr(self, name) < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+                raise ValueError(f"--{name} must be >= 1")
+        if self.trials < 1000:
+            raise ValueError(f"--trials must be >= 1000 for stable estimates, "
+                             f"got {self.trials}")
         if not self.idealized and self.xi <= 0:
             raise ValueError("--xi must be > 0 unless --idealized")
         if not 0 < self.beta < 0.5:
@@ -260,14 +263,8 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
             "sqrt(cells / samples); bootstrap CIs are percentile CIs of the "
             "biased statistic"
         )
-    bound = evaluator.joint_tv_bound(
-        code.plan.k, 0.0,
-        evaluator.delta0_multi(code.plan.block_len, code.plan.xi,
-                               code.channel.n_users)
-        if code.mode == "multi" else
-        evaluator.delta0(code.plan.block_len, code.plan.xi),
-        code.channel.n_users if code.mode == "multi" else None,
-    )
+    bound = evaluator.joint_tv_bound(code.plan.k, 0.0,
+                                     *evaluator.analysis_delta0(code))
     if mode_used == "mc":
         # with the codec distance unknown at scale, report the hash-uniformity
         # floor of the whole-run bound for reference
@@ -319,18 +316,8 @@ def _region_verdicts(code, rates) -> dict:
         spec, tag = evaluator.region_2user(ch, inputs[0], inputs[1])
     else:
         spec, tag = evaluator.region_multi(ch, inputs), "multi"
-    per_user = [0.0] * ch.n_users
-    if code.mode == "case1":
-        per_user[0] = rates["per_stream"]["x"]["rate_float"]
-        per_user[1] = (rates["per_stream"]["u"]["rate_float"]
-                       + rates["per_stream"]["v"]["rate_float"])
-    elif code.mode == "case2":
-        per_user[0] = rates["per_stream"]["x"]["rate_float"]
-        per_user[1] = rates["per_stream"]["y"]["rate_float"]
-    else:
-        for pos, user in enumerate(code.user_order):
-            name = code.plan.streams[pos].name
-            per_user[user] = rates["per_stream"][name]["rate_float"]
+    per_user = [sum(rates["per_stream"][p]["rate_float"] for p in parts)
+                for _, parts in code.plan.channel_inputs]
     verdicts = {}
     for subset, bound in spec.constraints.items():
         key = "+".join(str(u + 1) for u in sorted(subset))

@@ -1,18 +1,19 @@
 """Block-Markov MAC-resolvability encoders.
 
-Each transmitter stream runs a hash chain over k blocks of length N: block 1
-is seeded with fresh uniform bits at rate H(S) + eps, every later block
-re-seeds the black-box source-resolvability codec with the two-universal hash
-of the previous block's output sequence (rate H(S | side-info) - eps/2)
-concatenated with fresh bits (rate I(S; side-info) + eps).  The two-user
-construction comes in two flavors:
+Each stream runs a hash chain over k blocks of length N: block 1 is seeded
+with fresh uniform bits at rate H(S) + eps, every later block re-seeds the
+black-box source-resolvability codec with the two-universal hash of the
+previous block's output sequence (rate H(S | side-info) - eps/2)
+concatenated with fresh bits (rate I(S; side-info) + eps).  Every mode is the
+same construction: one chain per (possibly virtual) user, then one
+channel word per real user.  ``LengthPlan.channel_inputs`` is the only place
+that says which streams form which channel word:
 
 * case 1 (I(XY;Z) > I(X;Z) + I(Y;Z)): transmitter 2 is rate-split into
-  virtual users U, V with Y = max(U, V), one chain each;
-* case 2 (equality): transmitter 2 runs a single chain for Y directly.
-
-The L-user construction runs one chain per transmitter; the chosen user
-order selects which corner of the dominant face is targeted.
+  virtual users U, V and sends Y = max(U, V);
+* case 2 (equality): transmitter 2 runs a single chain for Y directly;
+* L users: one chain per transmitter, chained in the user order that selects
+  the targeted corner of the dominant face.
 
 All bit lengths are tolerant ceilings of the real-valued formulas; the codec
 input width is pinned to hash_len + rest-block fresh length so the chain
@@ -30,13 +31,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .hashing import ToeplitzHash, sample_hash
+from .hashing import ToeplitzHash, bits_to_hex, sample_hash
 from .polar import ResolvabilityCode, compute_profile, encode_batch
-from .probcore import Dist, MacChannel, entropy, make_rng, \
+from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
     conditional_entropy, mutual_information, transmit
 from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
 
@@ -49,10 +50,6 @@ __all__ = [
     "make_plan",
     "make_plan_multi",
     "build_mac_code",
-    "encode_tx1",
-    "encode_tx2",
-    "encode_case2",
-    "encode_multi",
     "run_trials",
     "achieved_rates",
     "classify_two_user",
@@ -147,6 +144,20 @@ class LengthPlan:
                 return s
         raise KeyError(name)
 
+    @property
+    def channel_inputs(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """Per channel user, in user order: (word name, streams it is the max of).
+
+        Case 1 sends Y = max(U, V) as user 2; otherwise every stream is one
+        user's word, and stream ``x{l}`` belongs to user l.
+        """
+        if self.mode == "case1":
+            return (("x", ("x",)), ("y", ("u", "v")))
+        if self.mode == "case2":
+            return (("x", ("x",)), ("y", ("y",)))
+        by_user = sorted(self.streams, key=lambda s: int(s.name[1:]))
+        return tuple((s.name, (s.name,)) for s in by_user)
+
 
 def _plan_stream(
     name: str,
@@ -196,6 +207,45 @@ def classify_two_user(ch: MacChannel, p_x: Dist, p_y: Dist) -> str:
     return "case1" if gap > CASE_TOL else "case2"
 
 
+def _make_plan(
+    ch: MacChannel,
+    joint: JointDist,
+    specs: Sequence[tuple[str, Dist, int, list[int]]],
+    mode: str,
+    delta_of: Callable[[MacChannel, int], float],
+    block_len: int,
+    k: int,
+    xi: float,
+    idealized: IdealizedOverrides | None,
+    min_codec_widths: dict[str, int] | None,
+) -> LengthPlan:
+    """Plan one chain per (name, source, axis, conditioning axes) of ``joint``.
+
+    Stream ``name`` on ``axis`` recycles at H(S | conditioning) and draws
+    I(S; conditioning) + eps fresh bits per rest block.  ``delta_of(ch, N)``
+    is the mode's concentration term, replaced by idealized overrides.
+    """
+    if block_len & (block_len - 1) or block_len < 1:
+        raise ValueError(f"N must be a power of two, got {block_len}")
+    if xi <= 0 and idealized is None:
+        raise ValueError("xi must be > 0 (or pass idealized overrides)")
+    delta = delta_of(ch, block_len)
+    if idealized is not None:
+        delta = idealized.delta
+        xi = idealized.xi
+    eps = 2.0 * (delta + xi)
+    widths = min_codec_widths or {}
+    streams = tuple(
+        _plan_stream(name, entropy(src),
+                     conditional_entropy(joint, [axis], given),
+                     mutual_information(joint, [axis], given),
+                     block_len, eps, widths.get(name))
+        for name, src, axis, given in specs
+    )
+    return LengthPlan(block_len, k, xi, eps, delta, mode, streams,
+                      idealized=idealized is not None)
+
+
 def make_plan(
     ch: MacChannel,
     p_x: Dist,
@@ -215,53 +265,20 @@ def make_plan(
     fresh lengths when a concrete codec needs a wider input than the formula
     provides, which can only happen with idealized overrides.
     """
-    if block_len & (block_len - 1) or block_len < 1:
-        raise ValueError(f"N must be a power of two, got {block_len}")
-    if xi <= 0 and idealized is None:
-        raise ValueError("xi must be > 0 (or pass idealized overrides)")
-    delta = delta_concentration(ch, block_len)
-    if idealized is not None:
-        delta = idealized.delta
-        xi = idealized.xi
-    eps = 2.0 * (delta + xi)
-    widths = min_codec_widths or {}
-
     if split is not None:
         j = split_joint(ch, p_x, split.p_u, split.p_v)
         u, v, x, y, z = range(5)
-        streams = (
-            _plan_stream("x", entropy(p_x),
-                         conditional_entropy(j, [x], [u, z]),
-                         mutual_information(j, [x], [u, z]),
-                         block_len, eps, widths.get("x")),
-            _plan_stream("u", entropy(split.p_u),
-                         conditional_entropy(j, [u], [z]),
-                         mutual_information(j, [u], [z]),
-                         block_len, eps, widths.get("u")),
-            _plan_stream("v", entropy(split.p_v),
-                         conditional_entropy(j, [v], [u, z, x]),
-                         mutual_information(j, [v], [u, z, x]),
-                         block_len, eps, widths.get("v")),
-        )
-        mode = "case1"
+        specs = [("x", p_x, x, [u, z]), ("u", split.p_u, u, [z]),
+                 ("v", split.p_v, v, [u, z, x])]
     else:
         if p_y is None:
             raise ValueError("case 2 plan needs p_y")
         j = ch.joint_with_output([p_x, p_y])
         x, y, z = range(3)
-        streams = (
-            _plan_stream("x", entropy(p_x),
-                         conditional_entropy(j, [x], [z]),
-                         mutual_information(j, [x], [z]),
-                         block_len, eps, widths.get("x")),
-            _plan_stream("y", entropy(p_y),
-                         conditional_entropy(j, [y], [z, x]),
-                         mutual_information(j, [y], [z, x]),
-                         block_len, eps, widths.get("y")),
-        )
-        mode = "case2"
-    return LengthPlan(block_len, k, xi, eps, delta, mode, streams,
-                      idealized=idealized is not None)
+        specs = [("x", p_x, x, [z]), ("y", p_y, y, [z, x])]
+    return _make_plan(ch, j, specs, "case2" if split is None else "case1",
+                      delta_concentration, block_len, k, xi, idealized,
+                      min_codec_widths)
 
 
 def make_plan_multi(
@@ -282,32 +299,12 @@ def make_plan_multi(
     """
     if sorted(order) != list(range(ch.n_users)):
         raise ValueError(f"order {order} is not a permutation of 0..{ch.n_users - 1}")
-    if block_len & (block_len - 1) or block_len < 1:
-        raise ValueError(f"N must be a power of two, got {block_len}")
-    if xi <= 0 and idealized is None:
-        raise ValueError("xi must be > 0 (or pass idealized overrides)")
-    delta = delta_concentration_multi(ch, block_len)
-    if idealized is not None:
-        delta = idealized.delta
-        xi = idealized.xi
-    eps = 2.0 * (delta + xi)
-    widths = min_codec_widths or {}
-    j = ch.joint_with_output(list(inputs))
     z_axis = ch.n_users
-    streams = []
-    earlier: list[int] = []
-    for user in order:
-        name = f"x{user + 1}"
-        streams.append(_plan_stream(
-            name,
-            entropy(inputs[user]),
-            conditional_entropy(j, [user], [z_axis] + earlier),
-            mutual_information(j, [user], [z_axis] + earlier),
-            block_len, eps, widths.get(name),
-        ))
-        earlier.append(user)
-    return LengthPlan(block_len, k, xi, eps, delta, "multi", tuple(streams),
-                      idealized=idealized is not None)
+    specs = [(f"x{user + 1}", inputs[user], user,
+              [z_axis] + list(order[:pos])) for pos, user in enumerate(order)]
+    return _make_plan(ch, ch.joint_with_output(list(inputs)), specs, "multi",
+                      delta_concentration_multi, block_len, k, xi, idealized,
+                      min_codec_widths)
 
 
 @dataclass(frozen=True)
@@ -350,16 +347,30 @@ class MacCode:
     def mode(self) -> str:
         return self.plan.mode
 
-    def channel_stream_names(self) -> tuple[str, ...]:
-        """Stream names feeding channel users 1..L, in user order."""
-        if self.plan.mode == "case1":
-            return ("x", "y")
-        if self.plan.mode == "case2":
-            return ("x", "y")
-        names = [""] * self.channel.n_users
-        for pos, user in enumerate(self.user_order):
-            names[user] = self.plan.streams[pos].name
-        return tuple(names)
+
+def _profile_codecs(
+    sources: dict[str, Dist],
+    n_exp: int,
+    beta: float,
+    profile_seed: int | None,
+    mc_samples: int,
+) -> dict[str, ResolvabilityCode]:
+    """One polar codec per stream, in plan order.
+
+    Exact profiles need no randomness; sampled ones draw from child
+    ``profile_seed`` with the stream's plan position as spawn key, so a
+    rebuild from the descriptor reproduces the build.
+    """
+    codecs = {}
+    for idx, (name, src) in enumerate(sources.items()):
+        if profile_seed is None:
+            prof = compute_profile(src, n_exp, beta)
+        else:
+            child = np.random.SeedSequence(profile_seed, spawn_key=(idx,))
+            prof = compute_profile(src, n_exp, beta, mc_samples=mc_samples,
+                                   rng=make_rng(child))
+        codecs[name] = ResolvabilityCode(prof)
+    return codecs
 
 
 def build_mac_code(
@@ -422,16 +433,8 @@ def build_mac_code(
     profile_seed = None
     if block_len > EXACT_CAP_N:
         profile_seed = int(rng.integers(0, 2 ** 63 - 1))
-    codecs = {}
-    for idx, (name, src) in enumerate(sources.items()):
-        if profile_seed is None:
-            prof = compute_profile(src, n_exp, beta)
-        else:
-            child = np.random.SeedSequence(profile_seed, spawn_key=(idx,))
-            prof = compute_profile(src, n_exp, beta,
-                                   mc_samples=mc_profile_samples,
-                                   rng=make_rng(child))
-        codecs[name] = ResolvabilityCode(prof)
+    codecs = _profile_codecs(sources, n_exp, beta, profile_seed,
+                             mc_profile_samples)
     widths = {name: codecs[name].seed_len for name in sources}
 
     if mode == "multi":
@@ -499,69 +502,6 @@ def _chain_encode(
     return seqs, recycled
 
 
-def encode_tx1(
-    code: MacCode, seeds: Sequence[np.ndarray], rng: np.random.Generator,
-    *, recycle: bool = True,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Transmitter-1 chain (stream "x"): per-block sequences and recycled bits."""
-    s = code.plan.stream("x")
-    return _chain_encode(code.codecs["x"], code.hashes["x"], s, seeds, rng, recycle)
-
-
-def encode_tx2(
-    code: MacCode,
-    seeds_u: Sequence[np.ndarray],
-    seeds_v: Sequence[np.ndarray],
-    rng: np.random.Generator,
-    *, recycle: bool = True,
-) -> dict[str, list[np.ndarray]]:
-    """Transmitter-2 case-1 chains: virtual users U, V and Y = max(U, V)."""
-    if code.mode != "case1":
-        raise ValueError("encode_tx2 runs the case-1 rate-split construction")
-    us, rec_u = _chain_encode(code.codecs["u"], code.hashes["u"],
-                              code.plan.stream("u"), seeds_u, rng, recycle)
-    vs, rec_v = _chain_encode(code.codecs["v"], code.hashes["v"],
-                              code.plan.stream("v"), seeds_v, rng, recycle)
-    ys = [np.maximum(u, v) for u, v in zip(us, vs)]
-    return {"u": us, "v": vs, "y": ys, "recycled_u": rec_u, "recycled_v": rec_v}
-
-
-def encode_case2(
-    code: MacCode,
-    seeds: dict[str, Sequence[np.ndarray]],
-    rng: np.random.Generator,
-    *, recycle: bool = True,
-) -> dict[str, list[np.ndarray]]:
-    """Case-2 encoding: one chain per transmitter (U absent, V = Y)."""
-    if code.mode != "case2":
-        raise ValueError("encode_case2 requires a case-2 code")
-    out = {}
-    for name in ("x", "y"):
-        seqs, rec = _chain_encode(code.codecs[name], code.hashes[name],
-                                  code.plan.stream(name), seeds[name], rng, recycle)
-        out[name] = seqs
-        out[f"recycled_{name}"] = rec
-    return out
-
-
-def encode_multi(
-    code: MacCode,
-    seeds: dict[str, Sequence[np.ndarray]],
-    rng: np.random.Generator,
-    *, recycle: bool = True,
-) -> dict[str, list[np.ndarray]]:
-    """L-user encoding: independent per-user hash chains in plan order."""
-    if code.mode != "multi":
-        raise ValueError("encode_multi requires a multi-user code")
-    out = {}
-    for s in code.plan.streams:
-        seqs, rec = _chain_encode(code.codecs[s.name], code.hashes[s.name],
-                                  s, seeds[s.name], rng, recycle)
-        out[s.name] = seqs
-        out[f"recycled_{s.name}"] = rec
-    return out
-
-
 @dataclass
 class BatchTranscript:
     """Arrays for a batch of independent trials of one code.
@@ -594,9 +534,11 @@ def run_trials(
 ) -> BatchTranscript:
     """Draw seeds, run every chain, and transmit each block through the channel.
 
-    Deterministic given the generator state: seeds are drawn stream-major in
-    plan order, chains encode in plan order, channel noise is drawn block by
-    block.
+    Each user's channel word is the bitwise max of the streams
+    ``plan.channel_inputs`` names for it; a word that is not itself a stream
+    (case 1's Y) joins ``streams`` after the chains.  Deterministic given the
+    generator state: seeds are drawn stream-major in plan order, chains
+    encode in plan order, channel noise is drawn block by block.
     """
     plan = code.plan
     fresh: dict[str, list[np.ndarray]] = {}
@@ -607,27 +549,19 @@ def run_trials(
         ]
     streams: dict[str, np.ndarray] = {}
     recycled: dict[str, list[np.ndarray]] = {}
-    if code.mode == "case1":
-        xs, rec_x = encode_tx1(code, fresh["x"], rng, recycle=recycle)
-        tx2 = encode_tx2(code, fresh["u"], fresh["v"], rng, recycle=recycle)
-        per_block = {"x": xs, "u": tx2["u"], "v": tx2["v"], "y": tx2["y"]}
-        recycled = {"x": rec_x, "u": tx2["recycled_u"], "v": tx2["recycled_v"]}
-    elif code.mode == "case2":
-        out = encode_case2(code, fresh, rng, recycle=recycle)
-        per_block = {"x": out["x"], "y": out["y"]}
-        recycled = {"x": out["recycled_x"], "y": out["recycled_y"]}
-    else:
-        out = encode_multi(code, fresh, rng, recycle=recycle)
-        per_block = {s.name: out[s.name] for s in plan.streams}
-        recycled = {s.name: out[f"recycled_{s.name}"] for s in plan.streams}
-    for name, blocks in per_block.items():
-        streams[name] = np.stack(blocks, axis=1)
-    user_names = code.channel_stream_names()
-    z_blocks = []
-    for i in range(plan.k):
-        words = [streams[name][:, i, :] for name in user_names]
-        z_blocks.append(transmit(code.channel, words, rng))
-    channel_out = np.stack(z_blocks, axis=1)
+    for s in plan.streams:
+        seqs, recycled[s.name] = _chain_encode(
+            code.codecs[s.name], code.hashes[s.name], s, fresh[s.name], rng,
+            recycle)
+        streams[s.name] = np.stack(seqs, axis=1)
+    words = []
+    for word, parts in plan.channel_inputs:
+        if word not in streams:
+            streams[word] = np.maximum.reduce([streams[p] for p in parts])
+        words.append(streams[word])
+    channel_out = np.stack(
+        [transmit(code.channel, [w[:, i, :] for w in words], rng)
+         for i in range(plan.k)], axis=1)
     return BatchTranscript(code.mode, streams, fresh, recycled, channel_out)
 
 
@@ -635,7 +569,8 @@ def achieved_rates(plan: LengthPlan) -> dict:
     """Exact rational per-stream rates plus the large-k limit formulas.
 
     R_s = (|E_1| + (k-1) |E_i|) / (k N) as a Fraction; the reported limit is
-    fresh_info + eps evaluated in floating point.
+    fresh_info + eps evaluated in floating point.  ``r{l}`` and ``r{l}_limit``
+    sum them over the streams that form channel user l's word.
     """
     k, n = plan.k, plan.block_len
     per_stream = {}
@@ -648,19 +583,9 @@ def achieved_rates(plan: LengthPlan) -> dict:
             "limit": s.fresh_info + plan.eps,
         }
     rates = {"per_stream": per_stream}
-    if plan.mode == "case1":
-        rates["r1"] = per_stream["x"]["rate"]
-        rates["r2"] = per_stream["u"]["rate"] + per_stream["v"]["rate"]
-        rates["r1_limit"] = per_stream["x"]["limit"]
-        rates["r2_limit"] = per_stream["u"]["limit"] + per_stream["v"]["limit"]
-    elif plan.mode == "case2":
-        rates["r1"] = per_stream["x"]["rate"]
-        rates["r2"] = per_stream["y"]["rate"]
-        rates["r1_limit"] = per_stream["x"]["limit"]
-        rates["r2_limit"] = per_stream["y"]["limit"]
-    else:
-        rates["per_user"] = {s.name: per_stream[s.name]["rate"]
-                             for s in plan.streams}
+    for user, (_, parts) in enumerate(plan.channel_inputs, start=1):
+        rates[f"r{user}"] = sum(per_stream[p]["rate"] for p in parts)
+        rates[f"r{user}_limit"] = sum(per_stream[p]["limit"] for p in parts)
     return rates
 
 
@@ -733,18 +658,12 @@ def code_from_descriptor(desc: dict, mc_profile_samples: int = 1 << 14) -> MacCo
         split = SplitPoint(sd["eps"], Dist.bernoulli(sd["a"]),
                            Dist.bernoulli(sd["b"]),
                            (sd["r1"], sd["r_u"], sd["r_v"]))
-    codecs = {}
-    for idx, (name, p) in enumerate(desc["profiles"].items()):
-        src = Dist(Alphabet(2), np.asarray(p["source"]))
-        if p["exact"]:
-            prof = compute_profile(src, p["n"], p["beta"])
-        else:
-            child = np.random.SeedSequence(desc["profile_seed"], spawn_key=(idx,))
-            prof = compute_profile(
-                src, p["n"], p["beta"], mc_samples=mc_profile_samples,
-                rng=make_rng(child),
-            )
-        codecs[name] = ResolvabilityCode(prof)
+    profiles = desc["profiles"]
+    sources = {s.name: Dist(Alphabet(2), np.asarray(profiles[s.name]["source"]))
+               for s in streams}
+    codecs = _profile_codecs(sources, plan.block_len.bit_length() - 1,
+                             desc["beta"], desc["profile_seed"],
+                             mc_profile_samples)
     hashes = {
         name: ToeplitzHash.from_hex(h["hex"], h["in_len"], h["out_len"])
         for name, h in desc["hashes"].items()
@@ -764,28 +683,20 @@ def transcript_to_csv(bt: BatchTranscript, trial: int, path) -> None:
     """Dump one trial as hex CSV rows (block, field, hex bits) for replay."""
     import csv as _csv
 
-    def to_hex(bits: np.ndarray) -> str:
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size == 0:
-            return ""
-        pad = (-bits.size) % 4
-        nib = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)]).reshape(-1, 4)
-        return "".join(f"{v:x}" for v in (nib * [8, 4, 2, 1]).sum(axis=1))
-
     with open(path, "w", newline="") as f:
         w = _csv.writer(f)
         w.writerow(["block", "field", "n_bits", "hex"])
         for i in range(bt.k):
             for name, blocks in bt.fresh_seeds.items():
                 w.writerow([i + 1, f"fresh_{name}", blocks[i].shape[1],
-                            to_hex(blocks[i][trial])])
+                            bits_to_hex(blocks[i][trial])])
             for name, rec in bt.recycled.items():
                 if i >= 1:
                     w.writerow([i + 1, f"recycled_{name}", rec[i - 1].shape[1],
-                                to_hex(rec[i - 1][trial])])
+                                bits_to_hex(rec[i - 1][trial])])
             for name, arr in bt.streams.items():
                 w.writerow([i + 1, f"stream_{name}", arr.shape[2],
-                            to_hex(arr[trial, i])])
+                            bits_to_hex(arr[trial, i])])
             z = bt.channel_out[trial, i]
             w.writerow([i + 1, "channel_out", z.size,
                         "".join(str(int(s)) for s in z)])

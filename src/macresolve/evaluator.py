@@ -2,9 +2,12 @@
 
 Resolvability-region geometry (constraints, corner points, the case
 dichotomy), exact variational-distance evaluation of whole codes at
-enumerable sizes, Monte-Carlo windowed proxies with bootstrap confidence
-intervals at scale, inter-block independence diagnostics, and the
-distributed leftover-hash bound check.
+enumerable sizes, Monte-Carlo estimates at scale, and the distributed
+leftover-hash bound check.  Monte Carlo has one path: ``run_trials`` (or
+the i.i.d. null), then ``transcript_features`` per chunk of trials, then
+``assemble_mc_metrics`` on the concatenated features for windowed proxies
+and inter-block independence diagnostics with bootstrap confidence
+intervals.
 
 Full-block variational distance over Z^{kN} cannot be estimated by sampling
 at realistic sizes, so the exact joint TV is computed in exhaustive mode
@@ -45,13 +48,13 @@ __all__ = [
     "region_multi",
     "tv_exhaustive",
     "exact_report",
-    "tv_monte_carlo",
-    "independence_diagnostics",
+    "transcript_features",
     "mc_chunk_features",
     "assemble_mc_metrics",
     "lhl_bound_check",
     "delta0",
     "delta0_multi",
+    "analysis_delta0",
     "delta_block",
     "delta_block_multi",
     "delta_recycle",
@@ -183,6 +186,19 @@ def delta0_multi(block_len: int, xi: float, n_users: int) -> float:
     return 2.0 / block_len + 2.0 ** (n_users / 2.0) * 2.0 ** (-block_len * xi / 2.0)
 
 
+def analysis_delta0(code: MacCode) -> tuple[float, int | None]:
+    """(delta0, L) of the analysis that matches the code's mode.
+
+    L is None for the two-user constructions, whose bounds have their own
+    constants; the bound helpers below take it as ``multi_users``.
+    """
+    plan = code.plan
+    if plan.mode == "multi":
+        n_users = code.channel.n_users
+        return delta0_multi(plan.block_len, plan.xi, n_users), n_users
+    return delta0(plan.block_len, plan.xi), None
+
+
 def delta_block(i: int, codec_tv: float, d0: float) -> float:
     """Per-block closed-form bound (3/2)(d + d0)(3^i - 1) + 3^(i+1) d."""
     return 1.5 * (codec_tv + d0) * (3.0 ** i - 1.0) + 3.0 ** (i + 1) * codec_tv
@@ -289,18 +305,13 @@ class _ExactEngine:
         dim = self.stream_dim
         shape = (dim,) * len(names)
         grids = np.indices(shape).reshape(len(names), -1)
-        per_stream = {name: grids[i] for i, name in enumerate(names)}
-        if self.code.mode == "case1":
-            bits_u = all_bit_rows(n_sym)[per_stream["u"]]
-            bits_v = all_bit_rows(n_sym)[per_stream["v"]]
-            y_int = bits_to_index(bits_u | bits_v)   # max of bits is OR
-            keys = per_stream["x"] * dim + y_int
-        elif self.code.mode == "case2":
-            keys = per_stream["x"] * dim + per_stream["y"]
-        else:
-            keys = np.zeros(self.n_states, dtype=np.int64)
-            for name in self.code.channel_stream_names():
-                keys = keys * dim + per_stream[name]
+        per_stream = dict(zip(names, grids))
+        rows = all_bit_rows(n_sym)
+        keys = np.zeros(self.n_states, dtype=np.int64)
+        for _, parts in self.code.plan.channel_inputs:
+            # a word that is the max of several streams is their bitwise OR
+            word = np.bitwise_or.reduce([rows[per_stream[p]] for p in parts])
+            keys = keys * dim + bits_to_index(word)
         return keys
 
     def block1_state_pmf(self) -> np.ndarray:
@@ -309,14 +320,21 @@ class _ExactEngine:
             p = np.multiply.outer(p, self.p1[name]).reshape(-1)
         return p
 
+    def propagate(self, table: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Contract each stream axis of a (states, ...) table with its block law.
+
+        The stream transitions act independently, one axis each; with
+        ``transpose`` the table is pulled back instead of pushed forward.
+        """
+        t = table.reshape((self.stream_dim,) * len(self.names) + table.shape[1:])
+        for axis, name in enumerate(self.names):
+            m = self.trans[name].T if transpose else self.trans[name]
+            t = np.moveaxis(np.tensordot(m, t, axes=(0, axis)), 0, axis)
+        return t.reshape(table.shape)
+
     def advance(self, state_pmf: np.ndarray) -> np.ndarray:
         """One block-Markov step of the joint stream-state law."""
-        n_streams = len(self.names)
-        t = state_pmf.reshape((self.stream_dim,) * n_streams)
-        for axis, name in enumerate(self.names):
-            t = np.moveaxis(
-                np.tensordot(self.trans[name], t, axes=(0, axis)), 0, axis)
-        return t.reshape(-1)
+        return self.propagate(state_pmf)
 
     def output_given_states(self, state_pmf: np.ndarray) -> np.ndarray:
         return state_pmf @ self.emission
@@ -329,23 +347,11 @@ class _ExactEngine:
             return self.output_given_states(state)
         carry = state[:, None] * self.emission          # (states, z1)
         for _ in range(k - 2):
-            n_streams = len(self.names)
-            zdim = carry.shape[1]
-            t = carry.reshape((self.stream_dim,) * n_streams + (zdim,))
-            for axis, name in enumerate(self.names):
-                t = np.moveaxis(
-                    np.tensordot(self.trans[name], t, axes=(0, axis)), 0, axis)
-            carry = t.reshape(self.n_states, zdim)
+            carry = self.propagate(carry)
             carry = (carry[:, :, None] * self.emission[:, None, :]).reshape(
                 self.n_states, -1)
         # last block: contract states out
-        n_streams = len(self.names)
-        zdim = carry.shape[1]
-        t = carry.reshape((self.stream_dim,) * n_streams + (zdim,))
-        for axis, name in enumerate(self.names):
-            t = np.moveaxis(
-                np.tensordot(self.trans[name], t, axes=(0, axis)), 0, axis)
-        carry = t.reshape(self.n_states, zdim)
+        carry = self.propagate(carry)
         return np.einsum("sz,sw->zw", carry, self.emission).reshape(-1)
 
     def target_z_pow(self, blocks: int) -> np.ndarray:
@@ -412,12 +418,7 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
                 rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}", tv))
         # consecutive output blocks vs product of their marginals:
         # law of (z_{i-1}, z_i) = sum_s m[s] em[s, z1] (T em)[s, z2]
-        tt = eng.emission.reshape(
-            (eng.stream_dim,) * len(eng.names) + (eng.zn,)).copy()
-        for axis, name in enumerate(eng.names):
-            tt = np.moveaxis(
-                np.tensordot(eng.trans[name].T, tt, axes=(0, axis)), 0, axis)
-        w = tt.reshape(eng.n_states, eng.zn)
+        w = eng.propagate(eng.emission, transpose=True)
         for i in range(2, plan.k + 1):
             m_prev = states_seq[i - 2]
             pair = np.einsum("s,sz,sw->zw", m_prev, eng.emission, w)
@@ -431,9 +432,7 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
                                        plan.block_len)).sum())
         for name in eng.names
     )
-    mu = code.channel.n_users if plan.mode == "multi" else None
-    d0 = delta0_multi(plan.block_len, plan.xi, code.channel.n_users) \
-        if mu else delta0(plan.block_len, plan.xi)
+    d0, mu = analysis_delta0(code)
     rows.append(MetricRow("codec_tv_worst_stream", codec_tv))
     rows.append(MetricRow("bound_delta0", d0))
     dk = delta_block_multi(plan.k, codec_tv, d0, mu) if mu else \
@@ -531,53 +530,12 @@ def _bootstrap_tv(counts: np.ndarray, target: np.ndarray, n_boot: int,
     return tv, float(lo), float(hi)
 
 
-def tv_monte_carlo(
-    code: MacCode,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    window: int = 2,
-    null: bool = False,
-    recycle: bool = True,
-    n_boot: int = 1000,
-    transcript: BatchTranscript | None = None,
-) -> list[MetricRow]:
-    """Windowed-marginal TV estimates with bootstrap CIs.
+def _null_transcript(code: MacCode, trials: int,
+                     rng: np.random.Generator) -> BatchTranscript:
+    """Channel outputs when inputs are true i.i.d. draws from the targets.
 
-    Pools sliding windows of ``window`` (and 1) symbols over positions,
-    blocks, and trials; compares against the i.i.d. target.  Documented as a
-    lower-bound proxy for the full-block distance.  ``null=True`` replaces
-    the code's inputs with true i.i.d. samples from the target input laws --
-    the calibration baseline.  A precomputed ``transcript`` skips simulation.
+    The calibration baseline: no chains run, so nothing is recycled.
     """
-    if not 1 <= window <= 3:
-        raise ValueError("window must be in 1..3")
-    z_size = code.channel.output_alphabet.size
-    if transcript is not None:
-        z = transcript.channel_out
-        trials = z.shape[0]
-    elif null:
-        z = _null_outputs(code, trials, rng)
-    else:
-        z = run_trials(code, trials, rng, recycle=recycle).channel_out
-    if trials < 1000:
-        raise ValueError(f"need >= 1000 trials for stable estimates, got {trials}")
-    qz = target_output_dist(code.channel, list(code.input_dists)).pmf
-    boot_rng = rng.spawn(1)[0]
-    out = []
-    for w in sorted({1, window}):
-        target = np.array([1.0])
-        for _ in range(w):
-            target = np.multiply.outer(target, qz).reshape(-1)
-        counts = _count_rows(_window_cells(z, z_size, w), z_size ** w)
-        tv, lo, hi = _bootstrap_tv(counts, target, n_boot, boot_rng)
-        name = "symbol_marginal_tv" if w == 1 else f"windowed_tv_w{w}"
-        out.append(MetricRow(name, tv, lo, hi, trials, "mc"))
-    return out
-
-
-def _null_outputs(code: MacCode, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Channel outputs when inputs are true i.i.d. draws from the targets."""
     from .probcore import transmit
 
     plan = code.plan
@@ -590,64 +548,7 @@ def _null_outputs(code: MacCode, trials: int, rng: np.random.Generator) -> np.nd
             words.append(np.sum(uphase >= cdf, axis=-1).clip(
                 0, d.alphabet.size - 1).astype(np.int64))
         blocks.append(transmit(code.channel, words, rng))
-    return np.stack(blocks, axis=1)
-
-
-def independence_diagnostics(
-    bt: BatchTranscript,
-    code: MacCode,
-    rng: np.random.Generator,
-    *,
-    window: int = 2,
-    rec_bits: int = 3,
-    n_boot: int = 1000,
-) -> list[MetricRow]:
-    """Empirical block-Markov independence checks with bootstrap CIs.
-
-    For each block i >= 2: TV between the joint of (first ``rec_bits``
-    recycled bits, last ``window`` output symbols of block i-1) and the
-    product of its marginals; likewise between adjacent output windows
-    (last ``window`` of block i-1, first ``window`` of block i).  k = 1 has
-    nothing to recycle and reports a vacuous zero.
-    """
-    trials, k = bt.n_trials, bt.k
-    if k == 1:
-        return [MetricRow("recycled_independence_tv", 0.0, None, None, trials,
-                          "exact")]
-    if trials < 1000:
-        raise ValueError(
-            f"need >= 1000 transcripts for empirical joints, got {trials}"
-        )
-    z_size = code.channel.output_alphabet.size
-    n_sym = bt.channel_out.shape[2]
-    w = min(window, n_sym)
-    zc = z_size ** w
-    rec_e, z_last, z_first, ec = _dependence_indices(bt, code, w, rec_bits)
-
-    rec_rows = []
-    zz_rows = []
-    boot_rng = rng.spawn(1)[0]
-    for i in range(2, k + 1):
-        rec_rows.append(_pair_tv(rec_e[:, i - 2], z_last[:, i - 2], ec, zc,
-                                 n_boot, boot_rng))
-        zz_rows.append(_pair_tv(z_last[:, i - 2], z_first[:, i - 1], zc, zc,
-                                n_boot, boot_rng))
-    out = []
-    for i, (tv, lo, hi) in enumerate(rec_rows, start=2):
-        out.append(MetricRow(f"recycled_independence_tv_block{i}", tv, lo, hi,
-                             trials, "mc"))
-    for i, (tv, lo, hi) in enumerate(zz_rows, start=2):
-        out.append(MetricRow(f"interblock_output_tv_block{i}", tv, lo, hi,
-                             trials, "mc"))
-    rec_mean = float(np.mean([r[0] for r in rec_rows]))
-    zz_mean = float(np.mean([r[0] for r in zz_rows]))
-    out.append(MetricRow("recycled_independence_tv_mean", rec_mean,
-                         float(np.mean([r[1] for r in rec_rows])),
-                         float(np.mean([r[2] for r in rec_rows])), trials, "mc"))
-    out.append(MetricRow("interblock_output_tv_mean", zz_mean,
-                         float(np.mean([r[1] for r in zz_rows])),
-                         float(np.mean([r[2] for r in zz_rows])), trials, "mc"))
-    return out
+    return BatchTranscript("null", {}, {}, {}, np.stack(blocks, axis=1))
 
 
 def _dependence_indices(
@@ -680,6 +581,37 @@ def _dependence_indices(
     return rec_e, z_last, z_first, ec
 
 
+def transcript_features(
+    code: MacCode,
+    bt: BatchTranscript,
+    *,
+    window: int = 2,
+    rec_bits: int = 3,
+) -> dict[str, np.ndarray]:
+    """Per-trial integer features of a batch of transcripts.
+
+    ``win{w}`` holds each trial's histogram of sliding output windows of w
+    symbols (w = 1 and ``window``).  With k >= 2 blocks and recycled bits,
+    ``rec_e``, ``z_last`` and ``z_first`` hold the cells of the dependence
+    checks and ``rec_cells`` their recycled cell count.  Integer outputs
+    reduce across chunks in any grouping without float-order effects, which
+    is what makes reports byte-identical across worker counts.
+    """
+    z_size = code.channel.output_alphabet.size
+    z = bt.channel_out
+    feats: dict[str, np.ndarray] = {}
+    for w in sorted({1, window}):
+        feats[f"win{w}"] = _count_rows(_window_cells(z, z_size, w), z_size ** w)
+    if bt.k >= 2 and bt.recycled:
+        w = min(window, z.shape[2])
+        rec_e, z_last, z_first, ec = _dependence_indices(bt, code, w, rec_bits)
+        feats["rec_e"] = rec_e
+        feats["z_last"] = z_last
+        feats["z_first"] = z_first
+        feats["rec_cells"] = np.array([ec])
+    return feats
+
+
 def mc_chunk_features(
     code: MacCode,
     n_trials: int,
@@ -690,30 +622,15 @@ def mc_chunk_features(
     null: bool = False,
     recycle: bool = True,
 ) -> dict[str, np.ndarray]:
-    """Per-trial integer features for one chunk of Monte-Carlo trials.
+    """Simulate one chunk of trials and return its transcript features.
 
-    Integer outputs reduce across chunks in any grouping without float-order
-    effects, which is what makes reports byte-identical across worker counts.
+    ``null=True`` replaces the code's inputs with true i.i.d. draws from the
+    target input laws (the calibration baseline); ``recycle=False`` is the
+    fresh-seed ablation.
     """
-    z_size = code.channel.output_alphabet.size
-    if null:
-        z = _null_outputs(code, n_trials, rng)
-        bt = None
-    else:
-        bt = run_trials(code, n_trials, rng, recycle=recycle)
-        z = bt.channel_out
-    n_sym = z.shape[2]
-    feats: dict[str, np.ndarray] = {}
-    for w in sorted({1, window}):
-        feats[f"win{w}"] = _count_rows(_window_cells(z, z_size, w), z_size ** w)
-    if bt is not None and bt.k >= 2:
-        w = min(window, n_sym)
-        rec_e, z_last, z_first, ec = _dependence_indices(bt, code, w, rec_bits)
-        feats["rec_e"] = rec_e
-        feats["z_last"] = z_last
-        feats["z_first"] = z_first
-        feats["rec_cells"] = np.array([ec])
-    return feats
+    bt = _null_transcript(code, n_trials, rng) if null else \
+        run_trials(code, n_trials, rng, recycle=recycle)
+    return transcript_features(code, bt, window=window, rec_bits=rec_bits)
 
 
 def assemble_mc_metrics(
@@ -724,20 +641,33 @@ def assemble_mc_metrics(
     window: int = 2,
     n_boot: int = 1000,
 ) -> list[MetricRow]:
-    """Metrics from concatenated chunk features (window TVs + independence)."""
+    """Metrics with bootstrap CIs from concatenated transcript features.
+
+    Window TVs against the i.i.d. target (lower-bound proxies for the
+    full-block distance) come from the ``win{w}`` features, block-Markov
+    dependence checks from the dependence features; each family is emitted
+    when its features are present.  For each block i >= 2 the dependence
+    checks are the TV between the joint of (first recycled bits, last output
+    window of block i-1) and the product of its marginals, and likewise for
+    adjacent output windows.
+    """
+    trials = max((v.shape[0] for key, v in feats.items() if key != "rec_cells"),
+                 default=0)
+    if trials < 1000:
+        raise ValueError(f"need >= 1000 trials for stable estimates, got {trials}")
     qz = target_output_dist(code.channel, list(code.input_dists)).pmf
     z_size = code.channel.output_alphabet.size
     out: list[MetricRow] = []
     for w in sorted({1, window}):
-        counts = feats[f"win{w}"]
+        if f"win{w}" not in feats:
+            continue
         target = np.array([1.0])
         for _ in range(w):
             target = np.multiply.outer(target, qz).reshape(-1)
-        tv, lo, hi = _bootstrap_tv(counts, target, n_boot, rng)
+        tv, lo, hi = _bootstrap_tv(feats[f"win{w}"], target, n_boot, rng)
         name = "symbol_marginal_tv" if w == 1 else f"windowed_tv_w{w}"
-        out.append(MetricRow(name, tv, lo, hi, counts.shape[0], "mc"))
+        out.append(MetricRow(name, tv, lo, hi, trials, "mc"))
     if "rec_e" in feats:
-        trials = feats["rec_e"].shape[0]
         k = feats["z_last"].shape[1]
         ec = int(feats["rec_cells"][0])
         zc = z_size ** min(window, code.plan.block_len)
@@ -749,22 +679,15 @@ def assemble_mc_metrics(
             zz_rows.append(_pair_tv(feats["z_last"][:, i - 2],
                                     feats["z_first"][:, i - 1], zc, zc,
                                     n_boot, rng))
-        for i, (tv, lo, hi) in enumerate(rec_rows, start=2):
-            out.append(MetricRow(f"recycled_independence_tv_block{i}", tv, lo,
-                                 hi, trials, "mc"))
-        for i, (tv, lo, hi) in enumerate(zz_rows, start=2):
-            out.append(MetricRow(f"interblock_output_tv_block{i}", tv, lo, hi,
-                                 trials, "mc"))
-        out.append(MetricRow("recycled_independence_tv_mean",
-                             float(np.mean([r[0] for r in rec_rows])),
-                             float(np.mean([r[1] for r in rec_rows])),
-                             float(np.mean([r[2] for r in rec_rows])),
-                             trials, "mc"))
-        out.append(MetricRow("interblock_output_tv_mean",
-                             float(np.mean([r[0] for r in zz_rows])),
-                             float(np.mean([r[1] for r in zz_rows])),
-                             float(np.mean([r[2] for r in zz_rows])),
-                             trials, "mc"))
+        families = (("recycled_independence_tv", rec_rows),
+                    ("interblock_output_tv", zz_rows))
+        for name, rows in families:
+            for i, (tv, lo, hi) in enumerate(rows, start=2):
+                out.append(MetricRow(f"{name}_block{i}", tv, lo, hi, trials,
+                                     "mc"))
+        for name, rows in families:
+            mean = [float(np.mean([r[j] for r in rows])) for j in range(3)]
+            out.append(MetricRow(f"{name}_mean", *mean, trials, "mc"))
     return out
 
 

@@ -18,9 +18,19 @@ import numpy as np
 
 from .probcore import Alphabet, BudgetError, JointDist, all_bit_rows, bits_to_index
 
-__all__ = ["ToeplitzHash", "sample_hash", "hashed_joint_dist_exact"]
+__all__ = ["ToeplitzHash", "bits_to_hex", "sample_hash",
+           "hashed_joint_dist_exact"]
 
 HASH_STATE_BUDGET = 1 << 24
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def bits_to_hex(bits: np.ndarray) -> str:
+    """Bits as hex, first bit in the high nibble, zero-padded to a nibble."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    pad = (-bits.size) % 4
+    nibbles = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)]).reshape(-1, 4)
+    return "".join(f"{v:x}" for v in (nibbles * [8, 4, 2, 1]).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -70,24 +80,23 @@ class ToeplitzHash:
 
     def to_hex(self) -> str:
         """Diagonal bits as a hex string (first bit in the high nibble)."""
-        bits = self.diagonal_bits
-        if bits.size == 0:
-            return ""
-        pad = (-bits.size) % 4
-        padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        nibbles = padded.reshape(-1, 4)
-        vals = (nibbles * np.array([8, 4, 2, 1], dtype=np.uint8)).sum(axis=1)
-        return "".join(f"{v:x}" for v in vals)
+        return bits_to_hex(self.diagonal_bits)
 
     @staticmethod
     def from_hex(hex_str: str, in_len: int, out_len: int) -> "ToeplitzHash":
+        """Inverse of :meth:`to_hex`; rejects bad characters, length or padding."""
         want = max(0, in_len + out_len - 1) if out_len > 0 else 0
-        if want == 0:
-            return ToeplitzHash(in_len, out_len, np.zeros(0, dtype=np.uint8))
+        bad = sorted(set(hex_str) - _HEX_DIGITS)
+        if bad:
+            raise ValueError(f"non-hex characters {bad} in hash hex string")
+        if len(hex_str) != -(-want // 4):
+            raise ValueError(f"hash hex string has {len(hex_str)} nibbles, "
+                             f"{want} diagonal bits need {-(-want // 4)}")
         vals = np.array([int(c, 16) for c in hex_str], dtype=np.uint8)
         bits = ((vals[:, None] >> np.array([3, 2, 1, 0])) & 1).reshape(-1)
-        if bits.size < want:
-            raise ValueError(f"hex string holds {bits.size} bits, need {want}")
+        if bits[want:].any():
+            raise ValueError(f"nonzero pad bits after the {want} diagonal bits "
+                             "of a hash hex string")
         return ToeplitzHash(in_len, out_len, bits[:want].astype(np.uint8))
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "index_to_bits",
     "all_bit_rows",
     "make_rng",
-    "split_rng",
     "channel_from_json",
     "channel_to_json",
     "load_channel_file",
@@ -407,11 +406,6 @@ def all_bit_rows(n: int) -> np.ndarray:
 def make_rng(seed: int | np.random.SeedSequence | None) -> np.random.Generator:
     """Named seedable generator; the single entry point for randomness."""
     return np.random.default_rng(seed)
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split a generator into n independent child generators."""
-    return list(rng.spawn(n))
 
 
 # -- channel spec file (JSON) --------------------------------------------------

@@ -18,12 +18,12 @@ import time
 import numpy as np
 
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
-    xor_mac
+    split_features, xor_mac
 from macresolve import cli
 from macresolve.encoder import IdealizedOverrides, achieved_rates, build_mac_code, \
     make_plan, make_plan_multi, run_trials, tally_fresh_bits
-from macresolve.evaluator import independence_diagnostics, lhl_bound_check, \
-    region_2user, region_multi, tv_exhaustive, tv_monte_carlo, _ExactEngine
+from macresolve.evaluator import assemble_mc_metrics, lhl_bound_check, \
+    region_2user, region_multi, transcript_features, tv_exhaustive, _ExactEngine
 from macresolve.polar import ResolvabilityCode, compute_profile, output_pmf_exact
 from macresolve.probcore import Alphabet, Dist, JointDist, all_bit_rows, \
     channel_to_json, entropy, make_rng, mutual_information
@@ -247,7 +247,12 @@ def _oracle_joint_z(code):
                 t[s] = _oracle_codec_law(codec, clamp.tolist())
             trans[name] = t
 
-    user_names = code.channel_stream_names()
+    # channel word of each user, written out here rather than read from the
+    # code so the oracle stays an independent reference
+    if code.mode == "multi":
+        user_names = [f"x{u + 1}" for u in range(ch.n_users)]
+    else:
+        user_names = ["x", "y"]
 
     def emission(state):
         per = {}
@@ -324,10 +329,11 @@ def test_criterion_6_empirical_convergence():
                               xi=0.05, idealized=IDEAL, eps_split=0.5,
                               rng=make_rng(100 + n))
         bt = run_trials(code, trials, make_rng(61))
-        rows = {m.name: m for m in tv_monte_carlo(
-            code, trials, make_rng(62), window=2, transcript=bt, n_boot=400)}
-        ind = {m.name: m for m in independence_diagnostics(
-            bt, code, make_rng(63), n_boot=400)}
+        win, dep = split_features(transcript_features(code, bt, window=2))
+        rows = {m.name: m for m in assemble_mc_metrics(
+            code, win, make_rng(62).spawn(1)[0], window=2, n_boot=400)}
+        ind = {m.name: m for m in assemble_mc_metrics(
+            code, dep, make_rng(63).spawn(1)[0], n_boot=400)}
         wtv[n] = rows["windowed_tv_w2"]
         rec[n] = ind["recycled_independence_tv_mean"]
         zz[n] = ind["interblock_output_tv_mean"]

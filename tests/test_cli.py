@@ -134,6 +134,17 @@ class TestSimulateCommand:
         assert outs[0] == outs[1] == outs[2]
 
 
+class TestTrialsFloor:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_too_few_trials_rejected(self, adder_spec, tmp_path, capsys, command):
+        rc = main([command, "--channel", adder_spec, "--out-dir",
+                   str(tmp_path / "s"), "--n", "16", "--k", "2", "--idealized",
+                   "--trials", "999"])
+        assert rc == 1
+        assert "--trials must be >= 1000" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
 class TestSweepCommand:
     def test_grid_csv(self, adder_spec, tmp_path):
         rc = main(["sweep", "--channel", adder_spec, "--out-dir",

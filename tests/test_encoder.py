@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from conftest import adder_mac, adder_mac3, parallel_mac
 from macresolve.encoder import (
     IdealizedOverrides,
+    _chain_encode,
     achieved_rates,
     build_mac_code,
     classify_two_user,
@@ -15,7 +17,6 @@ from macresolve.encoder import (
     code_to_descriptor,
     delta_concentration,
     descriptor_hash,
-    encode_tx1,
     make_plan,
     make_plan_multi,
     run_trials,
@@ -105,6 +106,29 @@ class TestPlan:
             make_plan_multi(adder_mac3(), [UNIF] * 3, (0, 0, 1), 8, 2, 0.05)
 
 
+class TestChannelInputs:
+    def test_case1_sends_max_of_split_users(self):
+        assert adder_code(n=4, k=1).plan.channel_inputs == (
+            ("x", ("x",)), ("y", ("u", "v")))
+
+    def test_case2_one_stream_per_user(self):
+        plan = make_plan(parallel_mac(), UNIF, None, 8, 2, 0.05, p_y=UNIF,
+                         idealized=IDEAL)
+        assert plan.channel_inputs == (("x", ("x",)), ("y", ("y",)))
+
+    def test_multi_in_user_order_whatever_the_chain_order(self):
+        plan = make_plan_multi(adder_mac3(), [UNIF] * 3, (2, 0, 1), 8, 2, 0.05,
+                               idealized=IDEAL)
+        assert plan.channel_inputs == (
+            ("x1", ("x1",)), ("x2", ("x2",)), ("x3", ("x3",)))
+
+    def test_per_user_rates_follow_the_map(self):
+        rates = achieved_rates(adder_code(n=8, k=2).plan)
+        per = rates["per_stream"]
+        assert rates["r1"] == per["x"]["rate"]
+        assert rates["r2"] == per["u"]["rate"] + per["v"]["rate"]
+
+
 class TestCaseClassification:
     def test_adder_is_case1(self):
         assert classify_two_user(adder_mac(), UNIF, UNIF) == "case1"
@@ -187,7 +211,8 @@ class TestChainEncoding:
                   code.plan.stream("x").seed_len_rest]
         seeds = [np.zeros((5, w), dtype=np.uint8) for w in widths]
         with pytest.raises(ValueError, match="width"):
-            encode_tx1(code, seeds, make_rng(0))
+            _chain_encode(code.codecs["x"], code.hashes["x"],
+                          code.plan.stream("x"), seeds, make_rng(0), True)
 
     def test_recycling_ablation_draws_fresh(self):
         code = adder_code(n=4, k=3)
@@ -314,6 +339,26 @@ class TestDescriptor:
         assert descriptor_hash(desc) == descriptor_hash(
             code_to_descriptor(code2))
 
+    def test_rebuild_reproduces_sampled_profiles(self):
+        # descriptors are written with sorted keys; the rebuild must still
+        # give each stream's sampled profile the spawn key build gave it
+        bern = [Dist.bernoulli(0.2), Dist.bernoulli(0.3), Dist.bernoulli(0.4)]
+        codes = [
+            build_mac_code(adder_mac(), [UNIF, UNIF], block_len=32, k=2,
+                           xi=0.05, idealized=IDEAL, rng=make_rng(12),
+                           mc_profile_samples=1024),
+            build_mac_code(adder_mac3(), bern, mode="multi", order=(2, 0, 1),
+                           block_len=32, k=2, xi=0.05, idealized=IDEAL,
+                           rng=make_rng(13), mc_profile_samples=1024),
+        ]
+        for code in codes:
+            assert code.profile_seed is not None
+            blob = json.dumps(code_to_descriptor(code), sort_keys=True)
+            code2 = code_from_descriptor(json.loads(blob), mc_profile_samples=1024)
+            for s in code.plan.streams:
+                assert np.array_equal(code.codecs[s.name].profile.cond_entropies,
+                                      code2.codecs[s.name].profile.cond_entropies)
+
     def test_transcript_csv_dump(self, tmp_path):
         code = adder_code(n=4, k=2)
         bt = run_trials(code, 3, make_rng(19))
@@ -322,3 +367,54 @@ class TestDescriptor:
         text = path.read_text()
         assert "stream_x" in text and "recycled_x" in text
         assert "channel_out" in text
+
+
+def _transcript_digest(bt) -> str:
+    """sha256 over channel outputs, then every stream and recycled array."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(bt.channel_out).tobytes())
+    for name, arr in bt.streams.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for name, blocks in bt.recycled.items():
+        h.update(name.encode())
+        for arr in blocks:
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestRngConsumption:
+    """Pin the order in which run_trials draws randomness, across refactors.
+
+    The digests were recorded before the per-mode encode wrappers were folded
+    into one loop; any change to the draw order of seeds, SC sampling or
+    channel noise changes them.
+    """
+
+    DIGESTS = {
+        "case1": "b4a2c7506fcf8d8575edd00b2748e3c19e5a0a41db01b17c23f9a5d0e4c08745",
+        "case2": "fc20247f629e0da4bb13d818356cf5276138c161de2048fd5830ca5789d00e10",
+        "multi": "12d4134e8ca263c582c66b4b56810f5839ea54c2343d810b9b48cd9686ba1fc0",
+    }
+
+    def _codes(self):
+        return {
+            "case1": build_mac_code(adder_mac(), [UNIF, UNIF], block_len=8, k=3,
+                                    xi=0.05, idealized=IDEAL, rng=make_rng(70)),
+            "case2": build_mac_code(parallel_mac(), [Dist.bernoulli(0.3),
+                                                     Dist.bernoulli(0.6)],
+                                    block_len=8, k=2, xi=0.05, idealized=IDEAL,
+                                    rng=make_rng(71)),
+            "multi": build_mac_code(adder_mac3(), [Dist.bernoulli(0.2),
+                                                   Dist.bernoulli(0.3),
+                                                   Dist.bernoulli(0.4)],
+                                    mode="multi", order=(2, 0, 1), block_len=8,
+                                    k=2, xi=0.05, idealized=IDEAL,
+                                    rng=make_rng(72)),
+        }
+
+    def test_run_trials_digests(self):
+        got = {mode: _transcript_digest(run_trials(code, 64, make_rng(80)))
+               for mode, code in self._codes().items()}
+        assert got == self.DIGESTS
+

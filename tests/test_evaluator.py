@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
-    xor_mac
+    split_features, xor_mac
 from macresolve.encoder import IdealizedOverrides, build_mac_code, run_trials
 from macresolve.evaluator import (
     RegionSpec,
     _ExactEngine,
+    assemble_mc_metrics,
     delta0,
     delta0_multi,
     delta_block,
@@ -16,13 +17,13 @@ from macresolve.evaluator import (
     delta_joint_recycle,
     delta_recycle,
     exact_report,
-    independence_diagnostics,
     joint_tv_bound,
     lhl_bound_check,
+    mc_chunk_features,
     region_2user,
     region_multi,
+    transcript_features,
     tv_exhaustive,
-    tv_monte_carlo,
 )
 from macresolve.probcore import (
     Alphabet,
@@ -185,23 +186,46 @@ class TestExactEngine:
         assert rows["joint_output_tv"] <= rows["bound_joint_tv"]
 
 
+def window_rows(code, trials, rng, n_boot=1000, **kw):
+    """Window-TV rows of fresh trials, bootstrapped from rng's first child."""
+    feats, _ = split_features(mc_chunk_features(code, trials, rng, **kw))
+    return assemble_mc_metrics(code, feats, rng.spawn(1)[0], n_boot=n_boot)
+
+
+def dependence_rows(code, bt, rng, n_boot=1000):
+    """Dependence rows of a transcript, bootstrapped from rng's first child."""
+    _, feats = split_features(transcript_features(code, bt))
+    return assemble_mc_metrics(code, feats, rng.spawn(1)[0], n_boot=n_boot)
+
+
 class TestMonteCarlo:
     def test_null_calibration_near_zero(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 8, 3, 28)
-        rows = tv_monte_carlo(code, 30_000, make_rng(29), null=True, n_boot=200)
+        rows = window_rows(code, 30_000, make_rng(29), null=True, n_boot=200)
         for m in rows:
             assert m.value < 0.02
 
     def test_trials_guard(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 30)
         with pytest.raises(ValueError, match="1000"):
-            tv_monte_carlo(code, 10, make_rng(0))
+            window_rows(code, 10, make_rng(0))
+
+    def test_trials_guard_on_concatenated_chunks(self):
+        # 9000 trials in chunks of 8192 leave an 808-trial chunk; the guard
+        # applies to the concatenated features, not to each chunk
+        code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 30)
+        rng = make_rng(1)
+        chunks = [mc_chunk_features(code, n, rng) for n in (8192, 808)]
+        feats = {key: chunks[0][key] if key == "rec_cells" else
+                 np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+        rows = assemble_mc_metrics(code, feats, make_rng(2), n_boot=50)
+        assert {m.samples for m in rows} == {9000}
 
     def test_windowed_tv_decreases_with_n(self):
         vals = {}
         for n in (8, 16):
             code = small_code(adder_mac(), [UNIF, UNIF], n, 3, 31)
-            rows = tv_monte_carlo(code, 30_000, make_rng(32), n_boot=200)
+            rows = window_rows(code, 30_000, make_rng(32), n_boot=200)
             vals[n] = {m.name: m for m in rows}
         w8, w16 = vals[8]["windowed_tv_w2"], vals[16]["windowed_tv_w2"]
         assert w16.value < w8.value
@@ -224,7 +248,7 @@ class TestMonteCarlo:
         exact_tv = np.abs(pooled - qz).sum()
         covered = 0
         for rep in range(20):
-            rows = tv_monte_carlo(code, 20_000, make_rng(1000 + rep), n_boot=300)
+            rows = window_rows(code, 20_000, make_rng(1000 + rep), n_boot=300)
             m = [r for r in rows if r.name == "symbol_marginal_tv"][0]
             covered += (m.ci_lo - 0.01 <= exact_tv <= m.ci_hi + 0.01)
         assert covered >= 19
@@ -233,7 +257,7 @@ class TestMonteCarlo:
         code = small_code(adder_mac(), [UNIF, UNIF], 8, 3, 34)
         trials = 20_000
         bt = run_trials(code, trials, make_rng(35), recycle=False)
-        rows = independence_diagnostics(bt, code, make_rng(36), n_boot=200)
+        rows = dependence_rows(code, bt, make_rng(36), n_boot=200)
         m = [r for r in rows if r.name == "recycled_independence_tv_mean"][0]
         # plug-in TV of a (2^3 x 9)-cell empirical joint under true
         # independence stays below sqrt(cells / trials)
@@ -241,16 +265,18 @@ class TestMonteCarlo:
         assert m.value <= 1.2 * floor
 
     def test_independence_k1_vacuous(self):
+        # one block recycles nothing: only the window rows are reported
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 1, 37)
         bt = run_trials(code, 2_000, make_rng(38))
-        rows = independence_diagnostics(bt, code, make_rng(39))
-        assert rows[0].value == 0.0
+        rows = assemble_mc_metrics(code, transcript_features(code, bt),
+                                   make_rng(39), n_boot=50)
+        assert [m.name for m in rows] == ["symbol_marginal_tv", "windowed_tv_w2"]
 
     def test_independence_needs_samples(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 40)
         bt = run_trials(code, 100, make_rng(41))
         with pytest.raises(ValueError, match="1000"):
-            independence_diagnostics(bt, code, make_rng(42))
+            dependence_rows(code, bt, make_rng(42))
 
 
 class TestBoundCurves:

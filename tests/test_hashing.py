@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from macresolve.hashing import ToeplitzHash, hashed_joint_dist_exact, sample_hash
+from macresolve.hashing import ToeplitzHash, bits_to_hex, hashed_joint_dist_exact, \
+    sample_hash
 from macresolve.probcore import (
     Alphabet,
     BudgetError,
@@ -122,6 +123,32 @@ class TestHexSerialization:
         assert h.to_hex() == ""
         h2 = ToeplitzHash.from_hex("", 5, 0)
         assert h2.out_len == 0
+
+    def test_bits_to_hex_pads_last_nibble(self):
+        bits = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
+        assert bits_to_hex(bits) == "b4"
+        assert bits_to_hex(bits[:0]) == ""
+
+    def test_from_hex_rejects_non_hex(self):
+        with pytest.raises(ValueError, match="non-hex"):
+            ToeplitzHash.from_hex("0g", 5, 3)   # 7 bits, 2 nibbles
+
+    def test_from_hex_rejects_wrong_nibble_count(self):
+        h = sample_hash(make_rng(13), 13, 5)
+        with pytest.raises(ValueError, match="nibbles"):
+            ToeplitzHash.from_hex(h.to_hex() + "0", 13, 5)
+        with pytest.raises(ValueError, match="nibbles"):
+            ToeplitzHash.from_hex(h.to_hex()[:-1], 13, 5)
+        with pytest.raises(ValueError, match="nibbles"):
+            ToeplitzHash.from_hex("0", 5, 0)
+
+    def test_from_hex_rejects_nonzero_pad_bits(self):
+        # 17 diagonal bits fill 5 nibbles with 3 pad bits, which must be zero
+        h = sample_hash(make_rng(14), 13, 5)
+        text = h.to_hex()
+        bad = text[:-1] + f"{int(text[-1], 16) | 1:x}"
+        with pytest.raises(ValueError, match="pad bits"):
+            ToeplitzHash.from_hex(bad, 13, 5)
 
 
 class TestHashedJointExact:
