@@ -184,24 +184,20 @@ _WORKER_CODE = None
 _WORKER_PARAMS = None
 
 
-def _init_worker(desc_json: str, params: dict) -> None:
-    global _WORKER_CODE, _WORKER_PARAMS
-    _WORKER_CODE = encoder.code_from_descriptor(json.loads(desc_json))
-    _WORKER_PARAMS = params
-
-
 def _run_chunk(args: tuple[int, int]) -> tuple[int, dict]:
     chunk_idx, n_trials = args
     p = _WORKER_PARAMS
     rng = make_rng(np.random.SeedSequence(p["seed"], spawn_key=(1, chunk_idx)))
     feats = evaluator.mc_chunk_features(
         _WORKER_CODE, n_trials, rng, window=p["window"],
-        rec_bits=p["rec_bits"], null=p["null"], recycle=p["recycle"],
+        rec_bits=p["rec_bits"], recycle=p["recycle"],
     )
     return chunk_idx, feats
 
 
-def _mc_features_parallel(desc: dict, cfg: ExperimentConfig, null: bool) -> dict:
+def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
+    """Trial features of ``code``; forked workers inherit the code, not rebuild it."""
+    global _WORKER_CODE, _WORKER_PARAMS
     chunks = []
     done = 0
     idx = 0
@@ -210,16 +206,14 @@ def _mc_features_parallel(desc: dict, cfg: ExperimentConfig, null: bool) -> dict
         chunks.append((idx, size))
         done += size
         idx += 1
-    params = {"seed": cfg.seed, "window": cfg.window, "rec_bits": cfg.rec_bits,
-              "null": null, "recycle": cfg.recycle}
-    desc_json = json.dumps(desc, sort_keys=True)
+    _WORKER_CODE = code
+    _WORKER_PARAMS = {"seed": cfg.seed, "window": cfg.window,
+                      "rec_bits": cfg.rec_bits, "recycle": cfg.recycle}
     if cfg.workers == 1 or len(chunks) == 1:
-        _init_worker(desc_json, params)
         results = [_run_chunk(c) for c in chunks]
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.workers, initializer=_init_worker,
-                      initargs=(desc_json, params)) as pool:
+        with ctx.Pool(cfg.workers) as pool:
             results = pool.map(_run_chunk, chunks)
     results.sort(key=lambda r: r[0])
     keys = results[0][1].keys()
@@ -231,15 +225,21 @@ def _mc_features_parallel(desc: dict, cfg: ExperimentConfig, null: bool) -> dict
 
 def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     out = Path(cfg.out_dir)
-    if descriptor_path is None:
-        descriptor_path = out / "descriptor.json"
-    desc_file = Path(descriptor_path)
+    desc_file = out / "descriptor.json" if descriptor_path is None \
+        else Path(descriptor_path)
     if not desc_file.exists():
         rc = cmd_build(cfg)
         if rc not in (EXIT_OK, EXIT_ASYMPTOTIC_ONLY):
             return rc
         desc_file = out / "descriptor.json"
     desc = json.loads(desc_file.read_text())
+    if descriptor_path is None and desc.get("config_hash") != cfg.build_hash():
+        # a descriptor left in --out-dir by another build config must not be
+        # run under this config's hash
+        raise ValueError(
+            f"{desc_file} has config_hash {desc.get('config_hash')}, but this "
+            f"run's build config hashes to {cfg.build_hash()}; use another "
+            f"--out-dir, or delete that descriptor to rebuild")
     code = encoder.code_from_descriptor(desc)
     notes = []
     metrics: list[evaluator.MetricRow] = []
@@ -250,7 +250,7 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
         notes.append("exhaustive mode: all randomness enumerated exactly")
     except BudgetError as e:
         log.info("exact mode unavailable (%s); falling back to Monte Carlo", e)
-        feats = _mc_features_parallel(desc, cfg, null=False)
+        feats = _mc_features_parallel(code, cfg)
         boot_rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
         metrics.extend(evaluator.assemble_mc_metrics(
             code, feats, boot_rng, window=cfg.window))
@@ -345,8 +345,7 @@ def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
                                           "order": cfg.order})
                 sub.validate()
                 code = _build_code(sub)
-                desc = encoder.code_to_descriptor(code)
-                feats = _mc_features_parallel(desc, sub, null=False)
+                feats = _mc_features_parallel(code, sub)
                 boot = make_rng(np.random.SeedSequence(sub.seed, spawn_key=(2,)))
                 for m in evaluator.assemble_mc_metrics(code, feats, boot,
                                                        window=sub.window):

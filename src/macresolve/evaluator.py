@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 EXACT_STATE_BUDGET = 1 << 24
+# bootstrap weights live at most this many (replicate, trial) slots at once
+BOOT_CHUNK_SLOTS = 1 << 21
 GEOM_TOL = 1e-9
 
 
@@ -500,10 +502,23 @@ def _window_cells(z: np.ndarray, z_size: int, w: int) -> np.ndarray:
 def _count_rows(cells: np.ndarray, n_cells: int) -> np.ndarray:
     """Per-trial histogram of cell indices: (trials, windows) -> (trials, n_cells)."""
     trials = cells.shape[0]
-    out = np.zeros((trials, n_cells), dtype=np.int32)
-    rows = np.repeat(np.arange(trials), cells.shape[1])
-    np.add.at(out, (rows, cells.reshape(-1)), 1)
-    return out
+    flat = cells + np.arange(trials)[:, None] * n_cells
+    return np.bincount(flat.reshape(-1), minlength=trials * n_cells).reshape(
+        trials, n_cells).astype(np.int32)
+
+
+def _poisson_weights(rng: np.random.Generator, reps: int, trials: int) -> np.ndarray:
+    """(reps, trials) i.i.d. Poisson(1) bootstrap weights, by Poisson splitting.
+
+    Per replicate, W ~ Poisson(trials) uniform trial indices counted per trial
+    are i.i.d. Poisson(1), exactly; uniform integers cost a fraction of as many
+    Poisson variates.
+    """
+    wts = np.empty((reps, trials))
+    for row in wts:
+        row[:] = np.bincount(rng.integers(0, trials, size=rng.poisson(trials)),
+                             minlength=trials)
+    return wts
 
 
 def _bootstrap_tv(counts: np.ndarray, target: np.ndarray, n_boot: int,
@@ -514,18 +529,14 @@ def _bootstrap_tv(counts: np.ndarray, target: np.ndarray, n_boot: int,
     tv = float(np.abs(emp - target).sum())
     trials = counts.shape[0]
     per_trial_windows = counts.sum(axis=1).astype(np.float64)
-    tvs = np.empty(n_boot)
     c64 = counts.astype(np.float64)
-    batch = max(1, min(n_boot, (1 << 27) // max(trials, 1)))
-    done = 0
-    while done < n_boot:
-        b = min(batch, n_boot - done)
-        wts = rng.poisson(1.0, size=(b, trials))
-        tot = wts @ c64
+    tvs = np.empty(n_boot)
+    batch = max(1, BOOT_CHUNK_SLOTS // max(trials, 1))
+    for start in range(0, n_boot, batch):
+        wts = _poisson_weights(rng, min(batch, n_boot - start), trials)
         denom = (wts @ per_trial_windows)[:, None]
         denom[denom == 0] = 1.0
-        tvs[done:done + b] = np.abs(tot / denom - target).sum(axis=1)
-        done += b
+        tvs[start:start + len(wts)] = np.abs(wts @ c64 / denom - target).sum(axis=1)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return tv, float(lo), float(hi)
 
@@ -693,31 +704,24 @@ def assemble_mc_metrics(
 
 def _pair_tv(a_idx: np.ndarray, b_idx: np.ndarray, na: int, nb: int,
              n_boot: int, rng: np.random.Generator) -> tuple[float, float, float]:
-    """TV between the empirical joint of two indices and the product of marginals."""
-    trials = a_idx.shape[0]
-    cells = a_idx * nb + b_idx
-    counts = np.zeros((trials, na * nb), dtype=np.int8)
-    counts[np.arange(trials), cells] = 1
+    """TV between the empirical joint of two indices and the product of marginals.
 
-    def stat(c: np.ndarray) -> float:
-        tot = c.sum()
-        joint = (c / tot).reshape(na, nb)
-        return float(np.abs(joint - np.outer(joint.sum(1), joint.sum(0))).sum())
-
-    tv = stat(counts.sum(axis=0).astype(np.float64))
-    tvs = np.empty(n_boot)
-    c64 = counts.astype(np.float64)
-    batch = max(1, min(n_boot, (1 << 27) // max(trials, 1)))
-    done = 0
-    while done < n_boot:
-        b = min(batch, n_boot - done)
-        wts = rng.poisson(1.0, size=(b, trials))
-        tots = wts @ c64
-        for j in range(b):
-            tvs[done + j] = stat(tots[j])
-        done += b
-    lo, hi = np.percentile(tvs, [2.5, 97.5])
+    Each trial adds one count to one cell, so under Poisson(1) trial weights a
+    bootstrap replicate's cell counts are independent Poisson(n_c): the
+    replicates are drawn per cell, not per trial.
+    """
+    counts = np.bincount(a_idx * nb + b_idx, minlength=na * nb)
+    tv = float(_pair_stat(counts[None].astype(np.float64), na, nb)[0])
+    boot = rng.poisson(counts, size=(n_boot, na * nb)).astype(np.float64)
+    lo, hi = np.percentile(_pair_stat(boot, na, nb), [2.5, 97.5])
     return tv, float(lo), float(hi)
+
+
+def _pair_stat(c: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """Per-row TV of the joint vs the product of its marginals, (reps, na * nb)."""
+    joint = (c / c.sum(axis=1, keepdims=True)).reshape(-1, na, nb)
+    prod = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+    return np.abs(joint - prod).reshape(len(c), -1).sum(axis=1)
 
 
 # -- leftover-hash bound check ----------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import adder_mac, parallel_mac
+from macresolve import cli
 from macresolve.cli import main
 from macresolve.probcore import channel_to_json
 from macresolve.probcore import Dist
@@ -132,6 +133,42 @@ class TestSimulateCommand:
             assert main(base + extra + ["--out-dir", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestDescriptorProvenance:
+    BASE = ["simulate", "--n", "4", "--idealized", "--trials", "1000"]
+
+    def test_foreign_descriptor_in_out_dir_rejected(self, adder_spec, tmp_path,
+                                                    capsys):
+        out = tmp_path / "o1"
+        args = self.BASE + ["--channel", adder_spec, "--out-dir", str(out)]
+        assert main(args + ["--k", "1"]) == 0
+        desc = json.loads((out / "descriptor.json").read_text())
+        report = (out / "report.json").read_bytes()
+        capsys.readouterr()
+        assert main(args + ["--k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert (out / "report.json").read_bytes() == report
+        # the message names the stored hash and the k=2 build hash
+        assert main(["build", "--channel", adder_spec, "--n", "4", "--k", "2",
+                     "--idealized", "--out-dir", str(tmp_path / "k2")]) == 0
+        k2 = json.loads((tmp_path / "k2" / "descriptor.json").read_text())
+        assert desc["config_hash"] in err and k2["config_hash"] in err
+
+    def test_matching_rerun_reuses_descriptor(self, adder_spec, tmp_path,
+                                              monkeypatch):
+        out = tmp_path / "o1"
+        args = self.BASE + ["--channel", adder_spec, "--out-dir", str(out),
+                            "--k", "1"]
+        assert main(args) == 0
+        report = (out / "report.json").read_bytes()
+
+        def no_build(cfg):
+            raise AssertionError("descriptor rebuilt")
+
+        monkeypatch.setattr(cli, "cmd_build", no_build)
+        assert main(args) == 0
+        assert (out / "report.json").read_bytes() == report
 
 
 class TestTrialsFloor:

@@ -9,6 +9,10 @@ from macresolve.encoder import IdealizedOverrides, build_mac_code, run_trials
 from macresolve.evaluator import (
     RegionSpec,
     _ExactEngine,
+    _bootstrap_tv,
+    _count_rows,
+    _pair_tv,
+    _poisson_weights,
     assemble_mc_metrics,
     delta0,
     delta0_multi,
@@ -277,6 +281,93 @@ class TestMonteCarlo:
         bt = run_trials(code, 100, make_rng(41))
         with pytest.raises(ValueError, match="1000"):
             dependence_rows(code, bt, make_rng(42))
+
+
+def one_hot_pair_tv(a_idx, b_idx, na, nb, n_boot, rng):
+    """Reference pair TV: one-hot trial counts under per-trial Poisson(1) weights."""
+    trials = a_idx.shape[0]
+    counts = np.zeros((trials, na * nb), dtype=np.int8)
+    counts[np.arange(trials), a_idx * nb + b_idx] = 1
+
+    def stat(c):
+        joint = (c / c.sum()).reshape(na, nb)
+        return float(np.abs(joint - np.outer(joint.sum(1), joint.sum(0))).sum())
+
+    tv = stat(counts.sum(axis=0).astype(np.float64))
+    wts = rng.poisson(1.0, size=(n_boot, trials))
+    tvs = [stat(row) for row in wts @ counts.astype(np.float64)]
+    lo, hi = np.percentile(tvs, [2.5, 97.5])
+    return tv, lo, hi
+
+
+def per_trial_poisson_tv(counts, target, n_boot, rng):
+    """Reference window TV: one Poisson(1) variate per (replicate, trial)."""
+    emp = counts.sum(axis=0) / counts.sum()
+    wts = rng.poisson(1.0, size=(n_boot, counts.shape[0])).astype(np.float64)
+    tot = wts @ counts.astype(np.float64)
+    tvs = np.abs(tot / tot.sum(axis=1, keepdims=True) - target).sum(axis=1)
+    lo, hi = np.percentile(tvs, [2.5, 97.5])
+    return float(np.abs(emp - target).sum()), lo, hi
+
+
+class TestBootstrapKernels:
+    @pytest.fixture(scope="class")
+    def code_feats(self):
+        code = small_code(adder_mac(), [UNIF, UNIF], 8, 3, 43)
+        return code, mc_chunk_features(code, 4000, make_rng(44))
+
+    def test_count_rows_matches_add_at(self, rng):
+        for trials, windows, n_cells in ((1, 1, 1), (50, 7, 9), (300, 31, 64)):
+            cells = rng.integers(0, n_cells, size=(trials, windows))
+            ref = np.zeros((trials, n_cells), dtype=np.int32)
+            np.add.at(ref, (np.repeat(np.arange(trials), windows),
+                            cells.reshape(-1)), 1)
+            got = _count_rows(cells, n_cells)
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    def test_pair_point_estimate_equals_one_hot(self, rng):
+        for na, nb, trials in ((8, 9, 1000), (2, 16, 3000), (1, 4, 500)):
+            a = rng.integers(0, na, trials)
+            b = rng.integers(0, nb, trials)
+            assert _pair_tv(a, b, na, nb, 10, make_rng(0))[0] == \
+                one_hot_pair_tv(a, b, na, nb, 10, make_rng(0))[0]
+
+    def test_ci_endpoints_match_per_trial_bootstrap(self, code_feats):
+        # same sampling distribution: endpoints agree up to replicate noise
+        _, feats = code_feats
+        qz = np.array([0.25, 0.5, 0.25])
+        target = np.outer(qz, qz).reshape(-1)
+        cases = [(_bootstrap_tv(feats["win2"], target, 1000, make_rng(45)),
+                  per_trial_poisson_tv(feats["win2"], target, 1000, make_rng(46)))]
+        ec = int(feats["rec_cells"][0])
+        for a, b, na in ((feats["rec_e"][:, 0], feats["z_last"][:, 0], ec),
+                         (feats["z_last"][:, 0], feats["z_first"][:, 1], 9)):
+            cases.append((_pair_tv(a, b, na, 9, 1000, make_rng(47)),
+                          one_hot_pair_tv(a, b, na, 9, 1000, make_rng(48))))
+        for new, ref in cases:
+            assert new[0] == pytest.approx(ref[0], rel=1e-12)
+            width = ref[2] - ref[1]
+            assert abs(new[1] - ref[1]) <= 0.15 * width
+            assert abs(new[2] - ref[2]) <= 0.15 * width
+
+    def test_split_weights_are_poisson_one(self):
+        wts = _poisson_weights(make_rng(49), 4000, 50)
+        assert wts.shape == (4000, 50)
+        assert abs(wts.mean() - 1) < 0.01
+        assert abs(wts.var() - 1) < 0.02
+        assert abs((wts == 0).mean() - np.exp(-1)) < 0.005
+        # per trial, across replicates (standard errors ~0.016 and ~0.027)
+        assert np.all(np.abs(wts.mean(axis=0) - 1) < 0.08)
+        assert np.all(np.abs(wts.var(axis=0) - 1) < 0.15)
+
+    def test_same_rng_same_rows(self, code_feats):
+        np.testing.assert_array_equal(_poisson_weights(make_rng(50), 3, 100),
+                                      _poisson_weights(make_rng(50), 3, 100))
+        code, feats = code_feats
+        rows = [[m.to_list() for m in assemble_mc_metrics(
+            code, feats, make_rng(51), n_boot=200)] for _ in range(2)]
+        assert rows[0] == rows[1]
 
 
 class TestBoundCurves:
