@@ -29,13 +29,11 @@ from .encoder import (
     achieved_rates,
     build_mac_code,
     make_plan,
-    make_plan_multi,
     run_trials,
 )
 from .evaluator import (
     MetricRow,
     RegionSpec,
-    RunReport,
     assemble_mc_metrics,
     exact_report,
     lhl_bound_check,

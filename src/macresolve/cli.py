@@ -21,7 +21,7 @@ import logging
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +122,15 @@ def _load_inputs(cfg: ExperimentConfig):
 # -- region ---------------------------------------------------------------------
 
 
-def cmd_region(cfg: ExperimentConfig) -> int:
-    ch, dists = _load_inputs(cfg)
+def _region(ch, dists) -> tuple[evaluator.RegionSpec, str]:
+    """Exact region and its case tag: the two-user dichotomy, else "multi"."""
     if ch.n_users == 2:
-        spec, tag = evaluator.region_2user(ch, dists[0], dists[1])
-    else:
-        spec, tag = evaluator.region_multi(ch, dists), "multi"
+        return evaluator.region_2user(ch, dists[0], dists[1])
+    return evaluator.region_multi(ch, dists), "multi"
+
+
+def cmd_region(cfg: ExperimentConfig) -> int:
+    spec, tag = _region(*_load_inputs(cfg))
     out = Path(cfg.out_dir)
     obj = spec.to_dict()
     obj["case"] = tag
@@ -225,21 +228,22 @@ def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
 
 def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     out = Path(cfg.out_dir)
+    # only the implicit out-dir descriptor may be built; a missing explicit
+    # --descriptor raises FileNotFoundError on read
     desc_file = out / "descriptor.json" if descriptor_path is None \
         else Path(descriptor_path)
-    if not desc_file.exists():
+    if descriptor_path is None and not desc_file.exists():
         rc = cmd_build(cfg)
         if rc not in (EXIT_OK, EXIT_ASYMPTOTIC_ONLY):
             return rc
-        desc_file = out / "descriptor.json"
     desc = json.loads(desc_file.read_text())
-    if descriptor_path is None and desc.get("config_hash") != cfg.build_hash():
-        # a descriptor left in --out-dir by another build config must not be
-        # run under this config's hash
+    if desc.get("config_hash") != cfg.build_hash():
+        # a code built under another config must not be run under this
+        # config's hash
         raise ValueError(
             f"{desc_file} has config_hash {desc.get('config_hash')}, but this "
-            f"run's build config hashes to {cfg.build_hash()}; use another "
-            f"--out-dir, or delete that descriptor to rebuild")
+            f"run's build config hashes to {cfg.build_hash()}; pass the build "
+            f"flags of that descriptor, or use another --out-dir")
     code = encoder.code_from_descriptor(desc)
     notes = []
     metrics: list[evaluator.MetricRow] = []
@@ -274,35 +278,25 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
             f"the finite-N analysis bound is vacuous here ({bound:.3g} > 2)"
         )
     rates = encoder.achieved_rates(code.plan)
-    region_obj = _region_verdicts(code, rates)
-    rates_json = {
-        name: {"rate": str(v["rate"]), "rate_float": v["rate_float"],
-               "limit": v["limit"], "total_fresh_bits": v["total_fresh_bits"]}
-        for name, v in rates["per_stream"].items()
-    }
-    report = evaluator.RunReport(
-        metrics=metrics,
-        rates=rates_json,
-        region=region_obj,
-        config_hash=cfg.hash(),
-        descriptor_hash=encoder.descriptor_hash(
-            {k: v for k, v in desc.items() if k != "config_hash"}),
-        notes=notes,
-    )
     obj = {
         "mode": mode_used,
-        "metrics": [m.to_list() for m in report.metrics],
-        "rates": report.rates,
-        "region": report.region,
-        "config_hash": report.config_hash,
-        "descriptor_hash": report.descriptor_hash,
-        "notes": report.notes,
+        "metrics": [m.to_list() for m in metrics],
+        "rates": {
+            name: {"rate": str(v["rate"]), "rate_float": v["rate_float"],
+                   "limit": v["limit"], "total_fresh_bits": v["total_fresh_bits"]}
+            for name, v in rates["per_stream"].items()
+        },
+        "region": _region_verdicts(code, rates),
+        "config_hash": cfg.hash(),
+        "descriptor_hash": encoder.descriptor_hash(
+            {k: v for k, v in desc.items() if k != "config_hash"}),
+        "notes": notes,
     }
     _write_json(out / "report.json", obj)
     with open(out / "report.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["name", "value", "ci_lo", "ci_hi", "samples", "mode"])
-        for m in report.metrics:
+        for m in metrics:
             w.writerow(m.to_list())
     print(f"wrote {out / 'report.json'} and report.csv ({mode_used} mode)")
     return EXIT_OK
@@ -310,12 +304,7 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
 
 def _region_verdicts(code, rates) -> dict:
     """Check the achieved finite-k rates against every region constraint."""
-    ch = code.channel
-    inputs = list(code.input_dists)
-    if ch.n_users == 2:
-        spec, tag = evaluator.region_2user(ch, inputs[0], inputs[1])
-    else:
-        spec, tag = evaluator.region_multi(ch, inputs), "multi"
+    spec, tag = _region(code.channel, list(code.input_dists))
     per_user = [sum(rates["per_stream"][p]["rate_float"] for p in parts)
                 for _, parts in code.plan.channel_inputs]
     verdicts = {}
@@ -378,50 +367,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    # a flag that is not given stays out of the namespace, so the
+    # ExperimentConfig field default is the only default
+    def add_parser(name, help):
+        return sub.add_parser(name, help=help,
+                              argument_default=argparse.SUPPRESS)
+
     def common(sp):
         sp.add_argument("--channel", required=True, help="channel spec JSON")
-        sp.add_argument("--out-dir", default="out")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out-dir")
+        sp.add_argument("--seed", type=int)
 
     def code_flags(sp):
-        sp.add_argument("--mode", default="auto",
-                        choices=["auto", "case1", "case2", "multi"])
-        sp.add_argument("--n", type=int, default=8, help="block length, power of 2")
-        sp.add_argument("--k", type=int, default=2, help="number of blocks")
-        sp.add_argument("--xi", type=float, default=0.05)
-        sp.add_argument("--beta", type=float, default=0.25)
-        sp.add_argument("--target-r1", type=float, default=None)
-        sp.add_argument("--eps", type=float, default=None,
-                        help="rate-split parameter (case 1)")
-        sp.add_argument("--order", type=_int_list, default=None,
+        sp.add_argument("--mode", choices=["auto", "case1", "case2", "multi"])
+        sp.add_argument("--n", type=int, help="block length, power of 2")
+        sp.add_argument("--k", type=int, help="number of blocks")
+        sp.add_argument("--xi", type=float)
+        sp.add_argument("--beta", type=float)
+        sp.add_argument("--target-r1", type=float)
+        sp.add_argument("--eps", type=float, help="rate-split parameter (case 1)")
+        sp.add_argument("--order", type=_int_list,
                         help="1-based user order for multi mode, e.g. 2,1,3")
         sp.add_argument("--idealized", action="store_true")
-        sp.add_argument("--ideal-xi", type=float, default=0.0)
-        sp.add_argument("--ideal-delta", type=float, default=0.0)
+        sp.add_argument("--ideal-xi", type=float)
+        sp.add_argument("--ideal-delta", type=float)
 
     def sim_flags(sp):
-        sp.add_argument("--trials", type=int, default=10000)
-        sp.add_argument("--window", type=int, default=2)
-        sp.add_argument("--rec-bits", type=int, default=3)
+        sp.add_argument("--trials", type=int)
+        sp.add_argument("--window", type=int)
+        sp.add_argument("--rec-bits", type=int)
         sp.add_argument("--no-recycle", action="store_true",
                         help="ablation: fresh seeds in every block")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int)
 
-    sp = sub.add_parser("region", help="exact region constraints and corners")
+    sp = add_parser("region", help="exact region constraints and corners")
     common(sp)
 
-    sp = sub.add_parser("build", help="construct a code descriptor")
+    sp = add_parser("build", help="construct a code descriptor")
     common(sp)
     code_flags(sp)
 
-    sp = sub.add_parser("simulate", help="evaluate a code (exact or MC)")
+    sp = add_parser("simulate", help="evaluate a code (exact or MC)")
     common(sp)
     code_flags(sp)
     sim_flags(sp)
     sp.add_argument("--descriptor", default=None,
-                    help="existing descriptor JSON (default: build first)")
+                    help="existing descriptor JSON (default: the one in "
+                         "--out-dir, built if absent)")
 
-    sp = sub.add_parser("sweep", help="grid over N, k, eps; one CSV out")
+    sp = add_parser("sweep", help="grid over N, k, eps; one CSV out")
     common(sp)
     code_flags(sp)
     sim_flags(sp)
@@ -432,29 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    order = tuple(u - 1 for u in args.order) if getattr(args, "order", None) \
-        else None
-    cfg = ExperimentConfig(
-        channel=args.channel,
-        mode=getattr(args, "mode", "auto"),
-        n=getattr(args, "n", 8),
-        k=getattr(args, "k", 2),
-        xi=getattr(args, "xi", 0.05),
-        beta=getattr(args, "beta", 0.25),
-        target_r1=getattr(args, "target_r1", None),
-        eps=getattr(args, "eps", None),
-        trials=getattr(args, "trials", 10000),
-        seed=args.seed,
-        idealized=getattr(args, "idealized", False),
-        ideal_xi=getattr(args, "ideal_xi", 0.0),
-        ideal_delta=getattr(args, "ideal_delta", 0.0),
-        order=order,
-        window=getattr(args, "window", 2),
-        rec_bits=getattr(args, "rec_bits", 3),
-        recycle=not getattr(args, "no_recycle", False),
-        workers=getattr(args, "workers", 1),
-        out_dir=args.out_dir,
-    )
+    given = vars(args)
+    kw = {f.name: given[f.name] for f in fields(ExperimentConfig)
+          if f.name in given}
+    if "order" in kw:
+        kw["order"] = tuple(u - 1 for u in kw["order"]) or None
+    if given.get("no_recycle"):
+        kw["recycle"] = False
+    cfg = ExperimentConfig(**kw)
     cfg.validate()
     return cfg
 

@@ -31,7 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,13 +48,11 @@ __all__ = [
     "MacCode",
     "BatchTranscript",
     "make_plan",
-    "make_plan_multi",
     "build_mac_code",
     "run_trials",
     "achieved_rates",
     "classify_two_user",
     "delta_concentration",
-    "delta_concentration_multi",
     "code_to_descriptor",
     "code_from_descriptor",
     "descriptor_hash",
@@ -69,24 +67,14 @@ def _ceil_bits(x: float) -> int:
     return max(0, math.ceil(x - 1e-9))
 
 
-def delta_concentration(ch: MacChannel, block_len: int) -> float:
-    """Finite-block concentration term for the two-user construction.
+def delta_concentration(sizes: Sequence[int], block_len: int) -> float:
+    """Concentration term of an L-user construction over alphabet ``sizes``.
 
-    log2(|Y|^2 |X| + 3) * sqrt((2/N)(3 + log2 N)).
+    log2(prod_l |X_l| + 3) * sqrt((2/N)(L + log2 N)); the two-user codes are
+    analysed as the 3-user virtual MAC with sizes (|X|, |Y|, |Y|).
     """
-    size_x = ch.input_alphabets[0].size
-    size_y = ch.input_alphabets[1].size
-    return math.log2(size_y ** 2 * size_x + 3) * math.sqrt(
-        (2.0 / block_len) * (3.0 + math.log2(block_len))
-    )
-
-
-def delta_concentration_multi(ch: MacChannel, block_len: int) -> float:
-    """L-user concentration term log2(|X_L| + 3) * sqrt((2/N)(L + log2 N))."""
-    n_users = ch.n_users
-    joint_size = int(np.prod([a.size for a in ch.input_alphabets]))
-    return math.log2(joint_size + 3) * math.sqrt(
-        (2.0 / block_len) * (n_users + math.log2(block_len))
+    return math.log2(math.prod(sizes) + 3) * math.sqrt(
+        (2.0 / block_len) * (len(sizes) + math.log2(block_len))
     )
 
 
@@ -207,29 +195,74 @@ def classify_two_user(ch: MacChannel, p_x: Dist, p_y: Dist) -> str:
     return "case1" if gap > CASE_TOL else "case2"
 
 
-def _make_plan(
+def _stream_specs(
     ch: MacChannel,
-    joint: JointDist,
-    specs: Sequence[tuple[str, Dist, int, list[int]]],
+    inputs: Sequence[Dist],
     mode: str,
-    delta_of: Callable[[MacChannel, int], float],
+    split: SplitPoint | None,
+    order: Sequence[int] | None,
+) -> tuple[JointDist, list[tuple[str, Dist, int, list[int]]], tuple[int, ...]]:
+    """The mode's joint law, chains and analysed alphabet sizes.
+
+    Returns the joint law, one (name, source, axis, conditioning axes) per
+    chain in plan order, and the alphabet sizes of the (possibly virtual)
+    users the mode's analysis is stated for.  Both two-user modes are
+    analysed as the 3-user virtual MAC (X, U, V), sizes (|X|, |Y|, |Y|).
+    Multi mode chains user ``order[l]`` conditioned on Z and the users
+    earlier in ``order`` (0-based).
+    """
+    sizes = tuple(a.size for a in ch.input_alphabets)
+    if mode == "case1":
+        if split is None:
+            raise ValueError("case 1 needs a rate-split point")
+        j = split_joint(ch, inputs[0], split.p_u, split.p_v)
+        u, v, x, y, z = range(5)
+        specs = [("x", inputs[0], x, [u, z]), ("u", split.p_u, u, [z]),
+                 ("v", split.p_v, v, [u, z, x])]
+        return j, specs, sizes + sizes[1:]
+    if mode == "case2":
+        x, y, z = range(3)
+        specs = [("x", inputs[0], x, [z]), ("y", inputs[1], y, [z, x])]
+        return ch.joint_with_output(list(inputs)), specs, sizes + sizes[1:]
+    if mode == "multi":
+        if order is None or sorted(order) != list(range(ch.n_users)):
+            raise ValueError(
+                f"order {order} is not a permutation of 0..{ch.n_users - 1}")
+        specs = [(f"x{user + 1}", inputs[user], user,
+                  [ch.n_users] + list(order[:pos]))
+                 for pos, user in enumerate(order)]
+        return ch.joint_with_output(list(inputs)), specs, sizes
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def make_plan(
+    ch: MacChannel,
+    inputs: Sequence[Dist],
+    mode: str,
     block_len: int,
     k: int,
     xi: float,
-    idealized: IdealizedOverrides | None,
-    min_codec_widths: dict[str, int] | None,
+    *,
+    split: SplitPoint | None = None,
+    order: Sequence[int] | None = None,
+    idealized: IdealizedOverrides | None = None,
+    min_codec_widths: dict[str, int] | None = None,
 ) -> LengthPlan:
-    """Plan one chain per (name, source, axis, conditioning axes) of ``joint``.
+    """Length plan of one chain per stream of ``_stream_specs``.
 
-    Stream ``name`` on ``axis`` recycles at H(S | conditioning) and draws
-    I(S; conditioning) + eps fresh bits per rest block.  ``delta_of(ch, N)``
-    is the mode's concentration term, replaced by idealized overrides.
+    Case 1 needs ``split``, multi mode ``order``.  Stream S on its axis
+    recycles at H(S | conditioning) and draws I(S; conditioning) + eps fresh
+    bits per rest block, computed exactly from the joint law.
+    ``min_codec_widths`` (per stream) raises rest-block fresh lengths when a
+    concrete codec needs a wider input than the formula provides, which can
+    only happen with idealized overrides.
     """
+    joint, specs, sizes = _stream_specs(ch, inputs, mode, split, order)
     if block_len & (block_len - 1) or block_len < 1:
         raise ValueError(f"N must be a power of two, got {block_len}")
     if xi <= 0 and idealized is None:
         raise ValueError("xi must be > 0 (or pass idealized overrides)")
-    delta = delta_of(ch, block_len)
+    delta = delta_concentration(sizes, block_len)
     if idealized is not None:
         delta = idealized.delta
         xi = idealized.xi
@@ -244,67 +277,6 @@ def _make_plan(
     )
     return LengthPlan(block_len, k, xi, eps, delta, mode, streams,
                       idealized=idealized is not None)
-
-
-def make_plan(
-    ch: MacChannel,
-    p_x: Dist,
-    split: SplitPoint | None,
-    block_len: int,
-    k: int,
-    xi: float,
-    *,
-    p_y: Dist | None = None,
-    idealized: IdealizedOverrides | None = None,
-    min_codec_widths: dict[str, int] | None = None,
-) -> LengthPlan:
-    """Two-user length plan; ``split`` present selects case 1, absent case 2.
-
-    Entropic quantities are computed exactly from the joint law.  Case 2
-    requires ``p_y``.  ``min_codec_widths`` (per stream) raises rest-block
-    fresh lengths when a concrete codec needs a wider input than the formula
-    provides, which can only happen with idealized overrides.
-    """
-    if split is not None:
-        j = split_joint(ch, p_x, split.p_u, split.p_v)
-        u, v, x, y, z = range(5)
-        specs = [("x", p_x, x, [u, z]), ("u", split.p_u, u, [z]),
-                 ("v", split.p_v, v, [u, z, x])]
-    else:
-        if p_y is None:
-            raise ValueError("case 2 plan needs p_y")
-        j = ch.joint_with_output([p_x, p_y])
-        x, y, z = range(3)
-        specs = [("x", p_x, x, [z]), ("y", p_y, y, [z, x])]
-    return _make_plan(ch, j, specs, "case2" if split is None else "case1",
-                      delta_concentration, block_len, k, xi, idealized,
-                      min_codec_widths)
-
-
-def make_plan_multi(
-    ch: MacChannel,
-    inputs: Sequence[Dist],
-    order: Sequence[int],
-    block_len: int,
-    k: int,
-    xi: float,
-    *,
-    idealized: IdealizedOverrides | None = None,
-    min_codec_widths: dict[str, int] | None = None,
-) -> LengthPlan:
-    """L-user length plan targeting the corner selected by ``order``.
-
-    ``order`` lists 0-based user indices; user order[l] is conditioned on
-    Z and the users earlier in the order.
-    """
-    if sorted(order) != list(range(ch.n_users)):
-        raise ValueError(f"order {order} is not a permutation of 0..{ch.n_users - 1}")
-    z_axis = ch.n_users
-    specs = [(f"x{user + 1}", inputs[user], user,
-              [z_axis] + list(order[:pos])) for pos, user in enumerate(order)]
-    return _make_plan(ch, ch.joint_with_output(list(inputs)), specs, "multi",
-                      delta_concentration_multi, block_len, k, xi, idealized,
-                      min_codec_widths)
 
 
 @dataclass(frozen=True)
@@ -416,14 +388,10 @@ def build_mac_code(
             split = solve_eps(ch, inputs[0], q, target_r1)
         else:
             split = split_rates(ch, inputs[0], q, 0.5 if eps_split is None else eps_split)
-        sources = {"x": inputs[0], "u": split.p_u, "v": split.p_v}
-    elif mode == "case2":
-        sources = {"x": inputs[0], "y": inputs[1]}
     elif mode == "multi":
         user_order = tuple(order) if order is not None else tuple(range(ch.n_users))
-        sources = {f"x{u + 1}": inputs[u] for u in user_order}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    _, specs, _ = _stream_specs(ch, inputs, mode, split, user_order)
+    sources = {name: src for name, src, _, _ in specs}
 
     n_exp = block_len.bit_length() - 1
     if 1 << n_exp != block_len:
@@ -437,13 +405,9 @@ def build_mac_code(
                              mc_profile_samples)
     widths = {name: codecs[name].seed_len for name in sources}
 
-    if mode == "multi":
-        plan = make_plan_multi(ch, inputs, user_order, block_len, k, xi,
-                               idealized=idealized, min_codec_widths=widths)
-    else:
-        plan = make_plan(ch, inputs[0], split, block_len, k, xi,
-                         p_y=inputs[1] if mode == "case2" else None,
-                         idealized=idealized, min_codec_widths=widths)
+    plan = make_plan(ch, inputs, mode, block_len, k, xi, split=split,
+                     order=user_order, idealized=idealized,
+                     min_codec_widths=widths)
     if plan.asymptotic_only and idealized is None:
         warnings.warn(
             "plan is asymptotic-only: some hash lengths clamped to 0 at this N",

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import BatchTranscript, MacCode, run_trials
+from .encoder import BatchTranscript, MacCode, classify_two_user, run_trials
 from .hashing import hashed_joint_dist_exact, sample_hash
 from .polar import EXACT_CAP_N, output_pmf_exact
 from .probcore import (
@@ -43,7 +43,6 @@ from .probcore import (
 __all__ = [
     "RegionSpec",
     "MetricRow",
-    "RunReport",
     "region_2user",
     "region_multi",
     "tv_exhaustive",
@@ -56,7 +55,6 @@ __all__ = [
     "delta0_multi",
     "analysis_delta0",
     "delta_block",
-    "delta_block_multi",
     "delta_recycle",
     "delta_joint_recycle",
     "joint_tv_bound",
@@ -159,11 +157,7 @@ def region_2user(ch: MacChannel, p_x: Dist, p_y: Dist) -> tuple[RegionSpec, str]
     """Exact two-user region slice plus the case tag of the dichotomy."""
     if ch.n_users != 2:
         raise ValueError("region_2user needs a two-user channel")
-    spec = _region(ch, [p_x, p_y])
-    gap = spec.constraints[frozenset({0, 1})] - (
-        spec.constraints[frozenset({0})] + spec.constraints[frozenset({1})]
-    )
-    return spec, ("case1" if gap > GEOM_TOL else "case2")
+    return _region(ch, [p_x, p_y]), classify_two_user(ch, p_x, p_y)
 
 
 def region_multi(ch: MacChannel, inputs: list[Dist]) -> RegionSpec:
@@ -188,54 +182,40 @@ def delta0_multi(block_len: int, xi: float, n_users: int) -> float:
     return 2.0 / block_len + 2.0 ** (n_users / 2.0) * 2.0 ** (-block_len * xi / 2.0)
 
 
-def analysis_delta0(code: MacCode) -> tuple[float, int | None]:
+def analysis_delta0(code: MacCode) -> tuple[float, int]:
     """(delta0, L) of the analysis that matches the code's mode.
 
-    L is None for the two-user constructions, whose bounds have their own
-    constants; the bound helpers below take it as ``multi_users``.
+    Two-user codes are analysed as the 3-user virtual MAC (X, U, V) with
+    the two-user hash constant sqrt(7) = sqrt(2^3 - 1); L-user codes use
+    2^(L/2).  The bound helpers below take L as ``n_users``.
     """
     plan = code.plan
     if plan.mode == "multi":
         n_users = code.channel.n_users
         return delta0_multi(plan.block_len, plan.xi, n_users), n_users
-    return delta0(plan.block_len, plan.xi), None
+    return delta0(plan.block_len, plan.xi), 3
 
 
-def delta_block(i: int, codec_tv: float, d0: float) -> float:
-    """Per-block closed-form bound (3/2)(d + d0)(3^i - 1) + 3^(i+1) d."""
-    return 1.5 * (codec_tv + d0) * (3.0 ** i - 1.0) + 3.0 ** (i + 1) * codec_tv
-
-
-def delta_block_multi(i: int, codec_tv: float, d0: float, n_users: int) -> float:
+def delta_block(i: int, codec_tv: float, d0: float, n_users: int) -> float:
     """L-user per-block bound L(d + d0)(L^i - 1)/(L - 1) + L^(i+1) d."""
     geom = float(i) if n_users == 1 else (n_users ** i - 1.0) / (n_users - 1.0)
     return n_users * (codec_tv + d0) * geom + n_users ** (i + 1) * codec_tv
 
 
-def delta_recycle(i: int, codec_tv: float, d0: float, multi_users: int | None = None) -> float:
+def delta_recycle(i: int, codec_tv: float, d0: float, n_users: int) -> float:
     """Recycled-vs-previous-output bound 4 delta_{i-1} + 2 delta0."""
-    if multi_users is None:
-        return 4.0 * delta_block(i - 1, codec_tv, d0) + 2.0 * d0
-    return 4.0 * delta_block_multi(i - 1, codec_tv, d0, multi_users) + 2.0 * d0
+    return 4.0 * delta_block(i - 1, codec_tv, d0, n_users) + 2.0 * d0
 
 
-def delta_joint_recycle(i: int, codec_tv: float, d0: float,
-                        multi_users: int | None = None) -> float:
+def delta_joint_recycle(i: int, codec_tv: float, d0: float, n_users: int) -> float:
     """Recycled-vs-all-previous-outputs bound (2^(i-1) - 1) delta_i^(1)."""
-    return (2.0 ** (i - 1) - 1.0) * delta_recycle(i, codec_tv, d0, multi_users)
+    return (2.0 ** (i - 1) - 1.0) * delta_recycle(i, codec_tv, d0, n_users)
 
 
-def joint_tv_bound(k: int, codec_tv: float, d0: float,
-                   multi_users: int | None = None) -> float:
+def joint_tv_bound(k: int, codec_tv: float, d0: float, n_users: int) -> float:
     """Whole-run bound (k-1) delta_k^(2) + k delta_k."""
-    if k == 1:
-        dk = delta_block(1, codec_tv, d0) if multi_users is None else \
-            delta_block_multi(1, codec_tv, d0, multi_users)
-        return dk
-    d2 = delta_joint_recycle(k, codec_tv, d0, multi_users)
-    dk = delta_block(k, codec_tv, d0) if multi_users is None else \
-        delta_block_multi(k, codec_tv, d0, multi_users)
-    return (k - 1) * d2 + k * dk
+    return (k - 1) * delta_joint_recycle(k, codec_tv, d0, n_users) + \
+        k * delta_block(k, codec_tv, d0, n_users)
 
 
 # -- exact (exhaustive) evaluation ----------------------------------------------
@@ -434,13 +414,13 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
                                        plan.block_len)).sum())
         for name in eng.names
     )
-    d0, mu = analysis_delta0(code)
+    d0, n_users = analysis_delta0(code)
     rows.append(MetricRow("codec_tv_worst_stream", codec_tv))
     rows.append(MetricRow("bound_delta0", d0))
-    dk = delta_block_multi(plan.k, codec_tv, d0, mu) if mu else \
-        delta_block(plan.k, codec_tv, d0)
-    rows.append(MetricRow("bound_delta_block_k", dk))
-    rows.append(MetricRow("bound_joint_tv", joint_tv_bound(plan.k, codec_tv, d0, mu)))
+    rows.append(MetricRow("bound_delta_block_k",
+                          delta_block(plan.k, codec_tv, d0, n_users)))
+    rows.append(MetricRow("bound_joint_tv",
+                          joint_tv_bound(plan.k, codec_tv, d0, n_users)))
     return rows
 
 
@@ -467,24 +447,6 @@ class MetricRow:
     def to_list(self):
         return [self.name, self.value, self.ci_lo, self.ci_hi,
                 self.samples, self.mode]
-
-
-@dataclass
-class RunReport:
-    """Simulation output: metrics plus provenance."""
-
-    metrics: list[MetricRow]
-    rates: dict | None = None
-    region: dict | None = None
-    config_hash: str | None = None
-    descriptor_hash: str | None = None
-    notes: list[str] = field(default_factory=list)
-
-    def metric(self, name: str) -> MetricRow:
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        raise KeyError(name)
 
 
 def _window_cells(z: np.ndarray, z_size: int, w: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_m
     split_features, xor_mac
 from macresolve import cli
 from macresolve.encoder import IdealizedOverrides, achieved_rates, build_mac_code, \
-    make_plan, make_plan_multi, run_trials, tally_fresh_bits
+    make_plan, run_trials, tally_fresh_bits
 from macresolve.evaluator import assemble_mc_metrics, lhl_bound_check, \
     region_2user, region_multi, transcript_features, tv_exhaustive, _ExactEngine
 from macresolve.polar import ResolvabilityCode, compute_profile, output_pmf_exact
@@ -129,7 +129,7 @@ def test_criterion_4_rate_bookkeeping():
 
     ch = adder_mac()
     sp = split_rates(ch, UNIF, 0.5, 0.5)
-    plan = make_plan(ch, UNIF, sp, 1024, 20, 0.05)
+    plan = make_plan(ch, [UNIF, UNIF], "case1", 1024, 20, 0.05, split=sp)
     rates = achieved_rates(plan)
     closed_ok = limits_ok = True
     for s in plan.streams:
@@ -141,7 +141,7 @@ def test_criterion_4_rate_bookkeeping():
                          - (mi + plan.eps)) <= 1e-12
 
     ch3 = adder_mac3()
-    plan3 = make_plan_multi(ch3, [UNIF] * 3, (0, 1, 2), 256, 8, 0.05)
+    plan3 = make_plan(ch3, [UNIF] * 3, "multi", 256, 8, 0.05, order=(0, 1, 2))
     rates3 = achieved_rates(plan3)
     j3 = ch3.joint_with_output([UNIF] * 3)
     earlier = []

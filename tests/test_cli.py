@@ -154,6 +154,26 @@ class TestDescriptorProvenance:
                      "--idealized", "--out-dir", str(tmp_path / "k2")]) == 0
         k2 = json.loads((tmp_path / "k2" / "descriptor.json").read_text())
         assert desc["config_hash"] in err and k2["config_hash"] in err
+        # an explicit --descriptor is checked the same way
+        other = tmp_path / "o2"
+        capsys.readouterr()
+        assert main(self.BASE + ["--channel", adder_spec, "--out-dir", str(other),
+                                 "--k", "2", "--descriptor",
+                                 str(out / "descriptor.json")]) == 1
+        err = capsys.readouterr().err
+        assert desc["config_hash"] in err and k2["config_hash"] in err
+        assert not (other / "report.json").exists()
+
+    def test_missing_explicit_descriptor_is_an_error(self, adder_spec, tmp_path,
+                                                     capsys):
+        out = tmp_path / "d3"
+        missing = tmp_path / "nosuch.json"
+        assert main(self.BASE + ["--channel", adder_spec, "--out-dir", str(out),
+                                 "--k", "1", "--descriptor", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(missing) in err
+        assert not (out / "descriptor.json").exists()
+        assert not (out / "report.json").exists()
 
     def test_matching_rerun_reuses_descriptor(self, adder_spec, tmp_path,
                                               monkeypatch):
@@ -169,6 +189,17 @@ class TestDescriptorProvenance:
         monkeypatch.setattr(cli, "cmd_build", no_build)
         assert main(args) == 0
         assert (out / "report.json").read_bytes() == report
+
+
+class TestParserDefaults:
+    @pytest.mark.parametrize("command", ["region", "build", "simulate", "sweep"])
+    def test_unset_flags_take_the_config_defaults(self, command):
+        args = cli.build_parser().parse_args([command, "--channel", "c.json"])
+        cfg = cli._config_from_args(args)
+        default = cli.ExperimentConfig(channel="c.json")
+        assert cfg == default
+        assert cfg.hash() == default.hash()
+        assert cfg.build_hash() == default.build_hash()
 
 
 class TestTrialsFloor:

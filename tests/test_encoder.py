@@ -18,7 +18,6 @@ from macresolve.encoder import (
     delta_concentration,
     descriptor_hash,
     make_plan,
-    make_plan_multi,
     run_trials,
     tally_fresh_bits,
     transcript_to_csv,
@@ -40,41 +39,40 @@ def adder_code(n=8, k=3, seed=11, eps_split=0.5):
 class TestPlan:
     def test_concentration_constant_n1024(self):
         # log2(|Y|^2 |X| + 3) sqrt((2/1024)(3 + 10)) with binary inputs
-        d = delta_concentration(adder_mac(), 1024)
+        d = delta_concentration((2, 2, 2), 1024)
         expect = math.log2(11) * math.sqrt((2 / 1024) * 13)
         assert d == pytest.approx(expect, abs=1e-15)
         assert d == pytest.approx(0.5512409165428579, abs=1e-12)
-        plan = make_plan(adder_mac(), UNIF,
-                         split_rates(adder_mac(), UNIF, 0.5, 0.5),
-                         1024, 10, 0.05)
+        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 1024, 10, 0.05,
+                         split=split_rates(adder_mac(), UNIF, 0.5, 0.5))
         assert plan.eps == pytest.approx(2 * (d + 0.05), abs=1e-15)
 
     def test_desk_scale_plan_clamps(self):
-        plan = make_plan(adder_mac(), UNIF,
-                         split_rates(adder_mac(), UNIF, 0.5, 0.5), 16, 4, 0.05)
+        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 4, 0.05,
+                         split=split_rates(adder_mac(), UNIF, 0.5, 0.5))
         assert plan.asymptotic_only
         assert all(s.hash_len == 0 for s in plan.streams if s.clamped)
 
     def test_zero_conditional_entropy_is_exact_zero(self):
         # parallel identity channel: Z determines (X, Y), so H(X|Z) = 0 and
         # the hash length is an exact zero, not a clamp
-        plan = make_plan(parallel_mac(), UNIF, None, 8, 2, 0.05, p_y=UNIF,
+        plan = make_plan(parallel_mac(), [UNIF, UNIF], "case2", 8, 2, 0.05,
                          idealized=IDEAL)
         sx = plan.stream("x")
         assert sx.hash_len == 0
         assert not sx.clamped
 
     def test_width_conservation(self):
-        plan = make_plan(adder_mac(), UNIF,
-                         split_rates(adder_mac(), UNIF, 0.5, 0.3), 16, 3, 0.05,
+        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 3, 0.05,
+                         split=split_rates(adder_mac(), UNIF, 0.5, 0.3),
                          idealized=IDEAL)
         for s in plan.streams:
             assert s.hash_len + s.seed_len_rest == s.codec_width
             assert s.seed_len_first >= s.codec_width
 
     def test_first_block_length_formula(self):
-        plan = make_plan(adder_mac(), UNIF,
-                         split_rates(adder_mac(), UNIF, 0.5, 0.5), 16, 3, 0.05,
+        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 3, 0.05,
+                         split=split_rates(adder_mac(), UNIF, 0.5, 0.5),
                          idealized=IDEAL)
         for s in plan.streams:
             assert s.seed_len_first >= math.ceil(
@@ -82,7 +80,7 @@ class TestPlan:
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
-            make_plan(adder_mac(), UNIF, None, 12, 2, 0.05, p_y=UNIF)
+            make_plan(adder_mac(), [UNIF, UNIF], "case2", 12, 2, 0.05)
 
     def test_k_one_single_block(self):
         code = adder_code(n=4, k=1)
@@ -92,8 +90,8 @@ class TestPlan:
 
     def test_multi_plan_order(self):
         ch = adder_mac3()
-        plan = make_plan_multi(ch, [UNIF] * 3, (2, 0, 1), 8, 2, 0.05,
-                               idealized=IDEAL)
+        plan = make_plan(ch, [UNIF] * 3, "multi", 8, 2, 0.05, order=(2, 0, 1),
+                         idealized=IDEAL)
         assert [s.name for s in plan.streams] == ["x3", "x1", "x2"]
         j = ch.joint_with_output([UNIF] * 3)
         assert plan.streams[0].fresh_info == pytest.approx(
@@ -103,7 +101,8 @@ class TestPlan:
 
     def test_multi_order_must_be_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
-            make_plan_multi(adder_mac3(), [UNIF] * 3, (0, 0, 1), 8, 2, 0.05)
+            make_plan(adder_mac3(), [UNIF] * 3, "multi", 8, 2, 0.05,
+                      order=(0, 0, 1))
 
 
 class TestChannelInputs:
@@ -112,13 +111,13 @@ class TestChannelInputs:
             ("x", ("x",)), ("y", ("u", "v")))
 
     def test_case2_one_stream_per_user(self):
-        plan = make_plan(parallel_mac(), UNIF, None, 8, 2, 0.05, p_y=UNIF,
+        plan = make_plan(parallel_mac(), [UNIF, UNIF], "case2", 8, 2, 0.05,
                          idealized=IDEAL)
         assert plan.channel_inputs == (("x", ("x",)), ("y", ("y",)))
 
     def test_multi_in_user_order_whatever_the_chain_order(self):
-        plan = make_plan_multi(adder_mac3(), [UNIF] * 3, (2, 0, 1), 8, 2, 0.05,
-                               idealized=IDEAL)
+        plan = make_plan(adder_mac3(), [UNIF] * 3, "multi", 8, 2, 0.05,
+                         order=(2, 0, 1), idealized=IDEAL)
         assert plan.channel_inputs == (
             ("x1", ("x1",)), ("x2", ("x2",)), ("x3", ("x3",)))
 
@@ -238,7 +237,7 @@ class TestCase2AndMulti:
     def test_case2_hash_lengths_from_substitution(self):
         p_x, p_y = Dist.bernoulli(0.3), Dist.bernoulli(0.6)
         ch = parallel_mac()
-        plan = make_plan(ch, p_x, None, 8, 2, 0.05, p_y=p_y, idealized=IDEAL)
+        plan = make_plan(ch, [p_x, p_y], "case2", 8, 2, 0.05, idealized=IDEAL)
         j = ch.joint_with_output([p_x, p_y])
         from macresolve.probcore import conditional_entropy
 
@@ -272,8 +271,8 @@ class TestCase2AndMulti:
         j = ch.joint_with_output([UNIF, UNIF])
         lims = {}
         for order in ((0, 1), (1, 0)):
-            plan = make_plan_multi(ch, [UNIF, UNIF], order, 8, 2, 0.05,
-                                   idealized=IDEAL)
+            plan = make_plan(ch, [UNIF, UNIF], "multi", 8, 2, 0.05,
+                             order=order, idealized=IDEAL)
             lims[order] = tuple(s.fresh_info for s in plan.streams)
         assert lims[(0, 1)] == pytest.approx(
             (mutual_information(j, [0], [2]),
@@ -284,8 +283,8 @@ class TestCase2AndMulti:
 
     def test_three_user_corner_sums_to_output_entropy(self):
         ch = adder_mac3()
-        plan = make_plan_multi(ch, [UNIF] * 3, (0, 1, 2), 8, 2, 0.05,
-                               idealized=IDEAL)
+        plan = make_plan(ch, [UNIF] * 3, "multi", 8, 2, 0.05, order=(0, 1, 2),
+                         idealized=IDEAL)
         total = sum(s.fresh_info for s in plan.streams)
         # H(Z) for Z = X1+X2+X3 with uniform inputs: H(1/8, 3/8, 3/8, 1/8)
         h_z = -(0.125 * math.log2(0.125) * 2 + 0.375 * math.log2(0.375) * 2)
@@ -317,7 +316,7 @@ class TestAchievedRates:
     def test_limits_equal_formula(self):
         ch = adder_mac()
         sp = split_rates(ch, UNIF, 0.5, 0.5)
-        plan = make_plan(ch, UNIF, sp, 1024, 20, 0.05)
+        plan = make_plan(ch, [UNIF, UNIF], "case1", 1024, 20, 0.05, split=sp)
         rates = achieved_rates(plan)
         j_stream = {"x": sp.rates[0], "u": sp.rates[1], "v": sp.rates[2]}
         for name, r in j_stream.items():

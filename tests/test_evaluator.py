@@ -17,7 +17,6 @@ from macresolve.evaluator import (
     delta0,
     delta0_multi,
     delta_block,
-    delta_block_multi,
     delta_joint_recycle,
     delta_recycle,
     exact_report,
@@ -186,7 +185,7 @@ class TestExactEngine:
         d0 = delta0(2, code.plan.xi)
         codec_tv = rows["codec_tv_worst_stream"]
         assert rows["recycled_vs_prev_output_tv_block2"] <= delta_recycle(
-            2, codec_tv, d0)
+            2, codec_tv, d0, 3)
         assert rows["joint_output_tv"] <= rows["bound_joint_tv"]
 
 
@@ -380,21 +379,21 @@ class TestBoundCurves:
         # the closed form obeys delta_{i+1} = 3 (d + d0 + delta_i)
         d, d0 = 0.01, 0.05
         for i in range(1, 6):
-            assert delta_block(i + 1, d, d0) == pytest.approx(
-                3 * (d + d0 + delta_block(i, d, d0)), rel=1e-12)
+            assert delta_block(i + 1, d, d0, 3) == pytest.approx(
+                3 * (d + d0 + delta_block(i, d, d0, 3)), rel=1e-12)
         for ell in (1, 2, 3):
             for i in range(1, 6):
-                assert delta_block_multi(i + 1, d, d0, ell) == pytest.approx(
-                    ell * (d + d0 + delta_block_multi(i, d, d0, ell)), rel=1e-12)
+                assert delta_block(i + 1, d, d0, ell) == pytest.approx(
+                    ell * (d + d0 + delta_block(i, d, d0, ell)), rel=1e-12)
 
     def test_recycle_bounds_compose(self):
         d, d0 = 0.01, 0.05
-        assert delta_recycle(3, d, d0) == pytest.approx(
-            4 * delta_block(2, d, d0) + 2 * d0)
-        assert delta_joint_recycle(3, d, d0) == pytest.approx(
-            (2 ** 2 - 1) * delta_recycle(3, d, d0))
-        assert joint_tv_bound(3, d, d0) == pytest.approx(
-            2 * delta_joint_recycle(3, d, d0) + 3 * delta_block(3, d, d0))
+        assert delta_recycle(3, d, d0, 3) == pytest.approx(
+            4 * delta_block(2, d, d0, 3) + 2 * d0)
+        assert delta_joint_recycle(3, d, d0, 3) == pytest.approx(
+            (2 ** 2 - 1) * delta_recycle(3, d, d0, 3))
+        assert joint_tv_bound(3, d, d0, 3) == pytest.approx(
+            2 * delta_joint_recycle(3, d, d0, 3) + 3 * delta_block(3, d, d0, 3))
 
 
 class TestLhlBoundCheck:
