@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("--eps must be in [0, 1]")
         if not 1 <= self.window <= 3:
             raise ValueError("--window must be in 1..3")
+        if self.rec_bits < 0:
+            raise ValueError(f"--rec-bits must be >= 0, got {self.rec_bits}")
 
     _BUILD_FIELDS = ("channel", "mode", "n", "k", "xi", "beta", "target_r1",
                      "eps", "seed", "idealized", "ideal_xi", "ideal_delta",
@@ -155,6 +157,9 @@ def cmd_region(cfg: ExperimentConfig) -> int:
 
 def _build_code(cfg: ExperimentConfig):
     ch, dists = _load_inputs(cfg)
+    if cfg.order is not None and sorted(cfg.order) != list(range(ch.n_users)):
+        typed = ",".join(str(u + 1) for u in cfg.order)
+        raise ValueError(f"--order {typed} is not a permutation of 1..{ch.n_users}")
     ideal = encoder.IdealizedOverrides(cfg.ideal_xi, cfg.ideal_delta) \
         if cfg.idealized else None
     rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 CASE_TOL = 1e-9
+PROFILE_SAMPLES = 1 << 14  # blocks per sampled profile; rebuilds must match
 
 
 def _ceil_bits(x: float) -> int:
@@ -325,13 +326,12 @@ def _profile_codecs(
     n_exp: int,
     beta: float,
     profile_seed: int | None,
-    mc_samples: int,
 ) -> dict[str, ResolvabilityCode]:
     """One polar codec per stream, in plan order.
 
-    Exact profiles need no randomness; sampled ones draw from child
-    ``profile_seed`` with the stream's plan position as spawn key, so a
-    rebuild from the descriptor reproduces the build.
+    Exact profiles need no randomness; sampled ones draw ``PROFILE_SAMPLES``
+    blocks from child ``profile_seed`` with the stream's plan position as
+    spawn key, so a rebuild from the descriptor reproduces the build.
     """
     codecs = {}
     for idx, (name, src) in enumerate(sources.items()):
@@ -339,7 +339,7 @@ def _profile_codecs(
             prof = compute_profile(src, n_exp, beta)
         else:
             child = np.random.SeedSequence(profile_seed, spawn_key=(idx,))
-            prof = compute_profile(src, n_exp, beta, mc_samples=mc_samples,
+            prof = compute_profile(src, n_exp, beta, mc_samples=PROFILE_SAMPLES,
                                    rng=make_rng(child))
         codecs[name] = ResolvabilityCode(prof)
     return codecs
@@ -359,18 +359,20 @@ def build_mac_code(
     order: Sequence[int] | None = None,
     idealized: IdealizedOverrides | None = None,
     rng: np.random.Generator,
-    mc_profile_samples: int = 1 << 14,
 ) -> MacCode:
     """Compose plan, rate split, polar profiles, and hashes into a MacCode.
 
     Mode ``auto`` resolves two-user channels to case1/case2 by the exact
-    dichotomy; requesting the wrong case raises.  Hash functions are sampled
-    once here and stay fixed for all blocks and trials.
+    dichotomy; requesting the wrong case raises, and so does an ``order``
+    outside multi mode.  Hash functions are sampled once here and stay fixed
+    for all blocks and trials.
     """
     inputs = list(inputs)
     if mode == "auto":
         mode = classify_two_user(ch, inputs[0], inputs[1]) if ch.n_users == 2 \
             else "multi"
+    if order is not None and mode != "multi":
+        raise ValueError(f"a user order applies to multi mode only, not {mode}")
     split = None
     user_order: tuple[int, ...] | None = None
 
@@ -401,8 +403,7 @@ def build_mac_code(
     profile_seed = None
     if block_len > EXACT_CAP_N:
         profile_seed = int(rng.integers(0, 2 ** 63 - 1))
-    codecs = _profile_codecs(sources, n_exp, beta, profile_seed,
-                             mc_profile_samples)
+    codecs = _profile_codecs(sources, n_exp, beta, profile_seed)
     widths = {name: codecs[name].seed_len for name in sources}
 
     plan = make_plan(ch, inputs, mode, block_len, k, xi, split=split,
@@ -604,7 +605,7 @@ def code_to_descriptor(code: MacCode, beta: float | None = None) -> dict:
     return desc
 
 
-def code_from_descriptor(desc: dict, mc_profile_samples: int = 1 << 14) -> MacCode:
+def code_from_descriptor(desc: dict) -> MacCode:
     """Rebuild a MacCode from its descriptor; profiles are re-derived."""
     from .probcore import Alphabet, channel_from_json
 
@@ -626,8 +627,7 @@ def code_from_descriptor(desc: dict, mc_profile_samples: int = 1 << 14) -> MacCo
     sources = {s.name: Dist(Alphabet(2), np.asarray(profiles[s.name]["source"]))
                for s in streams}
     codecs = _profile_codecs(sources, plan.block_len.bit_length() - 1,
-                             desc["beta"], desc["profile_seed"],
-                             mc_profile_samples)
+                             desc["beta"], desc["profile_seed"])
     hashes = {
         name: ToeplitzHash.from_hex(h["hex"], h["in_len"], h["out_len"])
         for name, h in desc["hashes"].items()

@@ -14,9 +14,9 @@ Encoding is three-tier over the transformed coordinates, in index order:
 * near-deterministic coordinates are set by conditional argmax.
 
 Exact conditional laws come in two interchangeable forms: full 2^N prefix
-tables (the brute-force oracle, capped), and a recursive computation that
-costs O(N^2) per sequence and is vectorized over batches, which is what the
-encoder uses and the only option beyond the cap.
+tables (the brute-force oracle, capped), and one successive-cancellation pass
+of O(N log N) per sequence, vectorized over batches, which the encoder and the
+sampled profile use and the only option beyond the cap.
 
 Index convention: coordinates are 0-based internally; documentation quoting
 1-based positions always says so.
@@ -190,10 +190,13 @@ def compute_profile(
         x = (rng.random((int(mc_samples), n_sym)) < p1).astype(np.uint8)
         a = polar_transform(x)
         ce = np.empty(n_sym)
-        for j in range(n_sym):
-            pj = _sc_conditional(p1, a[:, :j], n_sym)
+
+        def surprisal(j, pj):
             prob = np.where(a[:, j] == 1, pj, 1.0 - pj)
             ce[j] = float(np.mean(-np.log2(np.clip(prob, 1e-300, None))))
+            return a[:, j]
+
+        _sc(np.broadcast_to(p1, (n_sym, len(x))), surprisal)
         ce = np.clip(ce, 0.0, 1.0)
         exact = False
     v = frozenset(np.nonzero(ce > 1.0 - delta_n)[0].tolist())
@@ -233,39 +236,33 @@ class ResolvabilityCode:
         t[sorted(self.profile.v_set)] = 0
         return t
 
-    @cached_property
-    def _seed_positions(self) -> np.ndarray:
-        return np.array(sorted(self.profile.v_set), dtype=np.int64)
 
+def _sc(prior: np.ndarray, leaf, start: int = 0) -> np.ndarray:
+    """Successive cancellation: one depth-first butterfly pass, batched.
 
-def _sc_conditional(p1: float, decided: np.ndarray, n_sym: int) -> np.ndarray:
-    """P(next transformed coordinate = 1 | decided prefix), batched.
-
-    ``decided`` has shape (batch, j); returns shape (batch,).  Recursive over
-    the two half-size subproblems; O(N) work per call.
+    ``prior`` (m, batch) holds P(x_t = 1) for independent bits x_t,
+    coordinate-major so that every operation runs along the batch.  The
+    coordinates of a = polar_transform(x) are decided in index order, numbered
+    from ``start``: ``leaf(j, p)`` gets p = P(a_j = 1 | a_<j), shape (batch,),
+    and returns the uint8 bits a_j.  Returns x as (m, batch); O(m log m) work
+    per block.
     """
-    batch = decided.shape[0]
-    if n_sym == 1:
-        return np.full(batch, p1)
-    m = decided.shape[1]
-    pairs = m // 2
-    w1 = decided[:, 0:2 * pairs:2] ^ decided[:, 1:2 * pairs:2]
-    w2 = decided[:, 1:2 * pairs:2]
-    if m % 2 == 0:
-        c1 = _sc_conditional(p1, w1, n_sym // 2)
-        c2 = _sc_conditional(p1, w2, n_sym // 2)
-        return c1 * (1.0 - c2) + (1.0 - c1) * c2
-    v = decided[:, -1]
-    c1 = _sc_conditional(p1, w1, n_sym // 2)
-    c2 = _sc_conditional(p1, w2, n_sym // 2)
-    p1_at_v = np.where(v == 1, c1, 1.0 - c1)        # P(w1 bit = v)
-    p1_at_flip = np.where(v == 1, 1.0 - c1, c1)     # P(w1 bit = v xor 1)
-    num1 = p1_at_flip * c2
-    num0 = p1_at_v * (1.0 - c2)
-    tot = num0 + num1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(tot > 0, num1 / np.where(tot > 0, tot, 1.0), 0.5)
-    return out
+    m = len(prior)
+    if m == 1:
+        return leaf(start, prior[0])[None]
+    half = m // 2
+    p_l, p_r = prior[:half], prior[half:]
+    # the first half of a transforms s = x_L ^ x_R, the second half x_R
+    s = _sc(p_l * (1.0 - p_r) + (1.0 - p_l) * p_r, leaf, start)
+    g = np.where(s == 1, 1.0 - p_l, p_l)        # P(x_L = s ^ 1)
+    g *= p_r
+    tot = np.where(s == 1, p_l, 1.0 - p_l)      # P(x_L = s)
+    tot *= 1.0 - p_r
+    tot += g
+    np.divide(g, tot, out=g, where=tot > 0)     # P(x_R = 1 | s)
+    g[tot <= 0] = 0.5
+    x_r = _sc(g, leaf, start + half)
+    return np.concatenate((s ^ x_r, x_r))
 
 
 def encode_batch(
@@ -278,22 +275,18 @@ def encode_batch(
             f"seed batch shape {seeds.shape}, expected (batch, {code.seed_len})"
         )
     batch = seeds.shape[0]
-    n_sym = code.block_len
-    p1 = float(code.profile.source.pmf[1])
     tiers = code._tiers
-    decided = np.zeros((batch, n_sym), dtype=np.uint8)
-    seed_cursor = 0
-    for j in range(n_sym):
+    seed_cols = iter(seeds.T)
+
+    def decide(j, pj):
         if tiers[j] == 0:
-            decided[:, j] = seeds[:, seed_cursor]
-            seed_cursor += 1
-            continue
-        pj = _sc_conditional(p1, decided[:, :j], n_sym)
+            return next(seed_cols)
         if tiers[j] == 1:
-            decided[:, j] = (rng.random(batch) < pj).astype(np.uint8)
-        else:
-            decided[:, j] = (pj > 0.5 + TIE_TOL).astype(np.uint8)
-    return polar_transform(decided)
+            return (rng.random(batch) < pj).astype(np.uint8)
+        return (pj > 0.5 + TIE_TOL).astype(np.uint8)
+
+    p1 = float(code.profile.source.pmf[1])
+    return _sc(np.broadcast_to(p1, (code.block_len, batch)), decide).T.copy()
 
 
 def encode(

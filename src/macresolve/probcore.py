@@ -353,7 +353,9 @@ def transmit(
     Position i of the output depends only on position i of the inputs; each
     position is an independent draw from the matching conditional row.
     """
-    words = [np.asarray(c, dtype=np.int64) for c in codewords]
+    # integer words index the tables as they are, without an int64 copy
+    words = [np.asarray(c) for c in codewords]
+    words = [w if w.dtype.kind in "iu" else w.astype(np.int64) for w in words]
     if len(words) != ch.n_users:
         raise ValueError(f"{len(words)} codewords for {ch.n_users}-user channel")
     n = words[0].shape[-1] if words[0].ndim else len(words[0])
@@ -364,10 +366,10 @@ def transmit(
             raise ValueError(f"codeword {i} has symbols outside its alphabet")
     if words[0].size == 0:
         return np.zeros(words[0].shape, dtype=np.int64)
-    rows = ch.transition[tuple(words)]          # (..., N, |Z|)
-    cdf = np.cumsum(rows, axis=-1)
     u = rng.random(size=words[0].shape + (1,))
-    out = np.sum(u >= cdf, axis=-1)             # inverse-CDF per position
+    # inverse-CDF per position, read from the cumulative table so that only
+    # one (..., N, |Z|) array exists at a time
+    out = np.sum(u >= np.cumsum(ch.transition, axis=-1)[tuple(words)], axis=-1)
     return out.clip(0, ch.output_alphabet.size - 1).astype(np.int64)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import adder_mac, parallel_mac
+from conftest import adder_mac, adder_mac3, parallel_mac
 from macresolve import cli
 from macresolve.cli import main
 from macresolve.probcore import channel_to_json
@@ -211,6 +211,43 @@ class TestTrialsFloor:
         assert rc == 1
         assert "--trials must be >= 1000" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+
+class TestRecBits:
+    def test_negative_rec_bits_rejected_up_front(self, adder_spec, tmp_path,
+                                                 capsys):
+        rc = main(["simulate", "--channel", adder_spec, "--out-dir",
+                   str(tmp_path / "s"), "--n", "16", "--k", "2", "--idealized",
+                   "--trials", "1000", "--rec-bits", "-1"])
+        assert rc == 1
+        assert "--rec-bits must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+class TestOrderFlag:
+    def test_bad_order_is_reported_as_typed(self, tmp_path, capsys):
+        spec = tmp_path / "adder3.json"
+        spec.write_text(json.dumps(channel_to_json(
+            adder_mac3(), [Dist.bernoulli(0.5)] * 3)))
+        rc = main(["build", "--channel", str(spec), "--mode", "multi",
+                   "--order", "0,1,2", "--out-dir", str(tmp_path / "b")])
+        assert rc == 1
+        assert "--order 0,1,2 is not a permutation of 1..3" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_order_only_in_multi_mode(self, adder_spec, tmp_path, capsys):
+        base = ["build", "--channel", adder_spec, "--n", "8", "--k", "2",
+                "--idealized", "--order", "2,1"]
+        rc = main(base + ["--mode", "case1", "--out-dir", str(tmp_path / "c")])
+        assert rc == 1
+        assert "multi mode only" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+        # a two-user code chained in multi mode takes the order
+        assert main(base + ["--mode", "multi",
+                            "--out-dir", str(tmp_path / "m")]) == 0
+        desc = json.loads((tmp_path / "m" / "descriptor.json").read_text())
+        assert desc["user_order"] == [1, 0]
 
 
 class TestSweepCommand:

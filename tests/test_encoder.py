@@ -344,16 +344,15 @@ class TestDescriptor:
         bern = [Dist.bernoulli(0.2), Dist.bernoulli(0.3), Dist.bernoulli(0.4)]
         codes = [
             build_mac_code(adder_mac(), [UNIF, UNIF], block_len=32, k=2,
-                           xi=0.05, idealized=IDEAL, rng=make_rng(12),
-                           mc_profile_samples=1024),
+                           xi=0.05, idealized=IDEAL, rng=make_rng(12)),
             build_mac_code(adder_mac3(), bern, mode="multi", order=(2, 0, 1),
                            block_len=32, k=2, xi=0.05, idealized=IDEAL,
-                           rng=make_rng(13), mc_profile_samples=1024),
+                           rng=make_rng(13)),
         ]
         for code in codes:
             assert code.profile_seed is not None
             blob = json.dumps(code_to_descriptor(code), sort_keys=True)
-            code2 = code_from_descriptor(json.loads(blob), mc_profile_samples=1024)
+            code2 = code_from_descriptor(json.loads(blob))
             for s in code.plan.streams:
                 assert np.array_equal(code.codecs[s.name].profile.cond_entropies,
                                       code2.codecs[s.name].profile.cond_entropies)

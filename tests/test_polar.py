@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from macresolve.polar import (
     EXACT_CAP_N,
     ResolvabilityCode,
+    TIE_TOL,
     _exact_joint_pmf,
-    _sc_conditional,
+    _sc,
     compute_profile,
     encode,
     encode_batch,
@@ -35,6 +37,75 @@ def h2(p: float) -> float:
 def iid_pmf(p: float, n_sym: int) -> np.ndarray:
     w = all_bit_rows(n_sym).sum(axis=1)
     return p ** w * (1 - p) ** (n_sym - w)
+
+
+# Reference successive cancellation: the whole decided prefix is re-solved
+# for every coordinate, O(N^2) per block.  The butterfly pass in polar._sc
+# keeps its arithmetic operand by operand, so both must agree bit for bit.
+
+
+def _sc_conditional(p1: float, decided: np.ndarray, n_sym: int) -> np.ndarray:
+    """P(next transformed coordinate = 1 | decided prefix), batched.
+
+    ``decided`` has shape (batch, j); returns shape (batch,).  Recursive over
+    the two half-size subproblems; O(N) work per call.
+    """
+    batch = decided.shape[0]
+    if n_sym == 1:
+        return np.full(batch, p1)
+    m = decided.shape[1]
+    pairs = m // 2
+    w1 = decided[:, 0:2 * pairs:2] ^ decided[:, 1:2 * pairs:2]
+    w2 = decided[:, 1:2 * pairs:2]
+    if m % 2 == 0:
+        c1 = _sc_conditional(p1, w1, n_sym // 2)
+        c2 = _sc_conditional(p1, w2, n_sym // 2)
+        return c1 * (1.0 - c2) + (1.0 - c1) * c2
+    v = decided[:, -1]
+    c1 = _sc_conditional(p1, w1, n_sym // 2)
+    c2 = _sc_conditional(p1, w2, n_sym // 2)
+    p1_at_v = np.where(v == 1, c1, 1.0 - c1)        # P(w1 bit = v)
+    p1_at_flip = np.where(v == 1, 1.0 - c1, c1)     # P(w1 bit = v xor 1)
+    num1 = p1_at_flip * c2
+    num0 = p1_at_v * (1.0 - c2)
+    tot = num0 + num1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(tot > 0, num1 / np.where(tot > 0, tot, 1.0), 0.5)
+    return out
+
+
+def ref_encode_batch(code, seeds, rng):
+    """encode_batch driven coordinate by coordinate by _sc_conditional."""
+    batch = seeds.shape[0]
+    n_sym = code.block_len
+    p1 = float(code.profile.source.pmf[1])
+    tiers = code._tiers
+    decided = np.zeros((batch, n_sym), dtype=np.uint8)
+    seed_cursor = 0
+    for j in range(n_sym):
+        if tiers[j] == 0:
+            decided[:, j] = seeds[:, seed_cursor]
+            seed_cursor += 1
+            continue
+        pj = _sc_conditional(p1, decided[:, :j], n_sym)
+        if tiers[j] == 1:
+            decided[:, j] = (rng.random(batch) < pj).astype(np.uint8)
+        else:
+            decided[:, j] = (pj > 0.5 + TIE_TOL).astype(np.uint8)
+    return polar_transform(decided)
+
+
+def ref_sampled_entropies(p1, n, mc_samples, rng):
+    """The sampled branch of compute_profile driven by _sc_conditional."""
+    n_sym = 1 << n
+    x = (rng.random((int(mc_samples), n_sym)) < p1).astype(np.uint8)
+    a = polar_transform(x)
+    ce = np.empty(n_sym)
+    for j in range(n_sym):
+        pj = _sc_conditional(p1, a[:, :j], n_sym)
+        prob = np.where(a[:, j] == 1, pj, 1.0 - pj)
+        ce[j] = float(np.mean(-np.log2(np.clip(prob, 1e-300, None))))
+    return np.clip(ce, 0.0, 1.0)
 
 
 class TestTransform:
@@ -137,18 +208,41 @@ class TestProfile:
 
 
 class TestScConditional:
-    def test_matches_prefix_tables(self, rng):
-        src = Dist.bernoulli(0.3)
-        qa = _exact_joint_pmf(src, 3)
-        for _ in range(200):
-            j = int(rng.integers(0, 8))
-            prefix = rng.integers(0, 2, size=j, dtype=np.uint8)
-            pre = int(bits_to_index(prefix)) if j else 0
+    def test_matches_prefix_tables(self):
+        # the pass runs on all 256 transformed blocks at N = 8, so its leaves
+        # see every prefix of every length
+        qa = _exact_joint_pmf(Dist.bernoulli(0.3), 3)
+        a = all_bit_rows(8)
+        conds = np.empty(a.shape)
+
+        def record(j, p):
+            conds[:, j] = p
+            return a[:, j]
+
+        x = _sc(np.broadcast_to(0.3, a.T.shape), record)
+        assert np.array_equal(polar_transform(x.T), a)
+        for j in range(8):
+            pre = bits_to_index(a[:, :j])
             marg = qa.reshape(1 << (j + 1), -1).sum(axis=1)
             prev = marg.reshape(-1, 2).sum(axis=1)
-            table = marg[2 * pre + 1] / prev[pre] if prev[pre] > 0 else 0.5
-            sc = _sc_conditional(0.3, prefix[None, :], 8)[0]
-            assert sc == pytest.approx(table, abs=1e-12)
+            table = np.where(prev[pre] > 0, marg[2 * pre + 1] / prev[pre], 0.5)
+            assert conds[:, j] == pytest.approx(table, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.11, 0.3, 0.5, 1.0])
+    def test_pass_matches_prefix_resolve(self, p):
+        # sampled profiles and encodings equal the reference bit for bit
+        src = Dist.bernoulli(p)
+        for n in range(1, 9):
+            prof = compute_profile(src, n, mc_samples=64, rng=make_rng(n))
+            assert np.array_equal(prof.cond_entropies,
+                                  ref_sampled_entropies(p, n, 64, make_rng(n)))
+            code = ResolvabilityCode(prof)
+            seeds = make_rng(n + 10).integers(0, 2, size=(64, code.seed_len),
+                                              dtype=np.uint8)
+            got = encode_batch(code, seeds, make_rng(n + 20))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, ref_encode_batch(code, seeds,
+                                                        make_rng(n + 20)))
 
 
 class TestEncode:
@@ -235,13 +329,15 @@ class TestEncode:
         assert np.abs(emp - output_pmf_exact(code)).sum() <= 0.01
 
     def test_batch_matches_single_encode(self):
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.3), 3))
-        seeds = make_rng(5).integers(0, 2, size=(4, code.seed_len), dtype=np.uint8)
+        # with the middle set emptied the encoder is a function of the seed,
+        # so every batch row must equal the single encode of its seed
+        prof = compute_profile(Dist.bernoulli(0.3), 3)
+        code = ResolvabilityCode(dataclasses.replace(prof, h_set=prof.v_set))
+        assert code.local_randomness_bits == 0
+        seeds = all_bit_rows(code.seed_len).astype(np.uint8)
         batch = encode_batch(code, seeds, make_rng(7))
-        for i in range(4):
-            # same generator stream per row is not expected; compare laws via
-            # deterministic tiers only when middle is forced by the prefix
-            assert batch[i].shape == (8,)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(batch[i], encode(code, seed, make_rng(8)))
 
 
 class TestOutputDistExact:
