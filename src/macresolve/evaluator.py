@@ -221,21 +221,6 @@ def joint_tv_bound(k: int, codec_tv: float, d0: float, n_users: int) -> float:
 # -- exact (exhaustive) evaluation ----------------------------------------------
 
 
-def _stream_transition(code: MacCode, name: str) -> np.ndarray:
-    """2^N x 2^N law of block i given block i-1 for one stream's chain."""
-    codec = code.codecs[name]
-    h = code.hashes[name]
-    n_sym = code.plan.block_len
-    rows = np.empty((1 << n_sym, 1 << n_sym))
-    states = all_bit_rows(n_sym)
-    clamp_len = min(h.out_len, codec.seed_len)
-    hashed = h.apply_batch(states)[:, :clamp_len] if clamp_len else None
-    for s in range(1 << n_sym):
-        clamp = hashed[s] if hashed is not None else None
-        rows[s] = output_pmf_exact(codec, clamp)
-    return rows
-
-
 def _emission_table(ch: MacChannel, n_sym: int) -> np.ndarray:
     """(2^(L N), |Z|^N) conditional law of one output block given inputs."""
     n_users = ch.n_users
@@ -251,50 +236,105 @@ def _emission_table(ch: MacChannel, n_sym: int) -> np.ndarray:
 
 
 class _ExactEngine:
-    """Shared state for exhaustive evaluation of one code."""
+    """Exhaustive evaluation of one code, with the block-Markov law in key space.
+
+    A stream's block-i law depends on block i-1 only through its key, the
+    first c_s = min(hash_len, seed_len) bits of the hashed block, so its
+    transition factors as T_s = H_s C_s: H_s maps a word to its key and C_s
+    holds the 2^{c_s} clamped codec laws.  The joint law of the output blocks
+    is carried over the joint key r (2^R entries, R = sum c_s) instead of the
+    joint stream state (2^{S N} entries).  With C(r, w) = prod_s C_s[r_s, w_s]
+    and E the emission table over joint stream states w,
+
+        K_1[z_1, r] = sum_w p_1(w) 1[key(w) = r] E[w, z_1]
+        K_{i+1}[z_{<=i}, z_{i+1}, r'] = sum_r K_i[z_{<=i}, r] A[r, z_{i+1}, r']
+
+    with A[r, z, r'] = sum_w C(r, w) 1[key(w) = r'] E[w, z], and the last
+    block contracts with B = C E.
+    """
 
     def __init__(self, code: MacCode, budget: int = EXACT_STATE_BUDGET):
         plan = code.plan
-        n_sym = plan.block_len
+        n_sym, k = plan.block_len, plan.k
         if n_sym > EXACT_CAP_N:
             raise BudgetError(f"N={n_sym} beyond the exact codec cap {EXACT_CAP_N}")
         self.code = code
         self.names = [s.name for s in plan.streams]
-        n_streams = len(self.names)
-        self.n_states = 1 << (n_streams * n_sym)
-        z_size = code.channel.output_alphabet.size
-        zn = z_size ** n_sym
-        carry = self.n_states * (zn ** max(0, plan.k - 1))
-        if max(carry, self.n_states * zn, zn ** plan.k) > budget:
+        self.n_sym = n_sym
+        self.stream_dim = 1 << n_sym
+        self.n_states = 1 << (len(self.names) * n_sym)
+        self.zn = code.channel.output_alphabet.size ** n_sym
+        key_lens = [min(code.hashes[name].out_len, code.codecs[name].seed_len)
+                    for name in self.names]
+        self.n_keys = 1 << sum(key_lens)
+        # every table the engine allocates, by the block counts that need it
+        tables = {"emission table": self.n_states * self.zn,
+                  "output law": self.zn ** k}
+        if k >= 2:
+            tables["codec law C"] = self.n_keys * self.n_states
+            tables["carry"] = self.n_keys * self.zn ** (k - 1)
+        if k >= 3:
+            tables["key transition A"] = self.n_keys ** 2 * self.zn
+        table, size = max(tables.items(), key=lambda kv: kv[1])
+        if size > budget:
             raise BudgetError(
-                f"exhaustive evaluation needs {max(carry, zn ** plan.k)} states, "
+                f"exhaustive evaluation needs {size} entries for the {table}, "
                 f"budget is {budget}"
             )
-        self.n_sym = n_sym
-        self.zn = zn
-        self.stream_dim = 1 << n_sym
-        # block-1 law per stream and transition law per stream
         self.p1 = {name: output_pmf_exact(code.codecs[name])
                    for name in self.names}
-        self.trans = {name: _stream_transition(code, name) for name in self.names}
         # joint stream state -> channel-input key -> emission row
         em = _emission_table(code.channel, n_sym)
         self.emission = em[self._input_keys()]
+        if k >= 2:
+            self._init_keys(key_lens)
+        if k >= 3:
+            self.a_table = self._keyed(self.c_table).reshape(self.n_keys, -1)
+
+    def _stream_grids(self) -> np.ndarray:
+        """(streams, joint states): each joint state's word index per stream."""
+        n = len(self.names)
+        return np.indices((self.stream_dim,) * n).reshape(n, -1)
 
     def _input_keys(self) -> np.ndarray:
         """Map joint stream state -> packed channel-input tuple index."""
-        n_sym, names = self.n_sym, self.names
-        dim = self.stream_dim
-        shape = (dim,) * len(names)
-        grids = np.indices(shape).reshape(len(names), -1)
-        per_stream = dict(zip(names, grids))
-        rows = all_bit_rows(n_sym)
+        per_stream = dict(zip(self.names, self._stream_grids()))
+        rows = all_bit_rows(self.n_sym)
         keys = np.zeros(self.n_states, dtype=np.int64)
         for _, parts in self.code.plan.channel_inputs:
             # a word that is the max of several streams is their bitwise OR
             word = np.bitwise_or.reduce([rows[per_stream[p]] for p in parts])
-            keys = keys * dim + bits_to_index(word)
+            keys = keys * self.stream_dim + bits_to_index(word)
         return keys
+
+    def _init_keys(self, key_lens: list[int]) -> None:
+        """Per-stream laws C_s and word keys, the joint keys, C and B = C E."""
+        words = all_bit_rows(self.n_sym)
+        grids = self._stream_grids()
+        self.e_key = np.zeros(self.n_states, dtype=np.int64)   # full hash
+        keys = np.zeros(self.n_states, dtype=np.int64)         # first c_s bits
+        self.stream_laws = []
+        self.c_table = np.ones((1, 1))
+        for grid, name, c in zip(grids, self.names, key_lens):
+            codec, h = self.code.codecs[name], self.code.hashes[name]
+            full = bits_to_index(h.apply_batch(words))
+            word_key = full >> (h.out_len - c)
+            self.e_key = (self.e_key << h.out_len) | full[grid]
+            keys = (keys << c) | word_key[grid]
+            laws = np.stack([output_pmf_exact(codec, clamp)
+                             for clamp in all_bit_rows(c)])
+            self.stream_laws.append((laws, word_key))
+            self.c_table = np.kron(self.c_table, laws)
+        bounds = np.cumsum(np.bincount(keys, minlength=self.n_keys))
+        self.key_groups = np.split(np.argsort(keys, kind="stable"), bounds[:-1])
+        self.b_table = self.c_table @ self.emission
+
+    def _keyed(self, weights: np.ndarray) -> np.ndarray:
+        """(m, states) -> (m, zn, keys): sum of weights[., w] E[w, .] per key of w."""
+        out = np.empty((len(weights), self.zn, self.n_keys))
+        for r, idx in enumerate(self.key_groups):
+            out[:, :, r] = weights[:, idx] @ self.emission[idx]
+        return out
 
     def block1_state_pmf(self) -> np.ndarray:
         p = np.array([1.0])
@@ -302,39 +342,37 @@ class _ExactEngine:
             p = np.multiply.outer(p, self.p1[name]).reshape(-1)
         return p
 
-    def propagate(self, table: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Contract each stream axis of a (states, ...) table with its block law.
-
-        The stream transitions act independently, one axis each; with
-        ``transpose`` the table is pulled back instead of pushed forward.
-        """
-        t = table.reshape((self.stream_dim,) * len(self.names) + table.shape[1:])
-        for axis, name in enumerate(self.names):
-            m = self.trans[name].T if transpose else self.trans[name]
-            t = np.moveaxis(np.tensordot(m, t, axes=(0, axis)), 0, axis)
-        return t.reshape(table.shape)
-
     def advance(self, state_pmf: np.ndarray) -> np.ndarray:
-        """One block-Markov step of the joint stream-state law."""
-        return self.propagate(state_pmf)
+        """One block-Markov step of the joint stream-state law.
+
+        Each stream axis is contracted with its transition C_s[key_s],
+        gathered per call, so every sum runs over 2^N terms; a weighted sum
+        onto the joint key would add up to 2^(S N) states in one run and
+        move the per-block laws in their last digits.
+        """
+        t = state_pmf.reshape((self.stream_dim,) * len(self.names))
+        for axis, (laws, keys) in enumerate(self.stream_laws):
+            t = np.moveaxis(np.tensordot(laws[keys], t, axes=(0, axis)), 0, axis)
+        return t.reshape(-1)
 
     def output_given_states(self, state_pmf: np.ndarray) -> np.ndarray:
         return state_pmf @ self.emission
 
+    def chain_law(self, state_pmf: np.ndarray, blocks: int) -> np.ndarray:
+        """Exact law of ``blocks`` consecutive output blocks, flat over z-tuples.
+
+        ``state_pmf`` is the joint stream-state law of the first of them.
+        """
+        if blocks == 1:
+            return self.output_given_states(state_pmf)
+        carry = self._keyed(state_pmf[None])[0]             # (zn, keys)
+        for _ in range(blocks - 2):
+            carry = (carry @ self.a_table).reshape(-1, self.n_keys)
+        return (carry @ self.b_table).reshape(-1)
+
     def joint_z_pmf(self) -> np.ndarray:
         """Exact law of all k output blocks, flat over |Z|^(kN)."""
-        k = self.code.plan.k
-        state = self.block1_state_pmf()
-        if k == 1:
-            return self.output_given_states(state)
-        carry = state[:, None] * self.emission          # (states, z1)
-        for _ in range(k - 2):
-            carry = self.propagate(carry)
-            carry = (carry[:, :, None] * self.emission[:, None, :]).reshape(
-                self.n_states, -1)
-        # last block: contract states out
-        carry = self.propagate(carry)
-        return np.einsum("sz,sw->zw", carry, self.emission).reshape(-1)
+        return self.chain_law(self.block1_state_pmf(), self.code.plan.k)
 
     def target_z_pow(self, blocks: int) -> np.ndarray:
         qz = target_output_dist(self.code.channel, list(self.code.input_dists)).pmf
@@ -344,10 +382,17 @@ class _ExactEngine:
         return out
 
 
+def _tv_consuming(p: np.ndarray, q: np.ndarray) -> float:
+    """sum |p - q|, computed in q's buffer (q is overwritten)."""
+    np.subtract(p, q, out=q)
+    np.abs(q, out=q)
+    return float(q.sum())
+
+
 def tv_exhaustive(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> float:
     """Exact V(p~_{Z over all k blocks}, q_Z^(kN)) by full enumeration."""
     eng = _ExactEngine(code, budget)
-    return float(np.abs(eng.joint_z_pmf() - eng.target_z_pow(code.plan.k)).sum())
+    return _tv_consuming(eng.joint_z_pmf(), eng.target_z_pow(code.plan.k))
 
 
 def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["MetricRow"]:
@@ -359,7 +404,7 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
 
     joint = eng.joint_z_pmf()
     rows.append(MetricRow("joint_output_tv",
-                          float(np.abs(joint - eng.target_z_pow(plan.k)).sum())))
+                          _tv_consuming(joint, eng.target_z_pow(plan.k))))
 
     state = eng.block1_state_pmf()
     block_z = []
@@ -377,33 +422,23 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
         prod = np.array([1.0])
         for pz in block_z:
             prod = np.multiply.outer(prod, pz).reshape(-1)
-        rows.append(MetricRow("interblock_product_tv",
-                              float(np.abs(joint - prod).sum())))
+        rows.append(MetricRow("interblock_product_tv", _tv_consuming(joint, prod)))
+        del joint, prod  # the |Z|^(kN)-entry laws are not needed below
         # recycled bits of block i vs output of block i-1 (exact law)
         total_r = sum(s.hash_len for s in plan.streams)
         if (1 << total_r) * eng.zn <= budget:
-            e_key = np.zeros(eng.n_states, dtype=np.int64)
-            n_streams = len(eng.names)
-            grids = np.indices((eng.stream_dim,) * n_streams).reshape(n_streams, -1)
-            for pos, name in enumerate(eng.names):
-                h = code.hashes[name]
-                htab = bits_to_index(h.apply_batch(all_bit_rows(eng.n_sym)))
-                e_key = (e_key << h.out_len) | htab[grids[pos]]
             for i in range(2, plan.k + 1):
                 m_prev = states_seq[i - 2]
                 joint_ez = np.zeros((1 << total_r, eng.zn))
-                np.add.at(joint_ez, e_key,
+                np.add.at(joint_ez, eng.e_key,
                           m_prev[:, None] * eng.emission)
                 marg_e = joint_ez.sum(axis=1)
                 marg_z = joint_ez.sum(axis=0)
                 tv = float(np.abs(joint_ez - np.outer(marg_e, marg_z)).sum())
                 rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}", tv))
-        # consecutive output blocks vs product of their marginals:
-        # law of (z_{i-1}, z_i) = sum_s m[s] em[s, z1] (T em)[s, z2]
-        w = eng.propagate(eng.emission, transpose=True)
+        # consecutive output blocks vs product of their marginals
         for i in range(2, plan.k + 1):
-            m_prev = states_seq[i - 2]
-            pair = np.einsum("s,sz,sw->zw", m_prev, eng.emission, w)
+            pair = eng.chain_law(states_seq[i - 2], 2).reshape(eng.zn, eng.zn)
             tv = float(np.abs(pair - np.outer(block_z[i - 2], block_z[i - 1])).sum())
             rows.append(MetricRow(f"consecutive_output_tv_block{i}", tv))
 

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import pytest
 
@@ -97,6 +99,35 @@ class TestSimulateCommand:
         rows = {m[0]: m for m in rep["metrics"]}
         assert rows["joint_output_tv"][2] is None  # no CI in exact mode
         assert rep["config_hash"] and rep["descriptor_hash"]
+
+    def test_key_space_engine_admits_three_blocks_at_n4(self, adder_spec, tmp_path):
+        # the joint-state carry of this code had 2^12 * 81^2 > 2^24 entries; the
+        # key-space carry has 2^7 * 81^2
+        rc = main(["simulate", "--channel", adder_spec, "--out-dir",
+                   str(tmp_path / "s"), "--mode", "case1", "--idealized",
+                   "--n", "4", "--k", "3", "--trials", "1000"])
+        assert rc == 0
+        rep = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert rep["mode"] == "exhaustive"
+
+    def test_fallback_reason_names_a_table_over_budget(self, tmp_path, caplog):
+        # 2^24 joint states x 4^8 outputs: the emission table binds; the reason
+        # used to name the 2^24-entry carry, which fits the budget
+        spec = tmp_path / "adder3.json"
+        spec.write_text(json.dumps(channel_to_json(
+            adder_mac3(), [Dist.bernoulli(0.5)] * 3)))
+        caplog.set_level(logging.INFO, logger="macresolve")
+        rc = main(["simulate", "--channel", str(spec), "--out-dir",
+                   str(tmp_path / "s"), "--mode", "multi", "--idealized",
+                   "--n", "8", "--k", "1", "--trials", "1000"])
+        assert rc == 0
+        reason = [r.getMessage() for r in caplog.records
+                  if "exact mode unavailable" in r.getMessage()]
+        assert len(reason) == 1
+        needed, table, budget = re.search(
+            r"needs (\d+) entries for the (.+?), budget is (\d+)", reason[0]).groups()
+        assert table == "emission table"
+        assert int(needed) == (1 << 24) * 4 ** 8 > int(budget)
 
     def test_mc_mode_reports_ci(self, adder_spec, tmp_path):
         rc = main(["simulate", "--channel", adder_spec, "--out-dir",

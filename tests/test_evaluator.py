@@ -9,6 +9,7 @@ from macresolve.encoder import IdealizedOverrides, build_mac_code, run_trials
 from macresolve.evaluator import (
     RegionSpec,
     _ExactEngine,
+    _emission_table,
     _bootstrap_tv,
     _count_rows,
     _pair_tv,
@@ -28,14 +29,18 @@ from macresolve.evaluator import (
     transcript_features,
     tv_exhaustive,
 )
+from macresolve.polar import output_pmf_exact
 from macresolve.probcore import (
     Alphabet,
     BudgetError,
     Dist,
     JointDist,
     MacChannel,
+    all_bit_rows,
+    bits_to_index,
     make_rng,
     mutual_information,
+    target_output_dist,
 )
 
 UNIF = Dist.bernoulli(0.5)
@@ -130,6 +135,128 @@ def small_code(ch, inputs, n, k, seed, **kw):
                           idealized=IDEAL, rng=make_rng(seed), **kw)
 
 
+# -- the joint-state engine, kept as the reference for the key-space engine ------
+
+
+def _stream_transition(code, name):
+    """2^N x 2^N law of block i given block i-1 for one stream's chain."""
+    codec = code.codecs[name]
+    h = code.hashes[name]
+    n_sym = code.plan.block_len
+    rows = np.empty((1 << n_sym, 1 << n_sym))
+    states = all_bit_rows(n_sym)
+    clamp_len = min(h.out_len, codec.seed_len)
+    hashed = h.apply_batch(states)[:, :clamp_len] if clamp_len else None
+    for s in range(1 << n_sym):
+        clamp = hashed[s] if hashed is not None else None
+        rows[s] = output_pmf_exact(codec, clamp)
+    return rows
+
+
+class StateSpaceEngine:
+    """Block-Markov law carried over the joint stream state (2^(S N) entries)."""
+
+    def __init__(self, code):
+        self.code = code
+        self.names = [s.name for s in code.plan.streams]
+        self.n_sym = code.plan.block_len
+        self.stream_dim = 1 << self.n_sym
+        self.n_states = self.stream_dim ** len(self.names)
+        self.zn = code.channel.output_alphabet.size ** self.n_sym
+        self.p1 = {name: output_pmf_exact(code.codecs[name]) for name in self.names}
+        self.trans = {name: _stream_transition(code, name) for name in self.names}
+        grids = np.indices((self.stream_dim,) * len(self.names)).reshape(
+            len(self.names), -1)
+        self.grids = dict(zip(self.names, grids))
+        rows = all_bit_rows(self.n_sym)
+        keys = np.zeros(self.n_states, dtype=np.int64)
+        for _, parts in code.plan.channel_inputs:
+            word = np.bitwise_or.reduce([rows[self.grids[p]] for p in parts])
+            keys = keys * self.stream_dim + bits_to_index(word)
+        self.emission = _emission_table(code.channel, self.n_sym)[keys]
+
+    def block1_state_pmf(self):
+        p = np.array([1.0])
+        for name in self.names:
+            p = np.multiply.outer(p, self.p1[name]).reshape(-1)
+        return p
+
+    def propagate(self, table, transpose=False):
+        """Contract each stream axis of a (states, ...) table with its block law."""
+        t = table.reshape((self.stream_dim,) * len(self.names) + table.shape[1:])
+        for axis, name in enumerate(self.names):
+            m = self.trans[name].T if transpose else self.trans[name]
+            t = np.moveaxis(np.tensordot(m, t, axes=(0, axis)), 0, axis)
+        return t.reshape(table.shape)
+
+    def advance(self, state_pmf):
+        return self.propagate(state_pmf)
+
+    def joint_z_pmf(self):
+        k = self.code.plan.k
+        state = self.block1_state_pmf()
+        if k == 1:
+            return state @ self.emission
+        laws = []
+        # one first-block output at a time keeps the (states, |Z|^(N(k-1))) carry
+        # |Z|^N times smaller
+        for z1 in range(self.zn):
+            carry = (state * self.emission[:, z1])[:, None]
+            for _ in range(k - 2):
+                carry = self.propagate(carry)
+                carry = (carry[:, :, None] * self.emission[:, None, :]).reshape(
+                    self.n_states, -1)
+            carry = self.propagate(carry)
+            laws.append(np.einsum("sz,sw->zw", carry, self.emission).reshape(-1))
+        return np.concatenate(laws)
+
+
+def reference_exact_rows(code):
+    """exact_report's engine-dependent rows, computed in joint-state space."""
+    eng = StateSpaceEngine(code)
+    plan = code.plan
+    qz = target_output_dist(code.channel, list(code.input_dists)).pmf
+    q_block = np.array([1.0])
+    for _ in range(plan.block_len):
+        q_block = np.multiply.outer(q_block, qz).reshape(-1)
+    q_all = np.array([1.0])
+    for _ in range(plan.k):
+        q_all = np.multiply.outer(q_all, q_block).reshape(-1)
+    joint = eng.joint_z_pmf()
+    rows = {"joint_output_tv": np.abs(joint - q_all).sum()}
+    state = eng.block1_state_pmf()
+    states_seq, block_z = [], []
+    for i in range(plan.k):
+        if i > 0:
+            state = eng.advance(state)
+        states_seq.append(state)
+        block_z.append(state @ eng.emission)
+        rows[f"block{i + 1}_output_tv"] = np.abs(block_z[-1] - q_block).sum()
+    if plan.k >= 2:
+        prod = np.array([1.0])
+        for pz in block_z:
+            prod = np.multiply.outer(prod, pz).reshape(-1)
+        rows["interblock_product_tv"] = np.abs(joint - prod).sum()
+        total_r = sum(s.hash_len for s in plan.streams)
+        e_key = np.zeros(eng.n_states, dtype=np.int64)
+        for name in eng.names:
+            h = code.hashes[name]
+            htab = bits_to_index(h.apply_batch(all_bit_rows(eng.n_sym)))
+            e_key = (e_key << h.out_len) | htab[eng.grids[name]]
+        w = eng.propagate(eng.emission, transpose=True)
+        for i in range(2, plan.k + 1):
+            m_prev = states_seq[i - 2]
+            joint_ez = np.zeros((1 << total_r, eng.zn))
+            np.add.at(joint_ez, e_key, m_prev[:, None] * eng.emission)
+            marg = np.outer(joint_ez.sum(axis=1), joint_ez.sum(axis=0))
+            rows[f"recycled_vs_prev_output_tv_block{i}"] = \
+                np.abs(joint_ez - marg).sum()
+            pair = np.einsum("s,sz,sw->zw", m_prev, eng.emission, w)
+            rows[f"consecutive_output_tv_block{i}"] = np.abs(
+                pair - np.outer(block_z[i - 2], block_z[i - 1])).sum()
+    return rows, joint
+
+
 class TestExactEngine:
     def test_k1_deterministic_identity_tv_zero(self):
         ch = MacChannel((Alphabet(2),), Alphabet(2), np.eye(2))
@@ -137,8 +264,6 @@ class TestExactEngine:
         assert tv_exhaustive(code) == pytest.approx(0.0, abs=1e-12)
 
     def test_k1_matches_pushforward_of_output_dist_exact(self, rng):
-        from macresolve.polar import output_pmf_exact
-
         ch = random_mac(rng)
         inputs = [random_input(rng), random_input(rng)]
         code = small_code(ch, inputs, 4, 1, 22)
@@ -187,6 +312,56 @@ class TestExactEngine:
         assert rows["recycled_vs_prev_output_tv_block2"] <= delta_recycle(
             2, codec_tv, d0, 3)
         assert rows["joint_output_tv"] <= rows["bound_joint_tv"]
+
+
+def _random2(seed):
+    rng = make_rng(seed)
+    return random_mac(rng), [random_input(rng), random_input(rng)]
+
+
+BERN_36 = [Dist.bernoulli(0.3), Dist.bernoulli(0.6)]
+BERN_234 = [Dist.bernoulli(0.2), Dist.bernoulli(0.3), Dist.bernoulli(0.4)]
+# (id, channel and inputs, mode, N, k); k = 3 and 4 run the key-space carry loop
+KEY_SPACE_CONFIGS = [
+    ("case1-adder-n2-k1", lambda: (adder_mac(), [UNIF, UNIF]), "case1", 2, 1),
+    ("case1-adder-n2-k3", lambda: (adder_mac(), [UNIF, UNIF]), "case1", 2, 3),
+    ("case1-adder-n2-k4", lambda: (adder_mac(), [UNIF, UNIF]), "case1", 2, 4),
+    ("case1-xor-n2-k3", lambda: (xor_mac(), [UNIF, UNIF]), "case1", 2, 3),
+    ("case1-random-n2-k4", lambda: _random2(71), "case1", 2, 4),
+    ("case1-adder-n4-k2", lambda: (adder_mac(), [UNIF, UNIF]), "case1", 4, 2),
+    # exhaustive only since the key-space carry: 2^12 * 81^2 states before
+    ("case1-adder-n4-k3", lambda: (adder_mac(), [UNIF, UNIF]), "case1", 4, 3),
+    ("case2-parallel-n2-k4", lambda: (parallel_mac(), BERN_36), "case2", 2, 4),
+    ("case2-parallel-n4-k2", lambda: (parallel_mac(), BERN_36), "case2", 4, 2),
+    ("multi-adder3-n2-k3", lambda: (adder_mac3(), BERN_234), "multi", 2, 3),
+    ("multi-adder3-n2-k4", lambda: (adder_mac3(), [UNIF] * 3), "multi", 2, 4),
+    ("multi-random-n2-k3", lambda: _random2(72), "multi", 2, 3),
+]
+
+
+class TestKeySpaceEngine:
+    @pytest.mark.parametrize("channel, mode, n, k",
+                             [c[1:] for c in KEY_SPACE_CONFIGS],
+                             ids=[c[0] for c in KEY_SPACE_CONFIGS])
+    def test_rows_match_state_space_reference(self, channel, mode, n, k):
+        ch, inputs = channel()
+        code = small_code(ch, inputs, n, k, 70 + n + k, mode=mode)
+        rows = {m.name: m.value for m in exact_report(code)}
+        ref, ref_joint = reference_exact_rows(code)
+        assert set(ref) <= set(rows)
+        for name, value in ref.items():
+            assert abs(rows[name] - value) <= 1e-12, name
+        assert np.abs(_ExactEngine(code).joint_z_pmf() - ref_joint).max() <= 1e-12
+
+    def test_codec_laws_only_per_key(self):
+        # C_s has one row per clamp of the first c_s hash bits, not per word
+        code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 73, mode="case1")
+        eng = _ExactEngine(code)
+        for (laws, word_key), s in zip(eng.stream_laws, code.plan.streams):
+            c = min(s.hash_len, code.codecs[s.name].seed_len)
+            assert laws.shape == (1 << c, 16)
+            np.testing.assert_array_equal(laws[word_key],
+                                          _stream_transition(code, s.name))
 
 
 def window_rows(code, trials, rng, n_boot=1000, **kw):
