@@ -249,7 +249,11 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
             f"{desc_file} has config_hash {desc.get('config_hash')}, but this "
             f"run's build config hashes to {cfg.build_hash()}; pass the build "
             f"flags of that descriptor, or use another --out-dir")
-    code = encoder.code_from_descriptor(desc)
+    try:
+        code = encoder.code_from_descriptor(desc)
+    except KeyError as e:
+        raise ValueError(f"{desc_file} has no field {e.args[0]!r}; it was "
+                         f"written by another version, rerun build") from None
     notes = []
     metrics: list[evaluator.MetricRow] = []
     mode_used = "mc"

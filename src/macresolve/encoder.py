@@ -36,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .hashing import ToeplitzHash, bits_to_hex, sample_hash
-from .polar import ResolvabilityCode, compute_profile, encode_batch
+from .polar import EXACT_CAP_N, PolarProfile, ResolvabilityCode, \
+    compute_profile, encode_batch
 from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
     conditional_entropy, mutual_information, transmit
 from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 CASE_TOL = 1e-9
-PROFILE_SAMPLES = 1 << 14  # blocks per sampled profile; rebuilds must match
+PROFILE_SAMPLES = 1 << 14  # blocks per sampled profile, drawn once in build
 
 
 def _ceil_bits(x: float) -> int:
@@ -295,7 +296,6 @@ class MacCode:
     codecs: dict[str, ResolvabilityCode]
     hashes: dict[str, ToeplitzHash]
     user_order: tuple[int, ...] | None = None
-    profile_seed: int | None = None   # only set when profiling was sampled
 
     def __post_init__(self):
         if (self.plan.mode == "case1") != (self.split is not None):
@@ -321,30 +321,6 @@ class MacCode:
         return self.plan.mode
 
 
-def _profile_codecs(
-    sources: dict[str, Dist],
-    n_exp: int,
-    beta: float,
-    profile_seed: int | None,
-) -> dict[str, ResolvabilityCode]:
-    """One polar codec per stream, in plan order.
-
-    Exact profiles need no randomness; sampled ones draw ``PROFILE_SAMPLES``
-    blocks from child ``profile_seed`` with the stream's plan position as
-    spawn key, so a rebuild from the descriptor reproduces the build.
-    """
-    codecs = {}
-    for idx, (name, src) in enumerate(sources.items()):
-        if profile_seed is None:
-            prof = compute_profile(src, n_exp, beta)
-        else:
-            child = np.random.SeedSequence(profile_seed, spawn_key=(idx,))
-            prof = compute_profile(src, n_exp, beta, mc_samples=PROFILE_SAMPLES,
-                                   rng=make_rng(child))
-        codecs[name] = ResolvabilityCode(prof)
-    return codecs
-
-
 def build_mac_code(
     ch: MacChannel,
     inputs: Sequence[Dist],
@@ -364,8 +340,10 @@ def build_mac_code(
 
     Mode ``auto`` resolves two-user channels to case1/case2 by the exact
     dichotomy; requesting the wrong case raises, and so does an ``order``
-    outside multi mode.  Hash functions are sampled once here and stay fixed
-    for all blocks and trials.
+    outside multi mode.  This is the only place a code is profiled: beyond
+    ``EXACT_CAP_N`` each stream samples ``PROFILE_SAMPLES`` blocks from one
+    seed drawn from ``rng``, with its plan position as spawn key.  Hash
+    functions are sampled once here and stay fixed for all blocks and trials.
     """
     inputs = list(inputs)
     if mode == "auto":
@@ -393,18 +371,23 @@ def build_mac_code(
     elif mode == "multi":
         user_order = tuple(order) if order is not None else tuple(range(ch.n_users))
     _, specs, _ = _stream_specs(ch, inputs, mode, split, user_order)
-    sources = {name: src for name, src, _, _ in specs}
 
     n_exp = block_len.bit_length() - 1
     if 1 << n_exp != block_len:
         raise ValueError(f"N must be a power of two, got {block_len}")
-    from .polar import EXACT_CAP_N
-
     profile_seed = None
     if block_len > EXACT_CAP_N:
         profile_seed = int(rng.integers(0, 2 ** 63 - 1))
-    codecs = _profile_codecs(sources, n_exp, beta, profile_seed)
-    widths = {name: codecs[name].seed_len for name in sources}
+    codecs = {}
+    for idx, (name, src, _, _) in enumerate(specs):
+        if profile_seed is None:
+            prof = compute_profile(src, n_exp, beta)
+        else:
+            child = np.random.SeedSequence(profile_seed, spawn_key=(idx,))
+            prof = compute_profile(src, n_exp, beta, mc_samples=PROFILE_SAMPLES,
+                                   rng=make_rng(child))
+        codecs[name] = ResolvabilityCode(prof)
+    widths = {name: codec.seed_len for name, codec in codecs.items()}
 
     plan = make_plan(ch, inputs, mode, block_len, k, xi, split=split,
                      order=user_order, idealized=idealized,
@@ -418,7 +401,7 @@ def build_mac_code(
         s.name: sample_hash(rng, block_len, s.hash_len) for s in plan.streams
     }
     return MacCode(ch, tuple(inputs), plan, split, codecs, hashes,
-                   user_order=user_order, profile_seed=profile_seed)
+                   user_order=user_order)
 
 
 # -- encoding ------------------------------------------------------------------
@@ -565,13 +548,14 @@ def tally_fresh_bits(bt: BatchTranscript) -> dict[str, int]:
 # -- descriptor (de)serialization ----------------------------------------------
 
 
-def code_to_descriptor(code: MacCode, beta: float | None = None) -> dict:
-    """Self-contained JSON-able descriptor enabling bit-exact rebuild."""
+def code_to_descriptor(code: MacCode) -> dict:
+    """Self-contained JSON-able descriptor enabling bit-exact rebuild.
+
+    It holds the plan, the hashes and each stream's profile entropies
+    (``tolist`` float64, which JSON round-trips exactly), so a rebuild never
+    profiles.
+    """
     plan = code.plan
-    streams = []
-    for s in plan.streams:
-        d = s.__dict__.copy()
-        streams.append(d)
     desc = {
         "mode": plan.mode,
         "block_len": plan.block_len,
@@ -581,7 +565,7 @@ def code_to_descriptor(code: MacCode, beta: float | None = None) -> dict:
         "delta": plan.delta,
         "idealized": plan.idealized,
         "asymptotic_only": plan.asymptotic_only,
-        "streams": streams,
+        "streams": [s.__dict__.copy() for s in plan.streams],
         "channel": {
             "inputs": [a.size for a in code.channel.input_alphabets],
             "output": code.channel.output_alphabet.size,
@@ -595,18 +579,16 @@ def code_to_descriptor(code: MacCode, beta: float | None = None) -> dict:
                    for name, h in code.hashes.items()},
         "profiles": {name: {"n": c.profile.n, "beta": c.profile.beta,
                             "source": c.profile.source.pmf.tolist(),
-                            "exact": c.profile.exact}
+                            "exact": c.profile.exact,
+                            "cond_entropies": c.profile.cond_entropies.tolist()}
                      for name, c in code.codecs.items()},
-        "profile_seed": code.profile_seed,
         "user_order": list(code.user_order) if code.user_order else None,
-        "beta": beta if beta is not None else
-            next(iter(code.codecs.values())).profile.beta,
     }
     return desc
 
 
 def code_from_descriptor(desc: dict) -> MacCode:
-    """Rebuild a MacCode from its descriptor; profiles are re-derived."""
+    """Rebuild a MacCode from its descriptor, with the stored profiles."""
     from .probcore import Alphabet, channel_from_json
 
     ch, _ = channel_from_json(desc["channel"])
@@ -623,18 +605,18 @@ def code_from_descriptor(desc: dict) -> MacCode:
         split = SplitPoint(sd["eps"], Dist.bernoulli(sd["a"]),
                            Dist.bernoulli(sd["b"]),
                            (sd["r1"], sd["r_u"], sd["r_v"]))
-    profiles = desc["profiles"]
-    sources = {s.name: Dist(Alphabet(2), np.asarray(profiles[s.name]["source"]))
-               for s in streams}
-    codecs = _profile_codecs(sources, plan.block_len.bit_length() - 1,
-                             desc["beta"], desc["profile_seed"])
+    codecs = {}
+    for s in streams:
+        prof = desc["profiles"][s.name]
+        codecs[s.name] = ResolvabilityCode(PolarProfile.from_entropies(
+            Dist(Alphabet(2), np.asarray(prof["source"])), prof["n"],
+            prof["beta"], prof["cond_entropies"], prof["exact"]))
     hashes = {
         name: ToeplitzHash.from_hex(h["hex"], h["in_len"], h["out_len"])
         for name, h in desc["hashes"].items()
     }
     order = tuple(desc["user_order"]) if desc["user_order"] else None
-    return MacCode(ch, inputs, plan, split, codecs, hashes, user_order=order,
-                   profile_seed=desc["profile_seed"])
+    return MacCode(ch, inputs, plan, split, codecs, hashes, user_order=order)
 
 
 def descriptor_hash(desc: dict) -> str:

@@ -221,20 +221,6 @@ def joint_tv_bound(k: int, codec_tv: float, d0: float, n_users: int) -> float:
 # -- exact (exhaustive) evaluation ----------------------------------------------
 
 
-def _emission_table(ch: MacChannel, n_sym: int) -> np.ndarray:
-    """(2^(L N), |Z|^N) conditional law of one output block given inputs."""
-    n_users = ch.n_users
-    z_size = ch.output_alphabet.size
-    combos = all_bit_rows(n_users * n_sym)   # (2^(LN), L*N); user-major
-    per_user = [combos[:, u * n_sym:(u + 1) * n_sym] for u in range(n_users)]
-    em = np.ones((combos.shape[0], 1))
-    for pos in range(n_sym):
-        idx = tuple(pu[:, pos] for pu in per_user)
-        row = ch.transition[idx]             # (2^(LN), |Z|)
-        em = (em[:, :, None] * row[:, None, :]).reshape(combos.shape[0], -1)
-    return em
-
-
 class _ExactEngine:
     """Exhaustive evaluation of one code, with the block-Markov law in key space.
 
@@ -283,9 +269,7 @@ class _ExactEngine:
             )
         self.p1 = {name: output_pmf_exact(code.codecs[name])
                    for name in self.names}
-        # joint stream state -> channel-input key -> emission row
-        em = _emission_table(code.channel, n_sym)
-        self.emission = em[self._input_keys()]
+        self.emission = self._emission_table()
         if k >= 2:
             self._init_keys(key_lens)
         if k >= 3:
@@ -296,16 +280,18 @@ class _ExactEngine:
         n = len(self.names)
         return np.indices((self.stream_dim,) * n).reshape(n, -1)
 
-    def _input_keys(self) -> np.ndarray:
-        """Map joint stream state -> packed channel-input tuple index."""
+    def _emission_table(self) -> np.ndarray:
+        """(joint stream states, |Z|^N) law of one output block."""
         per_stream = dict(zip(self.names, self._stream_grids()))
         rows = all_bit_rows(self.n_sym)
-        keys = np.zeros(self.n_states, dtype=np.int64)
-        for _, parts in self.code.plan.channel_inputs:
-            # a word that is the max of several streams is their bitwise OR
-            word = np.bitwise_or.reduce([rows[per_stream[p]] for p in parts])
-            keys = keys * self.stream_dim + bits_to_index(word)
-        return keys
+        # a word that is the max of several streams is their bitwise OR
+        words = [np.bitwise_or.reduce([rows[per_stream[p]] for p in parts])
+                 for _, parts in self.code.plan.channel_inputs]
+        em = np.ones((self.n_states, 1))
+        for pos in range(self.n_sym):
+            row = self.code.channel.transition[tuple(w[:, pos] for w in words)]
+            em = (em[:, :, None] * row[:, None, :]).reshape(self.n_states, -1)
+        return em
 
     def _init_keys(self, key_lens: list[int]) -> None:
         """Per-stream laws C_s and word keys, the joint keys, C and B = C E."""
@@ -321,8 +307,11 @@ class _ExactEngine:
             word_key = full >> (h.out_len - c)
             self.e_key = (self.e_key << h.out_len) | full[grid]
             keys = (keys << c) | word_key[grid]
-            laws = np.stack([output_pmf_exact(codec, clamp)
-                             for clamp in all_bit_rows(c)])
+            if c:
+                laws = np.stack([output_pmf_exact(codec, clamp)
+                                 for clamp in all_bit_rows(c)])
+            else:  # the one clamp is empty: the block-1 law
+                laws = self.p1[name][None]
             self.stream_laws.append((laws, word_key))
             self.c_table = np.kron(self.c_table, laws)
         bounds = np.cumsum(np.bincount(keys, minlength=self.n_keys))

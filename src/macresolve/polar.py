@@ -128,18 +128,33 @@ class PolarProfile:
             raise ValueError(f"profile length {ce.shape} != N={n_sym}")
         if not 0.0 < self.beta < 0.5:
             raise ValueError(f"beta must be in (0, 1/2), got {self.beta}")
-        tol = 1e-9 if self.exact else 0.05
-        if np.any(ce < -tol) or np.any(ce > 1 + tol):
+        # written so that NaN fails both checks
+        if not np.all((ce >= -1e-9) & (ce <= 1 + 1e-9)):
             raise ValueError("conditional entropies outside [0, 1]")
         if self.exact:
             total = float(ce.sum())
             target = n_sym * entropy(self.source)
-            if abs(total - target) > 1e-9:
+            if not abs(total - target) <= 1e-9:
                 raise ValueError(
                     f"chain rule violated: sum {total} vs N*H(X) {target}"
                 )
         if not self.v_set <= self.h_set:
             raise ValueError("v_set must be contained in h_set")
+
+    @classmethod
+    def from_entropies(cls, source: Dist, n: int, beta: float,
+                       cond_entropies: np.ndarray | list[float],
+                       exact: bool) -> "PolarProfile":
+        """Profile with the delta_N thresholds applied to given entropies.
+
+        delta_N = 2^(-N^beta); coordinates above 1 - delta_N form ``v_set``,
+        those above delta_N form ``h_set``.
+        """
+        ce = np.asarray(cond_entropies, dtype=np.float64)
+        delta_n = 2.0 ** (-((1 << n) ** beta))
+        v = frozenset(np.flatnonzero(ce > 1.0 - delta_n).tolist())
+        h = frozenset(np.flatnonzero(ce > delta_n).tolist())
+        return cls(n, source, ce, beta, delta_n, v, h, exact=exact)
 
     @property
     def block_len(self) -> int:
@@ -167,7 +182,6 @@ def compute_profile(
     """
     p1 = _check_binary_source(source)
     n_sym = 1 << n
-    delta_n = 2.0 ** (-(n_sym ** beta))
     if n_sym <= EXACT_CAP_N and mc_samples is None:
         qa = _exact_joint_pmf(source, n)
         ce = np.empty(n_sym)
@@ -199,9 +213,7 @@ def compute_profile(
         _sc(np.broadcast_to(p1, (n_sym, len(x))), surprisal)
         ce = np.clip(ce, 0.0, 1.0)
         exact = False
-    v = frozenset(np.nonzero(ce > 1.0 - delta_n)[0].tolist())
-    h = frozenset(np.nonzero(ce > delta_n)[0].tolist())
-    return PolarProfile(n, source, ce, beta, delta_n, v, h, exact=exact)
+    return PolarProfile.from_entropies(source, n, beta, ce, exact)
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,65 @@ class TestDescriptorProvenance:
         assert (out / "report.json").read_bytes() == report
 
 
+class TestDescriptorContents:
+    ARGS = ["--n", "4", "--k", "2", "--idealized"]
+
+    def _simulate_edited(self, spec, tmp_path, capsys, edit):
+        """Build, apply ``edit`` to the descriptor, simulate from it."""
+        out = tmp_path / "o"
+        assert main(["build", "--channel", spec, "--out-dir", str(out)]
+                    + self.ARGS) == 0
+        path = out / "descriptor.json"
+        desc = json.loads(path.read_text())
+        edit(desc)
+        path.write_text(json.dumps(desc))
+        capsys.readouterr()
+        rc = main(["simulate", "--channel", spec, "--out-dir", str(out),
+                   "--trials", "1000"] + self.ARGS)
+        assert not (out / "report.json").exists()
+        return rc, capsys.readouterr().err
+
+    def test_parent_format_descriptor_asks_for_a_rebuild(self, adder_spec,
+                                                          tmp_path, capsys):
+        def to_parent_format(desc):
+            for prof in desc["profiles"].values():
+                del prof["cond_entropies"]
+            desc["profile_seed"] = None
+            desc["beta"] = 0.25
+
+        rc, err = self._simulate_edited(adder_spec, tmp_path, capsys,
+                                        to_parent_format)
+        assert rc == 1
+        assert "'cond_entropies'" in err and "rerun build" in err
+        assert "Traceback" not in err
+
+    def test_missing_hashes_named(self, adder_spec, tmp_path, capsys):
+        rc, err = self._simulate_edited(adder_spec, tmp_path, capsys,
+                                        lambda desc: desc.pop("hashes"))
+        assert rc == 1
+        assert "'hashes'" in err and "rerun build" in err
+
+    def test_entropies_breaking_the_chain_rule_rejected(self, adder_spec,
+                                                        tmp_path, capsys):
+        def tamper(desc):
+            prof = desc["profiles"]["x"]
+            assert prof["exact"]
+            ce = prof["cond_entropies"]
+            ce[ce.index(max(ce))] -= 0.01   # stays inside [0, 1]
+
+        rc, err = self._simulate_edited(adder_spec, tmp_path, capsys, tamper)
+        assert rc == 1
+        assert "chain rule violated" in err
+
+    def test_entropies_of_wrong_length_rejected(self, adder_spec, tmp_path,
+                                                capsys):
+        rc, err = self._simulate_edited(
+            adder_spec, tmp_path, capsys,
+            lambda desc: desc["profiles"]["u"]["cond_entropies"].pop())
+        assert rc == 1
+        assert "profile length" in err
+
+
 class TestParserDefaults:
     @pytest.mark.parametrize("command", ["region", "build", "simulate", "sweep"])
     def test_unset_flags_take_the_config_defaults(self, command):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import adder_mac, adder_mac3, parallel_mac
+from macresolve import encoder
 from macresolve.encoder import (
     IdealizedOverrides,
     _chain_encode,
@@ -338,9 +339,9 @@ class TestDescriptor:
         assert descriptor_hash(desc) == descriptor_hash(
             code_to_descriptor(code2))
 
-    def test_rebuild_reproduces_sampled_profiles(self):
-        # descriptors are written with sorted keys; the rebuild must still
-        # give each stream's sampled profile the spawn key build gave it
+    def test_rebuild_reproduces_sampled_profiles(self, monkeypatch):
+        # the descriptor carries every stream's profile, so a rebuild uses the
+        # entropies build computed and never profiles again
         bern = [Dist.bernoulli(0.2), Dist.bernoulli(0.3), Dist.bernoulli(0.4)]
         codes = [
             build_mac_code(adder_mac(), [UNIF, UNIF], block_len=32, k=2,
@@ -348,14 +349,27 @@ class TestDescriptor:
             build_mac_code(adder_mac3(), bern, mode="multi", order=(2, 0, 1),
                            block_len=32, k=2, xi=0.05, idealized=IDEAL,
                            rng=make_rng(13)),
+            adder_code(n=8, k=2),
         ]
-        for code in codes:
-            assert code.profile_seed is not None
-            blob = json.dumps(code_to_descriptor(code), sort_keys=True)
+        blobs = [json.dumps(code_to_descriptor(code), sort_keys=True)
+                 for code in codes]
+
+        def no_profiling(*args, **kwargs):
+            raise AssertionError("code_from_descriptor profiled a stream")
+
+        monkeypatch.setattr(encoder, "compute_profile", no_profiling)
+        for code, blob, sampled in zip(codes, blobs, (True, True, False)):
             code2 = code_from_descriptor(json.loads(blob))
             for s in code.plan.streams:
-                assert np.array_equal(code.codecs[s.name].profile.cond_entropies,
-                                      code2.codecs[s.name].profile.cond_entropies)
+                prof = code.codecs[s.name].profile
+                prof2 = code2.codecs[s.name].profile
+                assert prof.exact == prof2.exact == (not sampled)
+                assert prof.cond_entropies.tobytes() == \
+                    prof2.cond_entropies.tobytes()
+                assert prof.v_set == prof2.v_set and prof.h_set == prof2.h_set
+            a = run_trials(code, 200, make_rng(20))
+            b = run_trials(code2, 200, make_rng(20))
+            assert np.array_equal(a.channel_out, b.channel_out)
 
     def test_transcript_csv_dump(self, tmp_path):
         code = adder_code(n=4, k=2)

@@ -6,10 +6,10 @@ import pytest
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
     split_features, xor_mac
 from macresolve.encoder import IdealizedOverrides, build_mac_code, run_trials
+from macresolve import evaluator
 from macresolve.evaluator import (
     RegionSpec,
     _ExactEngine,
-    _emission_table,
     _bootstrap_tv,
     _count_rows,
     _pair_tv,
@@ -138,6 +138,30 @@ def small_code(ch, inputs, n, k, seed, **kw):
 # -- the joint-state engine, kept as the reference for the key-space engine ------
 
 
+def _emission_table(ch, n_sym):
+    """(2^(L N), |Z|^N) conditional law of one output block given inputs."""
+    n_users = ch.n_users
+    combos = all_bit_rows(n_users * n_sym)   # (2^(LN), L*N); user-major
+    per_user = [combos[:, u * n_sym:(u + 1) * n_sym] for u in range(n_users)]
+    em = np.ones((combos.shape[0], 1))
+    for pos in range(n_sym):
+        idx = tuple(pu[:, pos] for pu in per_user)
+        row = ch.transition[idx]             # (2^(LN), |Z|)
+        em = (em[:, :, None] * row[:, None, :]).reshape(combos.shape[0], -1)
+    return em
+
+
+def gathered_emission(code, grids):
+    """Emission rows over joint stream states, gathered from the input table."""
+    n_sym = code.plan.block_len
+    rows = all_bit_rows(n_sym)
+    keys = np.zeros(len(next(iter(grids.values()))), dtype=np.int64)
+    for _, parts in code.plan.channel_inputs:
+        word = np.bitwise_or.reduce([rows[grids[p]] for p in parts])
+        keys = keys * (1 << n_sym) + bits_to_index(word)
+    return _emission_table(code.channel, n_sym)[keys]
+
+
 def _stream_transition(code, name):
     """2^N x 2^N law of block i given block i-1 for one stream's chain."""
     codec = code.codecs[name]
@@ -168,12 +192,7 @@ class StateSpaceEngine:
         grids = np.indices((self.stream_dim,) * len(self.names)).reshape(
             len(self.names), -1)
         self.grids = dict(zip(self.names, grids))
-        rows = all_bit_rows(self.n_sym)
-        keys = np.zeros(self.n_states, dtype=np.int64)
-        for _, parts in code.plan.channel_inputs:
-            word = np.bitwise_or.reduce([rows[self.grids[p]] for p in parts])
-            keys = keys * self.stream_dim + bits_to_index(word)
-        self.emission = _emission_table(code.channel, self.n_sym)[keys]
+        self.emission = gathered_emission(code, self.grids)
 
     def block1_state_pmf(self):
         p = np.array([1.0])
@@ -362,6 +381,35 @@ class TestKeySpaceEngine:
             assert laws.shape == (1 << c, 16)
             np.testing.assert_array_equal(laws[word_key],
                                           _stream_transition(code, s.name))
+
+    @pytest.mark.parametrize("channel, mode", [
+        (lambda: (adder_mac(), [UNIF, UNIF]), "case1"),
+        (lambda: _random2(74), "case1"),
+        (lambda: (parallel_mac(), BERN_36), "case2"),
+        (lambda: (adder_mac3(), BERN_234), "multi"),
+    ], ids=["case1-adder", "case1-noisy", "case2-parallel", "multi-adder3"])
+    def test_emission_equals_gathered_input_table(self, channel, mode):
+        ch, inputs = channel()
+        code = small_code(ch, inputs, 4, 1, 75, mode=mode)
+        eng = _ExactEngine(code)
+        ref = gathered_emission(code, dict(zip(eng.names, eng._stream_grids())))
+        assert eng.emission.tobytes() == ref.tobytes()
+
+    def test_unrecycled_stream_reuses_block1_law(self, monkeypatch):
+        # R = 0: each stream's only clamp is empty, so C_s is its block-1 law
+        code = small_code(parallel_mac(), BERN_36, 4, 3, 76, mode="case2")
+        calls = []
+
+        def counted(codec, clamp=None):
+            calls.append(clamp)
+            return output_pmf_exact(codec, clamp)
+
+        monkeypatch.setattr(evaluator, "output_pmf_exact", counted)
+        eng = _ExactEngine(code)
+        assert eng.n_keys == 1 and calls == [None, None]
+        for (laws, _), name in zip(eng.stream_laws, eng.names):
+            assert laws.tobytes() == output_pmf_exact(
+                code.codecs[name], np.zeros(0, dtype=np.uint8)).tobytes()
 
 
 def window_rows(code, trials, rng, n_boot=1000, **kw):
