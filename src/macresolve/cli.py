@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -72,8 +73,14 @@ class ExperimentConfig:
         if self.trials < 1000:
             raise ValueError(f"--trials must be >= 1000 for stable estimates, "
                              f"got {self.trials}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"--xi must be finite, got {self.xi}")
         if not self.idealized and self.xi <= 0:
             raise ValueError("--xi must be > 0 unless --idealized")
+        for name in ("ideal_xi", "ideal_delta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"--{name.replace('_', '-')} must be finite "
+                                 f"and >= 0, got {getattr(self, name)}")
         if not 0 < self.beta < 0.5:
             raise ValueError("--beta must be in (0, 1/2)")
         if self.eps is not None and not 0 <= self.eps <= 1:

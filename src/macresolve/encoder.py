@@ -29,7 +29,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -595,7 +595,16 @@ def code_from_descriptor(desc: dict) -> MacCode:
     inputs = tuple(
         Dist(Alphabet(len(p)), np.asarray(p)) for p in desc["input_dists"]
     )
-    streams = tuple(StreamPlan(**s) for s in desc["streams"])
+    names = [f.name for f in fields(StreamPlan)]
+    for s in desc["streams"]:
+        extra = set(s) - set(names)
+        if extra:
+            raise ValueError(f"descriptor stream {s.get('name')!r} has unknown "
+                             f"field {min(extra)!r}; it was written by another "
+                             f"version, rerun build")
+    # a missing field raises KeyError, which the caller names
+    streams = tuple(StreamPlan(**{n: s[n] for n in names})
+                    for s in desc["streams"])
     plan = LengthPlan(desc["block_len"], desc["k"], desc["xi"], desc["eps"],
                       desc["delta"], desc["mode"], streams,
                       idealized=desc["idealized"])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .encoder import BatchTranscript, MacCode, classify_two_user, run_trials
 from .hashing import hashed_joint_dist_exact, sample_hash
-from .polar import EXACT_CAP_N, output_pmf_exact
+from .polar import EXACT_CAP_N, iid_block_pmf, output_pmf_exact
 from .probcore import (
     BudgetError,
     Dist,
@@ -434,8 +434,8 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
     # reference curves from the analysis, evaluated with the exact codec TVs
     codec_tv = max(
         float(np.abs(eng.p1[name] -
-                     _source_power_pmf(code.codecs[name].profile.source,
-                                       plan.block_len)).sum())
+                     iid_block_pmf(code.codecs[name].profile.source,
+                                   plan.block_len)).sum())
         for name in eng.names
     )
     d0, n_users = analysis_delta0(code)
@@ -446,12 +446,6 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
     rows.append(MetricRow("bound_joint_tv",
                           joint_tv_bound(plan.k, codec_tv, d0, n_users)))
     return rows
-
-
-def _source_power_pmf(source: Dist, n_sym: int) -> np.ndarray:
-    w = all_bit_rows(n_sym).sum(axis=1)
-    p1 = float(source.pmf[1])
-    return (p1 ** w) * ((1 - p1) ** (n_sym - w))
 
 
 # -- Monte-Carlo evaluation ------------------------------------------------------

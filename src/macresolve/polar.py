@@ -13,10 +13,11 @@ Encoding is three-tier over the transformed coordinates, in index order:
   as local randomness;
 * near-deterministic coordinates are set by conditional argmax.
 
-Exact conditional laws come in two interchangeable forms: full 2^N prefix
-tables (the brute-force oracle, capped), and one successive-cancellation pass
-of O(N log N) per sequence, vectorized over batches, which the encoder and the
-sampled profile use and the only option beyond the cap.
+Every conditional law P(A^j = 1 | A^{1:j-1}) comes from one
+successive-cancellation pass, O(N log N) per block and vectorized over a batch
+of blocks.  Encoding and sampled profiling run it over their own blocks; exact
+profiles and exact output laws run it over all 2^N blocks (N <= 20) and weight
+each block by its probability.
 
 Index convention: coordinates are 0-based internally; documentation quoting
 1-based positions always says so.
@@ -35,7 +36,6 @@ from .probcore import (
     Dist,
     JointDist,
     all_bit_rows,
-    bits_to_index,
     entropy,
 )
 
@@ -47,6 +47,7 @@ __all__ = [
     "compute_profile",
     "encode",
     "encode_batch",
+    "iid_block_pmf",
     "output_dist_exact",
     "output_pmf_exact",
     "profile_to_csv",
@@ -82,21 +83,11 @@ def _check_binary_source(source: Dist) -> float:
     return float(source.pmf[1])
 
 
-def _exact_joint_pmf(source: Dist, n: int) -> np.ndarray:
-    """pmf of the transformed block, indexed by the packed coordinate vector."""
-    n_sym = 1 << n
-    if n_sym > EXACT_CAP_N:
-        raise ValueError(
-            f"N={n_sym} exceeds the exact-enumeration cap {EXACT_CAP_N}"
-        )
-    p1 = _check_binary_source(source)
-    rows = all_bit_rows(n_sym)
-    weight = polar_transform(rows).sum(axis=1, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        logp = weight * np.log(p1) if p1 > 0 else np.where(weight > 0, -np.inf, 0.0)
-        logq = (n_sym - weight) * np.log(1 - p1) if p1 < 1 else np.where(
-            weight < n_sym, -np.inf, 0.0)
-    return np.exp(logp + logq)
+def iid_block_pmf(source: Dist, n_sym: int) -> np.ndarray:
+    """pmf of N i.i.d. draws of a binary source, over packed blocks."""
+    w = all_bit_rows(n_sym).sum(axis=1)
+    p1 = float(source.pmf[1])
+    return (p1 ** w) * ((1 - p1) ** (n_sym - w))
 
 
 @dataclass(frozen=True)
@@ -175,45 +166,37 @@ def compute_profile(
 ) -> PolarProfile:
     """Profile a binary source at block length N = 2^n.
 
-    Exact mode enumerates all 2^N source sequences (N <= 20).  Above the cap,
-    pass ``mc_samples`` to estimate each conditional entropy as the mean
-    surprisal -log2 q(A^j | A^{1:j-1}) over sampled blocks; the per-sample
-    conditionals themselves are exact, so the estimator is unbiased.
+    Each conditional entropy is the mean surprisal -log2 q(A^j | A^{1:j-1}),
+    with the conditionals from one SC pass over a set of blocks.  Exact mode
+    (N <= 20) passes all 2^N blocks, weighted by their probability.  Above the
+    cap, pass ``mc_samples`` to average over that many sampled blocks; the
+    per-block conditionals are still exact, so the estimator is unbiased.
     """
     p1 = _check_binary_source(source)
     n_sym = 1 << n
     if n_sym <= EXACT_CAP_N and mc_samples is None:
-        qa = _exact_joint_pmf(source, n)
-        ce = np.empty(n_sym)
-        prev_ent = 0.0
-        for i in range(n_sym):
-            marg = qa.reshape(1 << (i + 1), -1).sum(axis=1)
-            pos = marg[marg > 0]
-            ent = float(-(pos * np.log2(pos)).sum())
-            ce[i] = ent - prev_ent
-            prev_ent = ent
-        exact = True
+        x, reduce = all_bit_rows(n_sym), iid_block_pmf(source, n_sym).dot
+    elif mc_samples is None:
+        raise ValueError(
+            f"N={n_sym} exceeds the exact cap {EXACT_CAP_N}; "
+            "pass mc_samples to enable approximate profiling"
+        )
+    elif rng is None:
+        raise ValueError("approximate profiling needs an explicit rng")
     else:
-        if mc_samples is None:
-            raise ValueError(
-                f"N={n_sym} exceeds the exact cap {EXACT_CAP_N}; "
-                "pass mc_samples to enable approximate profiling"
-            )
-        if rng is None:
-            raise ValueError("approximate profiling needs an explicit rng")
         x = (rng.random((int(mc_samples), n_sym)) < p1).astype(np.uint8)
-        a = polar_transform(x)
-        ce = np.empty(n_sym)
+        reduce = np.mean
+    a = polar_transform(x)
+    ce = np.empty(n_sym)
 
-        def surprisal(j, pj):
-            prob = np.where(a[:, j] == 1, pj, 1.0 - pj)
-            ce[j] = float(np.mean(-np.log2(np.clip(prob, 1e-300, None))))
-            return a[:, j]
+    def surprisal(j, pj):
+        prob = np.where(a[:, j] == 1, pj, 1.0 - pj)
+        ce[j] = float(reduce(-np.log2(np.clip(prob, 1e-300, None))))
+        return a[:, j]
 
-        _sc(np.broadcast_to(p1, (n_sym, len(x))), surprisal)
-        ce = np.clip(ce, 0.0, 1.0)
-        exact = False
-    return PolarProfile.from_entropies(source, n, beta, ce, exact)
+    _sc(np.broadcast_to(p1, (n_sym, len(x))), surprisal)
+    return PolarProfile.from_entropies(source, n, beta, np.clip(ce, 0.0, 1.0),
+                                       exact=mc_samples is None)
 
 
 @dataclass(frozen=True)
@@ -316,10 +299,13 @@ def output_pmf_exact(
 ) -> np.ndarray:
     """Exact encoder-output pmf as a flat array over packed length-N blocks.
 
-    With ``clamped_seed_bits`` given, that prefix of the seed is fixed and
-    only the remaining seed bits are uniform -- the conditional law needed to
-    trace recycled randomness through a hash chain.  Requires N within the
-    enumeration cap.
+    One SC pass runs over every block x, and its leaves multiply the block's
+    probability by the encoder's law of a_j, with a = polar_transform(x): 1/2
+    on a seed coordinate, P(a_j | a_<j) on a middle one, and 0 or 1 on an
+    argmax one.  With ``clamped_seed_bits`` given, that prefix of the seed is
+    fixed and only the remaining seed bits are uniform -- the conditional law
+    needed to trace recycled randomness through a hash chain.  Requires N
+    within the enumeration cap.
     """
     n_sym = code.block_len
     if n_sym > EXACT_CAP_N:
@@ -328,40 +314,22 @@ def output_pmf_exact(
         else np.zeros(0, dtype=np.uint8)
     if clamp.ndim != 1 or clamp.size > code.seed_len:
         raise ValueError(f"clamp length {clamp.size} exceeds seed length {code.seed_len}")
-    qa = _exact_joint_pmf(code.profile.source, code.profile.n)
+    a = polar_transform(all_bit_rows(n_sym))
     tiers = code._tiers
-    pt = np.array([1.0])
-    prev_marg = np.array([1.0])
-    seed_cursor = 0
-    for i in range(n_sym):
-        marg = qa.reshape(1 << (i + 1), -1).sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c1 = np.where(prev_marg > 0,
-                          marg[1::2] / np.where(prev_marg > 0, prev_marg, 1.0),
-                          0.5)
-        out = np.empty(1 << (i + 1))
-        if tiers[i] == 0:
-            if seed_cursor < clamp.size:
-                bit = int(clamp[seed_cursor])
-                out[bit::2] = pt
-                out[1 - bit::2] = 0.0
-            else:
-                out[0::2] = 0.5 * pt
-                out[1::2] = 0.5 * pt
-            seed_cursor += 1
-        elif tiers[i] == 1:
-            out[0::2] = pt * (1.0 - c1)
-            out[1::2] = pt * c1
+    clamp_bits = iter(clamp)
+    px = np.ones(len(a))
+
+    def weigh(j, pj):
+        if tiers[j] == 0:
+            bit = next(clamp_bits, None)
+            px[:] *= 0.5 if bit is None else a[:, j] == bit
+        elif tiers[j] == 1:
+            px[:] *= np.where(a[:, j] == 1, pj, 1.0 - pj)
         else:
-            pick1 = c1 > 0.5 + TIE_TOL
-            out[0::2] = pt * (~pick1)
-            out[1::2] = pt * pick1
-        pt = out
-        prev_marg = marg
-    # push through the involution: block = transform(coordinates)
-    img = bits_to_index(polar_transform(all_bit_rows(n_sym)))
-    px = np.empty(1 << n_sym)
-    px[img] = pt
+            px[:] *= a[:, j] == (pj > 0.5 + TIE_TOL)
+        return a[:, j]
+
+    _sc(np.broadcast_to(float(code.profile.source.pmf[1]), a.T.shape), weigh)
     return px
 
 

@@ -260,6 +260,18 @@ class TestDescriptorContents:
         assert rc == 1
         assert "'hashes'" in err and "rerun build" in err
 
+    @pytest.mark.parametrize("field,edit", [
+        ("bogus", lambda stream: stream.update(bogus=1)),
+        ("clamped", lambda stream: stream.pop("clamped")),
+    ])
+    def test_stream_field_mismatch_named(self, adder_spec, tmp_path, capsys,
+                                         field, edit):
+        rc, err = self._simulate_edited(adder_spec, tmp_path, capsys,
+                                        lambda desc: edit(desc["streams"][0]))
+        assert rc == 1
+        assert f"'{field}'" in err and "rerun build" in err
+        assert "Traceback" not in err
+
     def test_entropies_breaking_the_chain_rule_rejected(self, adder_spec,
                                                         tmp_path, capsys):
         def tamper(desc):
@@ -311,6 +323,22 @@ class TestRecBits:
                    "--trials", "1000", "--rec-bits", "-1"])
         assert rc == 1
         assert "--rec-bits must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
+class TestAnalysisConstants:
+    @pytest.mark.parametrize("flags,message", [
+        (["--xi", "nan"], "--xi must be finite"),
+        (["--idealized", "--ideal-xi", "inf"], "--ideal-xi must be finite"),
+        (["--idealized", "--ideal-xi", "-0.3"], "--ideal-xi must be finite and >= 0"),
+        (["--idealized", "--ideal-delta", "nan"], "--ideal-delta must be finite"),
+    ])
+    def test_bad_constant_rejected_up_front(self, parallel_spec, tmp_path,
+                                            capsys, flags, message):
+        rc = main(["simulate", "--channel", parallel_spec, "--out-dir",
+                   str(tmp_path / "s"), "--n", "4", "--k", "2"] + flags)
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from macresolve.polar import (
     EXACT_CAP_N,
+    PolarProfile,
     ResolvabilityCode,
     TIE_TOL,
-    _exact_joint_pmf,
     _sc,
     compute_profile,
     encode,
@@ -37,6 +37,73 @@ def h2(p: float) -> float:
 def iid_pmf(p: float, n_sym: int) -> np.ndarray:
     w = all_bit_rows(n_sym).sum(axis=1)
     return p ** w * (1 - p) ** (n_sym - w)
+
+
+# Prefix-table oracle: the pmf of the transformed block over all 2^N values,
+# whose partial sums give every conditional law P(a_j | a_<j) directly.
+
+
+def prefix_joint_pmf(p1: float, n: int) -> np.ndarray:
+    """pmf of the transformed block, indexed by the packed coordinate vector."""
+    n_sym = 1 << n
+    assert n_sym <= EXACT_CAP_N
+    weight = polar_transform(all_bit_rows(n_sym)).sum(axis=1, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        logp = weight * np.log(p1) if p1 > 0 else np.where(weight > 0, -np.inf, 0.0)
+        logq = (n_sym - weight) * np.log(1 - p1) if p1 < 1 else np.where(
+            weight < n_sym, -np.inf, 0.0)
+    return np.exp(logp + logq)
+
+
+def prefix_entropies(p1: float, n: int) -> np.ndarray:
+    """H(A^j | A^{1:j-1}) as differences of prefix entropies."""
+    qa = prefix_joint_pmf(p1, n)
+    ent = [0.0]
+    for i in range(1 << n):
+        marg = qa.reshape(1 << (i + 1), -1).sum(axis=1)
+        pos = marg[marg > 0]
+        ent.append(float(-(pos * np.log2(pos)).sum()))
+    return np.diff(ent)
+
+
+def prefix_output_pmf(code, clamp) -> np.ndarray:
+    """Encoder-output law built coordinate by coordinate over prefix tables,
+    then pushed through the involution to index it by the block."""
+    n_sym = code.block_len
+    qa = prefix_joint_pmf(float(code.profile.source.pmf[1]), code.profile.n)
+    tiers = code._tiers
+    pt = np.array([1.0])
+    prev_marg = np.array([1.0])
+    seed_cursor = 0
+    for i in range(n_sym):
+        marg = qa.reshape(1 << (i + 1), -1).sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c1 = np.where(prev_marg > 0,
+                          marg[1::2] / np.where(prev_marg > 0, prev_marg, 1.0),
+                          0.5)
+        out = np.empty(1 << (i + 1))
+        if tiers[i] == 0:
+            if seed_cursor < len(clamp):
+                bit = int(clamp[seed_cursor])
+                out[bit::2] = pt
+                out[1 - bit::2] = 0.0
+            else:
+                out[0::2] = 0.5 * pt
+                out[1::2] = 0.5 * pt
+            seed_cursor += 1
+        elif tiers[i] == 1:
+            out[0::2] = pt * (1.0 - c1)
+            out[1::2] = pt * c1
+        else:
+            pick1 = c1 > 0.5 + TIE_TOL
+            out[0::2] = pt * (~pick1)
+            out[1::2] = pt * pick1
+        pt = out
+        prev_marg = marg
+    img = bits_to_index(polar_transform(all_bit_rows(n_sym)))
+    px = np.empty(1 << n_sym)
+    px[img] = pt
+    return px
 
 
 # Reference successive cancellation: the whole decided prefix is re-solved
@@ -211,7 +278,7 @@ class TestScConditional:
     def test_matches_prefix_tables(self):
         # the pass runs on all 256 transformed blocks at N = 8, so its leaves
         # see every prefix of every length
-        qa = _exact_joint_pmf(Dist.bernoulli(0.3), 3)
+        qa = prefix_joint_pmf(0.3, 3)
         a = all_bit_rows(8)
         conds = np.empty(a.shape)
 
@@ -227,6 +294,26 @@ class TestScConditional:
             prev = marg.reshape(-1, 2).sum(axis=1)
             table = np.where(prev[pre] > 0, marg[2 * pre + 1] / prev[pre], 0.5)
             assert conds[:, j] == pytest.approx(table, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.06, 0.11, 0.16, 0.2, 0.3, 0.4,
+                                   0.5, 0.6, 0.7, 0.97, 1.0])
+    def test_exact_laws_match_prefix_tables(self, p, n):
+        # exact profiles and output laws come from the SC pass over all
+        # blocks; the prefix tables must give the same numbers
+        src = Dist.bernoulli(p)
+        prof = compute_profile(src, n)
+        ref = prefix_entropies(p, n)
+        assert np.abs(prof.cond_entropies - ref).max() <= 1e-12
+        oracle = PolarProfile.from_entropies(src, n, prof.beta, ref, True)
+        assert prof.v_set == oracle.v_set and prof.h_set == oracle.h_set
+        code = ResolvabilityCode(prof)
+        if code.block_len > 8:
+            return  # up to 2^17 clamp prefixes at N = 16; too slow for Tier-1
+        for m in range(code.seed_len + 1):
+            for clamp in all_bit_rows(m):
+                assert np.abs(output_pmf_exact(code, clamp)
+                              - prefix_output_pmf(code, clamp)).max() <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.11, 0.3, 0.5, 1.0])
     def test_pass_matches_prefix_resolve(self, p):
