@@ -187,8 +187,11 @@ def cmd_build(cfg: ExperimentConfig) -> int:
     print(f"wrote {out / 'descriptor.json'} "
           f"(descriptor_hash={encoder.descriptor_hash(desc)})")
     if code.plan.asymptotic_only:
-        print("plan is asymptotic-only: hash lengths clamped at this N "
-              "(rerun with --idealized to exercise recycling)", file=sys.stderr)
+        hint = (f"--ideal-xi {cfg.ideal_xi} and --ideal-delta {cfg.ideal_delta} "
+                "clamp them; lower them") if cfg.idealized else \
+            "rerun with --idealized to exercise recycling"
+        print(f"plan is asymptotic-only: hash lengths clamped at this N ({hint})",
+              file=sys.stderr)
         return EXIT_ASYMPTOTIC_ONLY
     return EXIT_OK
 

@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 EXACT_STATE_BUDGET = 1 << 24
+# the exhaustive pass holds at most this many entries of a |Z|^(kN) output law
+# (and of the recycled-row products) at once
+EXACT_CHUNK_ENTRIES = 1 << 15
 # bootstrap weights live at most this many (replicate, trial) slots at once
 BOOT_CHUNK_SLOTS = 1 << 21
 GEOM_TOL = 1e-9
@@ -236,7 +239,10 @@ class _ExactEngine:
         K_{i+1}[z_{<=i}, z_{i+1}, r'] = sum_r K_i[z_{<=i}, r] A[r, z_{i+1}, r']
 
     with A[r, z, r'] = sum_w C(r, w) 1[key(w) = r'] E[w, z], and the last
-    block contracts with B = C E.
+    block contracts with B = C E.  The carry K_k over z_{<k} is held; the
+    |Z|^(kN)-entry law K_k B is only ever formed a chunk of rows at a time
+    (``output_tvs``), so the budget's "output law" entry bounds the cells
+    enumerated, not a table in memory.
     """
 
     def __init__(self, code: MacCode, budget: int = EXACT_STATE_BUDGET):
@@ -250,6 +256,7 @@ class _ExactEngine:
         self.stream_dim = 1 << n_sym
         self.n_states = 1 << (len(self.names) * n_sym)
         self.zn = code.channel.output_alphabet.size ** n_sym
+        self.qz = target_output_dist(code.channel, list(code.input_dists)).pmf
         key_lens = [min(code.hashes[name].out_len, code.codecs[name].seed_len)
                     for name in self.names]
         self.n_keys = 1 << sum(key_lens)
@@ -347,6 +354,13 @@ class _ExactEngine:
     def output_given_states(self, state_pmf: np.ndarray) -> np.ndarray:
         return state_pmf @ self.emission
 
+    def _carry(self, state_pmf: np.ndarray, blocks: int) -> np.ndarray:
+        """(|Z|^(N(blocks-1)), keys) law of the first blocks-1 outputs and a key."""
+        carry = self._keyed(state_pmf[None])[0]             # (zn, keys)
+        for _ in range(blocks - 2):
+            carry = (carry @ self.a_table).reshape(-1, self.n_keys)
+        return carry
+
     def chain_law(self, state_pmf: np.ndarray, blocks: int) -> np.ndarray:
         """Exact law of ``blocks`` consecutive output blocks, flat over z-tuples.
 
@@ -354,73 +368,134 @@ class _ExactEngine:
         """
         if blocks == 1:
             return self.output_given_states(state_pmf)
-        carry = self._keyed(state_pmf[None])[0]             # (zn, keys)
-        for _ in range(blocks - 2):
-            carry = (carry @ self.a_table).reshape(-1, self.n_keys)
-        return (carry @ self.b_table).reshape(-1)
+        return (self._carry(state_pmf, blocks) @ self.b_table).reshape(-1)
 
     def joint_z_pmf(self) -> np.ndarray:
-        """Exact law of all k output blocks, flat over |Z|^(kN)."""
+        """Exact law of all k output blocks, flat over |Z|^(kN) (test oracle)."""
         return self.chain_law(self.block1_state_pmf(), self.code.plan.k)
 
     def target_z_pow(self, blocks: int) -> np.ndarray:
-        qz = target_output_dist(self.code.channel, list(self.code.input_dists)).pmf
-        out = np.array([1.0])
-        for _ in range(blocks * self.n_sym):
-            out = np.multiply.outer(out, qz).reshape(-1)
-        return out
+        return _times_iid(np.array([1.0]), self.qz, blocks * self.n_sym)
+
+    def output_tvs(self, block_laws: list[np.ndarray] | None = None) -> list[float]:
+        """sum |p - q| of the k-block output law p against q_Z^(kN) and, given
+        the k per-block laws, against their product.
+
+        One row per z_{<k}: a chunk of rows of p is carry[rows] @ B, of the
+        target q_Z^(N(k-1))[rows] times N more factors q_Z, and of the product
+        prod_{i<k} p_{Z_i}[rows] times p_{Z_k}, so every entry has the
+        arithmetic of the whole table, and ``_pairwise_sums`` adds the chunks
+        up as numpy sums the whole table.  No |Z|^(kN)-entry array is made.
+        """
+        k = self.code.plan.k
+        state = self.block1_state_pmf()
+        if k == 1:
+            law = self.output_given_states(state)[None]
+            law_rows = lambda r0, r1: law[r0:r1]
+        else:
+            carry = self._carry(state, k)
+            law_rows = lambda r0, r1: carry[r0:r1] @ self.b_table
+        target = self.target_z_pow(k - 1)
+        if block_laws is not None:
+            prod = np.array([1.0])
+            for pz in block_laws[:-1]:
+                prod = np.multiply.outer(prod, pz).reshape(-1)
+
+        def diffs(r0: int, r1: int) -> list[np.ndarray]:
+            p = law_rows(r0, r1).reshape(-1)
+            refs = [_times_iid(target[r0:r1], self.qz, self.n_sym)]
+            if block_laws is not None:
+                refs.append(np.multiply.outer(prod[r0:r1], block_laws[-1]).reshape(-1))
+            for ref in refs:  # |p - ref| in ref's buffer
+                np.subtract(p, ref, out=ref)
+                np.abs(ref, out=ref)
+            return refs
+
+        return _pairwise_sums(len(target), self.zn, diffs)
 
 
-def _tv_consuming(p: np.ndarray, q: np.ndarray) -> float:
-    """sum |p - q|, computed in q's buffer (q is overwritten)."""
-    np.subtract(p, q, out=q)
-    np.abs(q, out=q)
-    return float(q.sum())
+def _times_iid(law: np.ndarray, qz: np.ndarray, symbols: int) -> np.ndarray:
+    """law x qz^(x symbols), flat, one symbol at a time.
+
+    Each entry is multiplied left to right as by repeated ``np.multiply.outer``;
+    one strided pass per symbol value avoids its inner loops of |Z| entries.
+    """
+    for _ in range(symbols):
+        out = np.empty((len(law), len(qz)))
+        for z, q in enumerate(qz):
+            np.multiply(law, q, out=out[:, z])
+        law = out.reshape(-1)
+    return law
+
+
+def _pairwise_sums(n_rows: int, row_len: int, diffs) -> list[float]:
+    """Sums over flat arrays of n_rows * row_len entries, built in row chunks.
+
+    ``diffs(r0, r1)`` returns the arrays' entries of rows r0..r1-1.  numpy
+    sums a contiguous array pairwise, halving n rounded down to a multiple
+    of 8 down to parts of at most 128 entries; walking that tree over flat
+    index ranges and calling ``.sum()`` on each part of at most
+    EXACT_CHUNK_ENTRIES (>= 128) gives the whole array's ``.sum()`` bit for
+    bit.
+    """
+    def walk(lo: int, n: int) -> list:
+        if n <= EXACT_CHUNK_ENTRIES:
+            r0 = lo // row_len
+            off = lo - r0 * row_len
+            return [d[off:off + n].sum() for d in diffs(r0, -(-(lo + n) // row_len))]
+        half = n // 2
+        half -= half % 8
+        return [a + b for a, b in zip(walk(lo, half), walk(lo + half, n - half))]
+
+    return [float(s) for s in walk(0, n_rows * row_len)]
 
 
 def tv_exhaustive(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> float:
     """Exact V(p~_{Z over all k blocks}, q_Z^(kN)) by full enumeration."""
-    eng = _ExactEngine(code, budget)
-    return _tv_consuming(eng.joint_z_pmf(), eng.target_z_pow(code.plan.k))
+    return _ExactEngine(code, budget).output_tvs()[0]
 
 
 def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["MetricRow"]:
-    """Exhaustive-mode metrics: joint TV, per-block TVs, independence, bounds."""
+    """Exhaustive-mode metrics: joint TV, per-block TVs, independence, bounds.
+
+    The joint and inter-block TVs come from one pass over row chunks of the
+    k-block output law (``_ExactEngine.output_tvs``), equal bit for bit to
+    the sums over the whole tables, which are never held.
+    """
     eng = _ExactEngine(code, budget)
     plan = code.plan
-    rows: list[MetricRow] = []
     q_block = eng.target_z_pow(1)
-
-    joint = eng.joint_z_pmf()
-    rows.append(MetricRow("joint_output_tv",
-                          _tv_consuming(joint, eng.target_z_pow(plan.k))))
 
     state = eng.block1_state_pmf()
     block_z = []
     states_seq = []
+    block_rows = []
     for i in range(plan.k):
         if i > 0:
             state = eng.advance(state)
         states_seq.append(state)
         pz = eng.output_given_states(state)
         block_z.append(pz)
-        rows.append(MetricRow(f"block{i + 1}_output_tv",
-                              float(np.abs(pz - q_block).sum())))
+        block_rows.append(MetricRow(f"block{i + 1}_output_tv",
+                                    float(np.abs(pz - q_block).sum())))
+    tvs = eng.output_tvs(block_z if plan.k >= 2 else None)
+    rows = [MetricRow("joint_output_tv", tvs[0]), *block_rows]
 
     if plan.k >= 2:
-        prod = np.array([1.0])
-        for pz in block_z:
-            prod = np.multiply.outer(prod, pz).reshape(-1)
-        rows.append(MetricRow("interblock_product_tv", _tv_consuming(joint, prod)))
-        del joint, prod  # the |Z|^(kN)-entry laws are not needed below
+        rows.append(MetricRow("interblock_product_tv", tvs[1]))
         # recycled bits of block i vs output of block i-1 (exact law)
         total_r = sum(s.hash_len for s in plan.streams)
         if (1 << total_r) * eng.zn <= budget:
+            step = max(1, EXACT_CHUNK_ENTRIES // eng.zn)
             for i in range(2, plan.k + 1):
                 m_prev = states_seq[i - 2]
                 joint_ez = np.zeros((1 << total_r, eng.zn))
-                np.add.at(joint_ez, eng.e_key,
-                          m_prev[:, None] * eng.emission)
+                # consecutive state ranges, in order: each cell adds its terms
+                # in the order of one unchunked np.add.at
+                for lo in range(0, eng.n_states, step):
+                    hi = lo + step
+                    np.add.at(joint_ez, eng.e_key[lo:hi],
+                              m_prev[lo:hi, None] * eng.emission[lo:hi])
                 marg_e = joint_ez.sum(axis=1)
                 marg_z = joint_ez.sum(axis=0)
                 tv = float(np.abs(joint_ez - np.outer(marg_e, marg_z)).sum())

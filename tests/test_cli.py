@@ -70,6 +70,17 @@ class TestBuildCommand:
         desc = json.loads((tmp_path / "b" / "descriptor.json").read_text())
         assert desc["asymptotic_only"]
 
+    def test_idealized_clamp_names_the_constants(self, parallel_spec, tmp_path,
+                                                 capsys):
+        # eps = 2 (5 + 5) clamps every hash at N=4 although --idealized is set
+        rc = main(["build", "--channel", parallel_spec, "--out-dir",
+                   str(tmp_path / "b"), "--mode", "case2", "--n", "4", "--k", "2",
+                   "--idealized", "--ideal-xi", "5", "--ideal-delta", "5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "--ideal-xi 5.0" in err and "--ideal-delta 5.0" in err
+        assert "rerun with --idealized" not in err
+
     def test_rebuild_byte_identical(self, adder_spec, tmp_path):
         args = ["build", "--channel", adder_spec, "--n", "8", "--k", "2",
                 "--idealized", "--seed", "5"]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,117 @@ class TestKeySpaceEngine:
         for (laws, _), name in zip(eng.stream_laws, eng.names):
             assert laws.tobytes() == output_pmf_exact(
                 code.codecs[name], np.zeros(0, dtype=np.uint8)).tobytes()
+
+
+def plain_code(ch, inputs, n, k, seed, **kw):
+    """A code without idealized constants: at N=4 every hash clamps, so R = 0."""
+    with pytest.warns(UserWarning, match="asymptotic"):
+        return build_mac_code(ch, inputs, block_len=n, k=k, xi=0.05,
+                              rng=make_rng(seed), **kw)
+
+
+def block_laws(eng):
+    state = eng.block1_state_pmf()
+    laws = [eng.output_given_states(state)]
+    for _ in range(eng.code.plan.k - 1):
+        state = eng.advance(state)
+        laws.append(eng.output_given_states(state))
+    return laws
+
+
+def whole_table_tvs(eng, laws):
+    """sum |p - q| over the materialized k-block law, target and block product."""
+    joint = eng.joint_z_pmf()
+    target = np.array([1.0])
+    for _ in range(eng.code.plan.k * eng.n_sym):
+        target = np.multiply.outer(target, eng.qz).reshape(-1)
+    tvs = [float(np.abs(joint - target).sum())]
+    del target
+    if len(laws) >= 2:
+        prod = np.array([1.0])
+        for pz in laws:
+            prod = np.multiply.outer(prod, pz).reshape(-1)
+        tvs.append(float(np.abs(joint - prod).sum()))
+    return tvs
+
+
+# (id, code factory); every key length is 0 (R = 0) in these codes
+STREAMED_CONFIGS = [
+    ("exact_chain-k1", lambda: small_code(parallel_mac(), BERN_36, 4, 1, 80,
+                                          mode="case2")),
+    ("exact_chain-k2", lambda: small_code(parallel_mac(), BERN_36, 4, 2, 80,
+                                          mode="case2")),
+    ("exact_chain-k3", lambda: small_code(parallel_mac(), BERN_36, 4, 3, 80,
+                                          mode="case2")),
+    # |Z| = 3: 81^k entries, so the pairwise tree cuts rows apart
+    ("adder-k2", lambda: plain_code(adder_mac(), [UNIF, UNIF], 4, 2, 81, mode="case1")),
+    ("adder-k3", lambda: plain_code(adder_mac(), [UNIF, UNIF], 4, 3, 81, mode="case1")),
+]
+
+
+class TestStreamedTvs:
+    @pytest.mark.parametrize("make", [c[1] for c in STREAMED_CONFIGS],
+                             ids=[c[0] for c in STREAMED_CONFIGS])
+    def test_equal_whole_table_sums_bit_for_bit(self, make):
+        code = make()
+        eng = _ExactEngine(code)
+        assert eng.n_keys == 1
+        laws = block_laws(eng)
+        expect = whole_table_tvs(eng, laws)
+        assert eng.output_tvs(laws if code.plan.k >= 2 else None) == expect
+        assert tv_exhaustive(code) == expect[0]
+        rows = {m.name: m.value for m in exact_report(code)}
+        assert rows["joint_output_tv"] == expect[0]
+        if code.plan.k >= 2:
+            assert rows["interblock_product_tv"] == expect[1]
+
+    @pytest.mark.parametrize("chunk", [128, 129, 1000, 4096])
+    @pytest.mark.parametrize("make", [STREAMED_CONFIGS[1][1], STREAMED_CONFIGS[3][1]],
+                             ids=["exact_chain-k2", "adder-k2"])
+    def test_any_chunk_size_keeps_the_sums(self, make, chunk, monkeypatch):
+        eng = _ExactEngine(make())
+        laws = block_laws(eng)
+        expect = whole_table_tvs(eng, laws)
+        monkeypatch.setattr(evaluator, "EXACT_CHUNK_ENTRIES", chunk)
+        assert eng.output_tvs(laws) == expect
+
+    def test_key_space_carry_agrees(self):
+        # the 2-user adder in case 1, N=4, k=3, idealized: R = 7
+        code = small_code(adder_mac(), [UNIF, UNIF], 4, 3, 82, mode="case1")
+        eng = _ExactEngine(code)
+        assert eng.n_keys == 1 << 7
+        laws = block_laws(eng)
+        got = eng.output_tvs(laws)
+        for a, b in zip(got, whole_table_tvs(eng, laws), strict=True):
+            assert abs(a - b) <= 1e-12
+
+    def test_recycled_rows_equal_one_add_at(self):
+        # 2^12 states x 81 outputs run in several state ranges
+        code = small_code(adder_mac(), [UNIF, UNIF], 4, 3, 82, mode="case1")
+        eng = _ExactEngine(code)
+        assert eng.n_states * eng.zn > evaluator.EXACT_CHUNK_ENTRIES
+        rows = {m.name: m.value for m in exact_report(code)}
+        total_r = sum(s.hash_len for s in code.plan.streams)
+        state = eng.block1_state_pmf()
+        for i in range(2, code.plan.k + 1):
+            joint_ez = np.zeros((1 << total_r, eng.zn))
+            np.add.at(joint_ez, eng.e_key, state[:, None] * eng.emission)
+            marg = np.outer(joint_ez.sum(axis=1), joint_ez.sum(axis=0))
+            assert rows[f"recycled_vs_prev_output_tv_block{i}"] == \
+                float(np.abs(joint_ez - marg).sum())
+            state = eng.advance(state)
+
+    def test_exact_chain_report_holds_no_whole_law(self):
+        # the output law, its target and the block product have 4^12 entries,
+        # 128 MB each
+        code = small_code(parallel_mac(), BERN_36, 4, 3, 80, mode="case2")
+        tracemalloc.start()
+        try:
+            exact_report(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 def window_rows(code, trials, rng, n_boot=1000, **kw):
