@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder, evaluator
-from .probcore import BudgetError, InfeasibleTargetError, load_channel_file, make_rng
+from .probcore import (BudgetError, InfeasibleTargetError, channel_to_json,
+                        load_channel_file, make_rng)
 
 log = logging.getLogger("macresolve")
 
@@ -97,6 +98,9 @@ class ExperimentConfig:
 
     def _hash_fields(self, fields) -> str:
         d = asdict(self)
+        # the spec the path names, as loaded: a rewritten file changes the
+        # hash, and one spec at two paths has one
+        d["channel"] = channel_to_json(*_load_inputs(self, quiet=True))
         blob = json.dumps({f: d[f] for f in fields}, sort_keys=True,
                           default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -114,16 +118,21 @@ class ExperimentConfig:
 
 
 def _write_json(path: Path, obj) -> None:
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:   # NaN or inf has no standard JSON form
+        raise ValueError(f"not writing {path}: {e}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")
 
 
-def _load_inputs(cfg: ExperimentConfig):
+def _load_inputs(cfg: ExperimentConfig, *, quiet: bool = False):
     ch, dists = load_channel_file(cfg.channel)
     if not dists:
         from .probcore import Dist
 
-        log.warning("channel spec has no input_dists; defaulting to uniform")
+        if not quiet:
+            log.warning("channel spec has no input_dists; defaulting to uniform")
         dists = [Dist.uniform(a.size) for a in ch.input_alphabets]
     return ch, dists
 
@@ -198,47 +207,48 @@ def cmd_build(cfg: ExperimentConfig) -> int:
 
 # -- simulate -------------------------------------------------------------------
 
-_WORKER_CODE = None
-_WORKER_PARAMS = None
+_WORKER_JOB = None   # (code, cfg) of the running evaluation; forks inherit it
 
 
-def _run_chunk(args: tuple[int, int]) -> tuple[int, dict]:
+def _run_chunk(args: tuple[int, int]) -> dict:
     chunk_idx, n_trials = args
-    p = _WORKER_PARAMS
-    rng = make_rng(np.random.SeedSequence(p["seed"], spawn_key=(1, chunk_idx)))
-    feats = evaluator.mc_chunk_features(
-        _WORKER_CODE, n_trials, rng, window=p["window"],
-        rec_bits=p["rec_bits"], recycle=p["recycle"],
-    )
-    return chunk_idx, feats
+    code, cfg = _WORKER_JOB
+    rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, chunk_idx)))
+    return evaluator.mc_chunk_features(code, n_trials, rng, window=cfg.window,
+                                       rec_bits=cfg.rec_bits,
+                                       recycle=cfg.recycle)
 
 
 def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
     """Trial features of ``code``; forked workers inherit the code, not rebuild it."""
-    global _WORKER_CODE, _WORKER_PARAMS
-    chunks = []
-    done = 0
-    idx = 0
-    while done < cfg.trials:
-        size = min(CHUNK_TRIALS, cfg.trials - done)
-        chunks.append((idx, size))
-        done += size
-        idx += 1
-    _WORKER_CODE = code
-    _WORKER_PARAMS = {"seed": cfg.seed, "window": cfg.window,
-                      "rec_bits": cfg.rec_bits, "recycle": cfg.recycle}
+    global _WORKER_JOB
+    _WORKER_JOB = (code, cfg)
+    chunks = [(i, min(CHUNK_TRIALS, cfg.trials - lo))
+              for i, lo in enumerate(range(0, cfg.trials, CHUNK_TRIALS))]
     if cfg.workers == 1 or len(chunks) == 1:
         results = [_run_chunk(c) for c in chunks]
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.workers) as pool:
+        with multiprocessing.get_context("fork").Pool(cfg.workers) as pool:
             results = pool.map(_run_chunk, chunks)
-    results.sort(key=lambda r: r[0])
-    keys = results[0][1].keys()
-    return {key: np.concatenate([r[1][key] for r in results], axis=0)
-            if results[0][1][key].ndim > 0 and key != "rec_cells"
-            else results[0][1][key]
-            for key in keys}
+    return {key: v if key == "rec_cells" else
+            np.concatenate([r[key] for r in results])
+            for key, v in results[0].items()}
+
+
+def _mc_metrics(code: encoder.MacCode,
+                cfg: ExperimentConfig) -> list[evaluator.MetricRow]:
+    """Monte-Carlo metrics of ``code``: chunked trials, then bootstrap CIs.
+
+    Chunk i of CHUNK_TRIALS trials draws from child (1, i) of the seed, the
+    bootstrap from child (2,).
+    """
+    n = code.plan.block_len
+    if cfg.window > n:
+        raise ValueError(f"--window {cfg.window} is longer than a block "
+                         f"(--n {n}): no window of that length fits")
+    boot_rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
+    return evaluator.assemble_mc_metrics(code, _mc_features_parallel(code, cfg),
+                                         boot_rng, window=cfg.window)
 
 
 def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
@@ -257,8 +267,8 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
         # config's hash
         raise ValueError(
             f"{desc_file} has config_hash {desc.get('config_hash')}, but this "
-            f"run's build config hashes to {cfg.build_hash()}; pass the build "
-            f"flags of that descriptor, or use another --out-dir")
+            f"run's build config hashes to {cfg.build_hash()}; pass the channel "
+            f"spec and build flags of that descriptor, or use another --out-dir")
     try:
         code = encoder.code_from_descriptor(desc)
     except KeyError as e:
@@ -273,10 +283,7 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
         notes.append("exhaustive mode: all randomness enumerated exactly")
     except BudgetError as e:
         log.info("exact mode unavailable (%s); falling back to Monte Carlo", e)
-        feats = _mc_features_parallel(code, cfg)
-        boot_rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
-        metrics.extend(evaluator.assemble_mc_metrics(
-            code, feats, boot_rng, window=cfg.window))
+        metrics.extend(_mc_metrics(code, cfg))
         notes.append(
             "mc mode: windowed/marginal TVs are lower-bound proxies for the "
             "full-block variational distance"
@@ -352,11 +359,7 @@ def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
                                           "eps": eps,
                                           "order": cfg.order})
                 sub.validate()
-                code = _build_code(sub)
-                feats = _mc_features_parallel(code, sub)
-                boot = make_rng(np.random.SeedSequence(sub.seed, spawn_key=(2,)))
-                for m in evaluator.assemble_mc_metrics(code, feats, boot,
-                                                       window=sub.window):
+                for m in _mc_metrics(_build_code(sub), sub):
                     rows.append([n, k, eps if eps is not None else "", *m.to_list()])
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)

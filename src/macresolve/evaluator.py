@@ -230,10 +230,13 @@ class _ExactEngine:
     A stream's block-i law depends on block i-1 only through its key, the
     first c_s = min(hash_len, seed_len) bits of the hashed block, so its
     transition factors as T_s = H_s C_s: H_s maps a word to its key and C_s
-    holds the 2^{c_s} clamped codec laws.  The joint law of the output blocks
-    is carried over the joint key r (2^R entries, R = sum c_s) instead of the
-    joint stream state (2^{S N} entries).  With C(r, w) = prod_s C_s[r_s, w_s]
-    and E the emission table over joint stream states w,
+    holds the 2^{c_s} clamped codec laws.  The block step and the law of the
+    output blocks both go through the joint key r (2^R entries, R = sum c_s),
+    never through a transition between joint stream states (2^{S N} each).
+    With C(r, w) = prod_s C_s[r_s, w_s], one step of the joint stream-state
+    law m is m' = (H m) C, H m summing m onto the joint key of each state
+    (``advance``).  With E the emission table over joint stream states w,
+    the output blocks' law is
 
         K_1[z_1, r] = sum_w p_1(w) 1[key(w) = r] E[w, z_1]
         K_{i+1}[z_{<=i}, z_{i+1}, r'] = sum_r K_i[z_{<=i}, r] A[r, z_{i+1}, r']
@@ -245,7 +248,7 @@ class _ExactEngine:
     enumerated, not a table in memory.
     """
 
-    def __init__(self, code: MacCode, budget: int = EXACT_STATE_BUDGET):
+    def __init__(self, code: MacCode):
         plan = code.plan
         n_sym, k = plan.block_len, plan.k
         if n_sym > EXACT_CAP_N:
@@ -269,10 +272,10 @@ class _ExactEngine:
         if k >= 3:
             tables["key transition A"] = self.n_keys ** 2 * self.zn
         table, size = max(tables.items(), key=lambda kv: kv[1])
-        if size > budget:
+        if size > EXACT_STATE_BUDGET:
             raise BudgetError(
                 f"exhaustive evaluation needs {size} entries for the {table}, "
-                f"budget is {budget}"
+                f"budget is {EXACT_STATE_BUDGET}"
             )
         self.p1 = {name: output_pmf_exact(code.codecs[name])
                    for name in self.names}
@@ -305,7 +308,7 @@ class _ExactEngine:
         words = all_bit_rows(self.n_sym)
         grids = self._stream_grids()
         self.e_key = np.zeros(self.n_states, dtype=np.int64)   # full hash
-        keys = np.zeros(self.n_states, dtype=np.int64)         # first c_s bits
+        self.keys = np.zeros(self.n_states, dtype=np.int64)    # first c_s bits
         self.stream_laws = []
         self.c_table = np.ones((1, 1))
         for grid, name, c in zip(grids, self.names, key_lens):
@@ -313,7 +316,7 @@ class _ExactEngine:
             full = bits_to_index(h.apply_batch(words))
             word_key = full >> (h.out_len - c)
             self.e_key = (self.e_key << h.out_len) | full[grid]
-            keys = (keys << c) | word_key[grid]
+            self.keys = (self.keys << c) | word_key[grid]
             if c:
                 laws = np.stack([output_pmf_exact(codec, clamp)
                                  for clamp in all_bit_rows(c)])
@@ -321,8 +324,9 @@ class _ExactEngine:
                 laws = self.p1[name][None]
             self.stream_laws.append((laws, word_key))
             self.c_table = np.kron(self.c_table, laws)
-        bounds = np.cumsum(np.bincount(keys, minlength=self.n_keys))
-        self.key_groups = np.split(np.argsort(keys, kind="stable"), bounds[:-1])
+        bounds = np.cumsum(np.bincount(self.keys, minlength=self.n_keys))
+        self.key_groups = np.split(np.argsort(self.keys, kind="stable"),
+                                   bounds[:-1])
         self.b_table = self.c_table @ self.emission
 
     def _keyed(self, weights: np.ndarray) -> np.ndarray:
@@ -339,20 +343,16 @@ class _ExactEngine:
         return p
 
     def advance(self, state_pmf: np.ndarray) -> np.ndarray:
-        """One block-Markov step of the joint stream-state law.
+        """One block-Markov step of the joint stream-state law, via the joint key."""
+        return np.bincount(self.keys, weights=state_pmf,
+                           minlength=self.n_keys) @ self.c_table
 
-        Each stream axis is contracted with its transition C_s[key_s],
-        gathered per call, so every sum runs over 2^N terms; a weighted sum
-        onto the joint key would add up to 2^(S N) states in one run and
-        move the per-block laws in their last digits.
-        """
-        t = state_pmf.reshape((self.stream_dim,) * len(self.names))
-        for axis, (laws, keys) in enumerate(self.stream_laws):
-            t = np.moveaxis(np.tensordot(laws[keys], t, axes=(0, axis)), 0, axis)
-        return t.reshape(-1)
-
-    def output_given_states(self, state_pmf: np.ndarray) -> np.ndarray:
-        return state_pmf @ self.emission
+    def block_states(self) -> list[np.ndarray]:
+        """Joint stream-state laws of blocks 1..k."""
+        states = [self.block1_state_pmf()]
+        for _ in range(self.code.plan.k - 1):
+            states.append(self.advance(states[-1]))
+        return states
 
     def _carry(self, state_pmf: np.ndarray, blocks: int) -> np.ndarray:
         """(|Z|^(N(blocks-1)), keys) law of the first blocks-1 outputs and a key."""
@@ -361,18 +361,12 @@ class _ExactEngine:
             carry = (carry @ self.a_table).reshape(-1, self.n_keys)
         return carry
 
-    def chain_law(self, state_pmf: np.ndarray, blocks: int) -> np.ndarray:
-        """Exact law of ``blocks`` consecutive output blocks, flat over z-tuples.
-
-        ``state_pmf`` is the joint stream-state law of the first of them.
-        """
-        if blocks == 1:
-            return self.output_given_states(state_pmf)
-        return (self._carry(state_pmf, blocks) @ self.b_table).reshape(-1)
-
     def joint_z_pmf(self) -> np.ndarray:
         """Exact law of all k output blocks, flat over |Z|^(kN) (test oracle)."""
-        return self.chain_law(self.block1_state_pmf(), self.code.plan.k)
+        state, k = self.block1_state_pmf(), self.code.plan.k
+        if k == 1:
+            return state @ self.emission
+        return (self._carry(state, k) @ self.b_table).reshape(-1)
 
     def target_z_pow(self, blocks: int) -> np.ndarray:
         return _times_iid(np.array([1.0]), self.qz, blocks * self.n_sym)
@@ -390,7 +384,7 @@ class _ExactEngine:
         k = self.code.plan.k
         state = self.block1_state_pmf()
         if k == 1:
-            law = self.output_given_states(state)[None]
+            law = (state @ self.emission)[None]
             law_rows = lambda r0, r1: law[r0:r1]
         else:
             carry = self._carry(state, k)
@@ -450,45 +444,41 @@ def _pairwise_sums(n_rows: int, row_len: int, diffs) -> list[float]:
     return [float(s) for s in walk(0, n_rows * row_len)]
 
 
-def tv_exhaustive(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> float:
+def tv_exhaustive(code: MacCode) -> float:
     """Exact V(p~_{Z over all k blocks}, q_Z^(kN)) by full enumeration."""
-    return _ExactEngine(code, budget).output_tvs()[0]
+    return _ExactEngine(code).output_tvs()[0]
 
 
-def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["MetricRow"]:
+def _dependence_tv(joint: np.ndarray) -> float:
+    """sum |j - j_A x j_B| of a 2-D joint law against the product of its marginals."""
+    return float(np.abs(joint - np.outer(joint.sum(1), joint.sum(0))).sum())
+
+
+def exact_report(code: MacCode) -> list["MetricRow"]:
     """Exhaustive-mode metrics: joint TV, per-block TVs, independence, bounds.
 
+    Every row is read from the k block states of one ``block_states`` pass.
     The joint and inter-block TVs come from one pass over row chunks of the
     k-block output law (``_ExactEngine.output_tvs``), equal bit for bit to
     the sums over the whole tables, which are never held.
     """
-    eng = _ExactEngine(code, budget)
+    eng = _ExactEngine(code)
     plan = code.plan
     q_block = eng.target_z_pow(1)
-
-    state = eng.block1_state_pmf()
-    block_z = []
-    states_seq = []
-    block_rows = []
-    for i in range(plan.k):
-        if i > 0:
-            state = eng.advance(state)
-        states_seq.append(state)
-        pz = eng.output_given_states(state)
-        block_z.append(pz)
-        block_rows.append(MetricRow(f"block{i + 1}_output_tv",
-                                    float(np.abs(pz - q_block).sum())))
+    states = eng.block_states()
+    block_z = [state @ eng.emission for state in states]
     tvs = eng.output_tvs(block_z if plan.k >= 2 else None)
-    rows = [MetricRow("joint_output_tv", tvs[0]), *block_rows]
+    rows = [MetricRow("joint_output_tv", tvs[0])]
+    rows += [MetricRow(f"block{i}_output_tv", float(np.abs(pz - q_block).sum()))
+             for i, pz in enumerate(block_z, start=1)]
 
     if plan.k >= 2:
         rows.append(MetricRow("interblock_product_tv", tvs[1]))
         # recycled bits of block i vs output of block i-1 (exact law)
         total_r = sum(s.hash_len for s in plan.streams)
-        if (1 << total_r) * eng.zn <= budget:
+        if (1 << total_r) * eng.zn <= EXACT_STATE_BUDGET:
             step = max(1, EXACT_CHUNK_ENTRIES // eng.zn)
-            for i in range(2, plan.k + 1):
-                m_prev = states_seq[i - 2]
+            for i, m_prev in enumerate(states[:-1], start=2):
                 joint_ez = np.zeros((1 << total_r, eng.zn))
                 # consecutive state ranges, in order: each cell adds its terms
                 # in the order of one unchunked np.add.at
@@ -496,15 +486,13 @@ def exact_report(code: MacCode, *, budget: int = EXACT_STATE_BUDGET) -> list["Me
                     hi = lo + step
                     np.add.at(joint_ez, eng.e_key[lo:hi],
                               m_prev[lo:hi, None] * eng.emission[lo:hi])
-                marg_e = joint_ez.sum(axis=1)
-                marg_z = joint_ez.sum(axis=0)
-                tv = float(np.abs(joint_ez - np.outer(marg_e, marg_z)).sum())
-                rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}", tv))
+                rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}",
+                                      _dependence_tv(joint_ez)))
         # consecutive output blocks vs product of their marginals
-        for i in range(2, plan.k + 1):
-            pair = eng.chain_law(states_seq[i - 2], 2).reshape(eng.zn, eng.zn)
-            tv = float(np.abs(pair - np.outer(block_z[i - 2], block_z[i - 1])).sum())
-            rows.append(MetricRow(f"consecutive_output_tv_block{i}", tv))
+        for i, m_prev in enumerate(states[:-1], start=2):
+            pair = eng._carry(m_prev, 2) @ eng.b_table
+            rows.append(MetricRow(f"consecutive_output_tv_block{i}",
+                                  _dependence_tv(pair)))
 
     # reference curves from the analysis, evaluated with the exact codec TVs
     codec_tv = max(
@@ -545,13 +533,13 @@ class MetricRow:
 def _window_cells(z: np.ndarray, z_size: int, w: int) -> np.ndarray:
     """Pack sliding windows of each block into cell indices.
 
-    ``z`` has shape (trials, k, N); returns (trials, k * (N - w + 1)).
+    ``z`` has shape (trials, k, N); returns (trials, k, N - w + 1).
     """
     trials, k, n_sym = z.shape
     cells = np.zeros((trials, k, n_sym - w + 1), dtype=np.int64)
     for off in range(w):
         cells = cells * z_size + z[:, :, off:n_sym - w + 1 + off]
-    return cells.reshape(trials, -1)
+    return cells
 
 
 def _count_rows(cells: np.ndarray, n_cells: int) -> np.ndarray:
@@ -617,23 +605,11 @@ def _null_transcript(code: MacCode, trials: int,
     return BatchTranscript("null", {}, {}, {}, np.stack(blocks, axis=1))
 
 
-def _dependence_indices(
-    bt: BatchTranscript, code: MacCode, w: int, rec_bits: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Cell indices for the block-Markov dependence checks.
-
-    Returns (recycled bits per block pair (trials, k-1), last-w window per
-    block, first-w window per block, recycled cell count).
-    """
+def _recycled_cells(bt: BatchTranscript, code: MacCode,
+                    rec_bits: int) -> tuple[np.ndarray, int]:
+    """First recycled bits per block pair as cells (trials, k-1), and their count."""
     trials, k = bt.n_trials, bt.k
-    z_size = code.channel.output_alphabet.size
-    n_sym = bt.channel_out.shape[2]
     names = [s.name for s in code.plan.streams]
-    z_first = np.zeros((trials, k), dtype=np.int64)
-    z_last = np.zeros((trials, k), dtype=np.int64)
-    for off in range(w):
-        z_first = z_first * z_size + bt.channel_out[:, :, off]
-        z_last = z_last * z_size + bt.channel_out[:, :, n_sym - w + off]
     rec_cols = []
     ec = 1
     for i in range(2, k + 1):
@@ -644,7 +620,7 @@ def _dependence_indices(
                         else np.zeros(trials, dtype=np.int64))
     rec_e = np.stack(rec_cols, axis=1) if rec_cols else \
         np.zeros((trials, 0), dtype=np.int64)
-    return rec_e, z_last, z_first, ec
+    return rec_e, ec
 
 
 def transcript_features(
@@ -658,22 +634,28 @@ def transcript_features(
 
     ``win{w}`` holds each trial's histogram of sliding output windows of w
     symbols (w = 1 and ``window``).  With k >= 2 blocks and recycled bits,
-    ``rec_e``, ``z_last`` and ``z_first`` hold the cells of the dependence
-    checks and ``rec_cells`` their recycled cell count.  Integer outputs
-    reduce across chunks in any grouping without float-order effects, which
-    is what makes reports byte-identical across worker counts.
+    ``rec_e``, ``z_last`` and ``z_first`` (each block's last and first
+    ``window``-symbol window) hold the cells of the dependence checks and
+    ``rec_cells`` their recycled cell count.  Integer outputs reduce across
+    chunks in any grouping without float-order effects, which is what makes
+    reports byte-identical across worker counts.
     """
     z_size = code.channel.output_alphabet.size
     z = bt.channel_out
+    if window > z.shape[2]:
+        raise ValueError(f"window {window} is longer than the block "
+                         f"length {z.shape[2]}")
     feats: dict[str, np.ndarray] = {}
     for w in sorted({1, window}):
-        feats[f"win{w}"] = _count_rows(_window_cells(z, z_size, w), z_size ** w)
+        cells = _window_cells(z, z_size, w)
+        feats[f"win{w}"] = _count_rows(cells.reshape(len(cells), -1), z_size ** w)
+        if w == window:   # each block's first and last window
+            ends = cells[:, :, 0].copy(), cells[:, :, -1].copy()
+        del cells   # the next w's windows are packed without these
     if bt.k >= 2 and bt.recycled:
-        w = min(window, z.shape[2])
-        rec_e, z_last, z_first, ec = _dependence_indices(bt, code, w, rec_bits)
+        rec_e, ec = _recycled_cells(bt, code, rec_bits)
         feats["rec_e"] = rec_e
-        feats["z_last"] = z_last
-        feats["z_first"] = z_first
+        feats["z_first"], feats["z_last"] = ends
         feats["rec_cells"] = np.array([ec])
     return feats
 
@@ -736,7 +718,7 @@ def assemble_mc_metrics(
     if "rec_e" in feats:
         k = feats["z_last"].shape[1]
         ec = int(feats["rec_cells"][0])
-        zc = z_size ** min(window, code.plan.block_len)
+        zc = z_size ** window
         rec_rows, zz_rows = [], []
         for i in range(2, k + 1):
             rec_rows.append(_pair_tv(feats["rec_e"][:, i - 2],

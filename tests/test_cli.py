@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +177,29 @@ class TestSimulateCommand:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_window_wider_than_block_rejected(self, adder_spec, tmp_path,
+                                              capsys, monkeypatch):
+        # k = 8 is over the exhaustive budget at N = 2, so this runs Monte Carlo
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_trials)
+        rc = main(["simulate", "--channel", adder_spec, "--out-dir",
+                   str(tmp_path / "s"), "--n", "2", "--k", "8", "--idealized",
+                   "--window", "3", "--trials", "1000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--window 3" in err and "--n 2" in err
+        assert not (tmp_path / "s" / "report.json").exists()
+
+
+class TestStrictJson:
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not writing .*report.json"):
+            cli._write_json(path, {"metrics": [["windowed_tv_w3", float("nan")]]})
+        assert not path.exists()
+
 
 class TestDescriptorProvenance:
     BASE = ["simulate", "--n", "4", "--idealized", "--trials", "1000"]
@@ -231,6 +255,35 @@ class TestDescriptorProvenance:
         monkeypatch.setattr(cli, "cmd_build", no_build)
         assert main(args) == 0
         assert (out / "report.json").read_bytes() == report
+
+    def test_rewritten_spec_rejects_the_stored_descriptor(self, adder_spec,
+                                                          tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--channel", adder_spec, "--out-dir", str(out), "--n", "4",
+                "--k", "2", "--idealized"]
+        assert main(["build"] + args) == 0
+        spec = json.loads(Path(adder_spec).read_text())
+        spec["input_dists"] = [[0.9, 0.1], [0.5, 0.5]]
+        Path(adder_spec).write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert main(["simulate", "--trials", "1000"] + args) == 1
+        assert "config_hash" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_one_spec_at_two_paths_has_one_hash(self, adder_spec, tmp_path):
+        copy = tmp_path / "elsewhere" / "spec.json"
+        copy.parent.mkdir()
+        copy.write_text(Path(adder_spec).read_text())
+        region_hashes, cfg_hashes = [], []
+        for spec, tag in ((adder_spec, "a"), (str(copy), "b")):
+            assert main(["region", "--channel", spec,
+                         "--out-dir", str(tmp_path / tag)]) == 0
+            region_hashes.append(json.loads(
+                (tmp_path / tag / "region.json").read_text())["config_hash"])
+            cfg = cli.ExperimentConfig(channel=spec)
+            cfg_hashes.append((cfg.hash(), cfg.build_hash()))
+        assert region_hashes[0] == region_hashes[1]
+        assert cfg_hashes[0] == cfg_hashes[1]
 
 
 class TestDescriptorContents:
@@ -306,10 +359,10 @@ class TestDescriptorContents:
 
 class TestParserDefaults:
     @pytest.mark.parametrize("command", ["region", "build", "simulate", "sweep"])
-    def test_unset_flags_take_the_config_defaults(self, command):
-        args = cli.build_parser().parse_args([command, "--channel", "c.json"])
+    def test_unset_flags_take_the_config_defaults(self, adder_spec, command):
+        args = cli.build_parser().parse_args([command, "--channel", adder_spec])
         cfg = cli._config_from_args(args)
-        default = cli.ExperimentConfig(channel="c.json")
+        default = cli.ExperimentConfig(channel=adder_spec)
         assert cfg == default
         assert cfg.hash() == default.hash()
         assert cfg.build_hash() == default.build_hash()

@@ -421,12 +421,7 @@ def plain_code(ch, inputs, n, k, seed, **kw):
 
 
 def block_laws(eng):
-    state = eng.block1_state_pmf()
-    laws = [eng.output_given_states(state)]
-    for _ in range(eng.code.plan.k - 1):
-        state = eng.advance(state)
-        laws.append(eng.output_given_states(state))
-    return laws
+    return [state @ eng.emission for state in eng.block_states()]
 
 
 def whole_table_tvs(eng, laws):
@@ -573,12 +568,9 @@ class TestMonteCarlo:
         # exact pooled symbol-marginal TV from the engine vs the MC estimate
         code = small_code(adder_mac(), [UNIF, UNIF], 2, 2, 33)
         eng = _ExactEngine(code)
-        state = eng.block1_state_pmf()
         per_pos = []
-        for i in range(code.plan.k):
-            if i > 0:
-                state = eng.advance(state)
-            pz_block = eng.output_given_states(state).reshape(3, 3)
+        for state in eng.block_states():
+            pz_block = (state @ eng.emission).reshape(3, 3)
             per_pos.append(pz_block.sum(axis=1))
             per_pos.append(pz_block.sum(axis=0))
         pooled = np.mean(per_pos, axis=0)
@@ -609,6 +601,12 @@ class TestMonteCarlo:
         rows = assemble_mc_metrics(code, transcript_features(code, bt),
                                    make_rng(39), n_boot=50)
         assert [m.name for m in rows] == ["symbol_marginal_tv", "windowed_tv_w2"]
+
+    def test_window_longer_than_block_rejected(self):
+        code = small_code(adder_mac(), [UNIF, UNIF], 2, 2, 40)
+        bt = run_trials(code, 10, make_rng(41))
+        with pytest.raises(ValueError, match="window 3"):
+            transcript_features(code, bt, window=3)
 
     def test_independence_needs_samples(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 40)
