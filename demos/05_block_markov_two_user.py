@@ -46,15 +46,11 @@ for n in (8, 16, 32):
     code = build_mac_code(adder, inputs, block_len=n, k=5, xi=0.05,
                           idealized=IdealizedOverrides(), rng=make_rng(100 + n))
     bt = run_trials(code, 100_000, make_rng(7))
-    feats = transcript_features(code, bt)
-    # window TVs and dependence checks, each bootstrapped from its own stream
-    win = {k: v for k, v in feats.items() if k.startswith("win")}
-    dep = {k: v for k, v in feats.items() if not k.startswith("win")}
+    # count tables with window-TV replicates, then the dependence replicates
+    feats = transcript_features(code, bt, make_rng(8), n_boot=200)
     rows = {m.name: m for m in assemble_mc_metrics(
-        code, win, make_rng(8).spawn(1)[0], n_boot=200)}
-    ind = {m.name: m for m in assemble_mc_metrics(
-        code, dep, make_rng(9).spawn(1)[0], n_boot=200)}
+        code, feats, make_rng(9), n_boot=200)}
     w = rows["windowed_tv_w2"]
-    d = ind["recycled_independence_tv_mean"]
+    d = rows["recycled_independence_tv_mean"]
     print(f"  N={n:2d}: windowed TV {w.value:.4f} [{w.ci_lo:.4f}, {w.ci_hi:.4f}]"
           f"  recycling dependence {d.value:.4f} (noise floor)")

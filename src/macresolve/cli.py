@@ -2,9 +2,10 @@
 
 Every output is a pure function of (config, seed): reports embed the config
 and descriptor hashes, JSON is written with sorted keys, Monte-Carlo trials
-are chunked by fixed trial index with one child generator per chunk, and all
-cross-chunk reductions happen on integer counts, so byte-identical results
-hold across reruns and across worker counts.
+are chunked by fixed trial index with one child generator per chunk, and
+each chunk returns fixed-size integer-valued count tables that the parent
+only adds up, so byte-identical results hold across reruns and across worker
+counts.
 
 Exit codes: 0 success, 2 infeasible rate target, 3 asymptotic-only plan
 (clamped hash lengths at this N), 4 enumeration/trials budget exceeded.
@@ -207,6 +208,12 @@ def cmd_build(cfg: ExperimentConfig) -> int:
 
 # -- simulate -------------------------------------------------------------------
 
+def _check_window(cfg: ExperimentConfig) -> None:
+    if cfg.window > cfg.n:
+        raise ValueError(f"--window {cfg.window} is longer than a block "
+                         f"(--n {cfg.n}): no window of that length fits")
+
+
 _WORKER_JOB = None   # (code, cfg) of the running evaluation; forks inherit it
 
 
@@ -220,7 +227,10 @@ def _run_chunk(args: tuple[int, int]) -> dict:
 
 
 def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
-    """Trial features of ``code``; forked workers inherit the code, not rebuild it."""
+    """Count tables of all trials of ``code``: each chunk's, added key by key.
+
+    Forked workers inherit the code, not rebuild it.
+    """
     global _WORKER_JOB
     _WORKER_JOB = (code, cfg)
     chunks = [(i, min(CHUNK_TRIALS, cfg.trials - lo))
@@ -230,22 +240,18 @@ def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
     else:
         with multiprocessing.get_context("fork").Pool(cfg.workers) as pool:
             results = pool.map(_run_chunk, chunks)
-    return {key: v if key == "rec_cells" else
-            np.concatenate([r[key] for r in results])
-            for key, v in results[0].items()}
+    return {key: sum(r[key] for r in results) for key in results[0]}
 
 
 def _mc_metrics(code: encoder.MacCode,
                 cfg: ExperimentConfig) -> list[evaluator.MetricRow]:
     """Monte-Carlo metrics of ``code``: chunked trials, then bootstrap CIs.
 
-    Chunk i of CHUNK_TRIALS trials draws from child (1, i) of the seed, the
-    bootstrap from child (2,).
+    Chunk i of CHUNK_TRIALS trials draws its trials and then its window-TV
+    bootstrap weights from child (1, i) of the seed; the dependence checks'
+    bootstrap draws from child (2,).
     """
-    n = code.plan.block_len
-    if cfg.window > n:
-        raise ValueError(f"--window {cfg.window} is longer than a block "
-                         f"(--n {n}): no window of that length fits")
+    _check_window(cfg)
     boot_rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
     return evaluator.assemble_mc_metrics(code, _mc_features_parallel(code, cfg),
                                          boot_rng, window=cfg.window)
@@ -349,18 +355,15 @@ def _region_verdicts(code, rates) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
+    grid = [ExperimentConfig(**{**asdict(cfg), "n": n, "k": k, "eps": eps})
+            for n in n_list for k in k_list for eps in eps_list]
+    for sub in grid:   # a bad grid point exits before any trial runs
+        sub.validate()
+        _check_window(sub)
+    rows = [[sub.n, sub.k, "" if sub.eps is None else sub.eps, *m.to_list()]
+            for sub in grid for m in _mc_metrics(_build_code(sub), sub)]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for n in n_list:
-        for k in k_list:
-            for eps in eps_list:
-                sub = ExperimentConfig(**{**asdict(cfg), "n": n, "k": k,
-                                          "eps": eps,
-                                          "order": cfg.order})
-                sub.validate()
-                for m in _mc_metrics(_build_code(sub), sub):
-                    rows.append([n, k, eps if eps is not None else "", *m.to_list()])
     with open(out / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["n", "k", "eps", "name", "value", "ci_lo", "ci_hi",

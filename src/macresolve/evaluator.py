@@ -4,9 +4,11 @@ Resolvability-region geometry (constraints, corner points, the case
 dichotomy), exact variational-distance evaluation of whole codes at
 enumerable sizes, Monte-Carlo estimates at scale, and the distributed
 leftover-hash bound check.  Monte Carlo has one path: ``run_trials`` (or
-the i.i.d. null), then ``transcript_features`` per chunk of trials, then
-``assemble_mc_metrics`` on the concatenated features for windowed proxies
-and inter-block independence diagnostics with bootstrap confidence
+the i.i.d. null), then ``transcript_features`` per chunk of trials, which
+reduces the chunk to fixed-size count tables (window counts, their Poisson
+bootstrap replicates and the dependence checks' pair counts), then
+``assemble_mc_metrics`` on the tables summed over chunks for windowed
+proxies and inter-block independence diagnostics with bootstrap confidence
 intervals.
 
 Full-block variational distance over Z^{kN} cannot be estimated by sampling
@@ -64,8 +66,6 @@ EXACT_STATE_BUDGET = 1 << 24
 # the exhaustive pass holds at most this many entries of a |Z|^(kN) output law
 # (and of the recycled-row products) at once
 EXACT_CHUNK_ENTRIES = 1 << 15
-# bootstrap weights live at most this many (replicate, trial) slots at once
-BOOT_CHUNK_SLOTS = 1 << 21
 GEOM_TOL = 1e-9
 
 
@@ -543,43 +543,33 @@ def _window_cells(z: np.ndarray, z_size: int, w: int) -> np.ndarray:
 
 
 def _count_rows(cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """Per-trial histogram of cell indices: (trials, windows) -> (trials, n_cells)."""
-    trials = cells.shape[0]
-    flat = cells + np.arange(trials)[:, None] * n_cells
-    return np.bincount(flat.reshape(-1), minlength=trials * n_cells).reshape(
-        trials, n_cells).astype(np.int32)
+    """Per-row histogram of cell indices: (rows, n) -> (rows, n_cells)."""
+    rows = cells.shape[0]
+    flat = cells + np.arange(rows)[:, None] * n_cells
+    return np.bincount(flat.reshape(-1), minlength=rows * n_cells).reshape(
+        rows, n_cells).astype(np.int32)
 
 
-def _poisson_weights(rng: np.random.Generator, reps: int, trials: int) -> np.ndarray:
-    """(reps, trials) i.i.d. Poisson(1) bootstrap weights, by Poisson splitting.
+def _poisson_rows(rng: np.random.Generator, reps: int, trials: int):
+    """``reps`` rows of ``trials`` i.i.d. Poisson(1) bootstrap weights, one at a time.
 
-    Per replicate, W ~ Poisson(trials) uniform trial indices counted per trial
-    are i.i.d. Poisson(1), exactly; uniform integers cost a fraction of as many
+    Per row, W ~ Poisson(trials) uniform trial indices counted per trial are
+    i.i.d. Poisson(1), exactly; uniform integers cost a fraction of as many
     Poisson variates.
     """
-    wts = np.empty((reps, trials))
-    for row in wts:
-        row[:] = np.bincount(rng.integers(0, trials, size=rng.poisson(trials)),
-                             minlength=trials)
-    return wts
+    for _ in range(reps):
+        yield np.bincount(rng.integers(0, trials, size=rng.poisson(trials)),
+                          minlength=trials)
 
 
-def _bootstrap_tv(counts: np.ndarray, target: np.ndarray, n_boot: int,
-                  rng: np.random.Generator) -> tuple[float, float, float]:
-    """Plug-in TV of pooled counts vs target, with Poisson-bootstrap CI."""
-    total = counts.sum()
-    emp = counts.sum(axis=0) / total
-    tv = float(np.abs(emp - target).sum())
-    trials = counts.shape[0]
-    per_trial_windows = counts.sum(axis=1).astype(np.float64)
-    c64 = counts.astype(np.float64)
-    tvs = np.empty(n_boot)
-    batch = max(1, BOOT_CHUNK_SLOTS // max(trials, 1))
-    for start in range(0, n_boot, batch):
-        wts = _poisson_weights(rng, min(batch, n_boot - start), trials)
-        denom = (wts @ per_trial_windows)[:, None]
-        denom[denom == 0] = 1.0
-        tvs[start:start + len(wts)] = np.abs(wts @ c64 / denom - target).sum(axis=1)
+def _window_tv(counts: np.ndarray, boot: np.ndarray,
+               target: np.ndarray) -> tuple[float, float, float]:
+    """Plug-in TV of pooled window counts vs target, with Poisson-bootstrap CI.
+
+    ``boot`` holds the replicates' weighted window counts, one row each.
+    """
+    tv = float(np.abs(counts / counts.sum() - target).sum())
+    tvs = np.abs(boot / boot.sum(axis=1, keepdims=True) - target).sum(axis=1)
     lo, hi = np.percentile(tvs, [2.5, 97.5])
     return tv, float(lo), float(hi)
 
@@ -607,56 +597,61 @@ def _null_transcript(code: MacCode, trials: int,
 
 def _recycled_cells(bt: BatchTranscript, code: MacCode,
                     rec_bits: int) -> tuple[np.ndarray, int]:
-    """First recycled bits per block pair as cells (trials, k-1), and their count."""
-    trials, k = bt.n_trials, bt.k
+    """First recycled bits of blocks 2..k as cells (k-1, trials), and their count."""
     names = [s.name for s in code.plan.streams]
-    rec_cols = []
-    ec = 1
-    for i in range(2, k + 1):
-        rec = np.concatenate([bt.recycled[name][i - 2] for name in names], axis=1)
-        b = min(rec_bits, rec.shape[1])
-        ec = 1 << b
-        rec_cols.append(bits_to_index(rec[:, :b]) if b
-                        else np.zeros(trials, dtype=np.int64))
-    rec_e = np.stack(rec_cols, axis=1) if rec_cols else \
-        np.zeros((trials, 0), dtype=np.int64)
-    return rec_e, ec
+    recs = [np.concatenate([bt.recycled[name][i] for name in names], axis=1)
+            for i in range(bt.k - 1)]
+    b = min(rec_bits, recs[0].shape[1])
+    return np.stack([bits_to_index(rec[:, :b]) for rec in recs]), 1 << b
 
 
 def transcript_features(
     code: MacCode,
     bt: BatchTranscript,
+    rng: np.random.Generator,
     *,
     window: int = 2,
     rec_bits: int = 3,
-) -> dict[str, np.ndarray]:
-    """Per-trial integer features of a batch of transcripts.
+    n_boot: int = 1000,
+) -> dict:
+    """Fixed-size count tables of a batch of transcripts.
 
-    ``win{w}`` holds each trial's histogram of sliding output windows of w
-    symbols (w = 1 and ``window``).  With k >= 2 blocks and recycled bits,
-    ``rec_e``, ``z_last`` and ``z_first`` (each block's last and first
-    ``window``-symbol window) hold the cells of the dependence checks and
-    ``rec_cells`` their recycled cell count.  Integer outputs reduce across
-    chunks in any grouping without float-order effects, which is what makes
-    reports byte-identical across worker counts.
+    ``trials`` is the trial count.  For w = 1 and ``window``, ``win{w}``
+    counts the sliding w-symbol output windows of all trials, and ``boot{w}``
+    (n_boot, cells) their counts under i.i.d. Poisson(1) trial weights, one
+    weight row per replicate from ``rng``, shared by both widths.  With
+    k >= 2 and recycled bits, ``rec_pairs`` and ``out_pairs`` (k-1, cells)
+    count the cells of each block pair's dependence checks.  The tables are
+    integer-valued (well under 2^53) and sized by the code and flags alone,
+    so those of disjoint batches add up to those of their union.
     """
     z_size = code.channel.output_alphabet.size
-    z = bt.channel_out
-    if window > z.shape[2]:
+    trials, k, n_sym = bt.channel_out.shape
+    if window > n_sym:
         raise ValueError(f"window {window} is longer than the block "
-                         f"length {z.shape[2]}")
-    feats: dict[str, np.ndarray] = {}
-    for w in sorted({1, window}):
-        cells = _window_cells(z, z_size, w)
-        feats[f"win{w}"] = _count_rows(cells.reshape(len(cells), -1), z_size ** w)
+                         f"length {n_sym}")
+    feats: dict = {"trials": trials}
+    widths = sorted({1, window})
+    hists = []
+    for w in widths:
+        cells = _window_cells(bt.channel_out, z_size, w)
+        hists.append(_count_rows(cells.reshape(trials, -1), z_size ** w))
         if w == window:   # each block's first and last window
-            ends = cells[:, :, 0].copy(), cells[:, :, -1].copy()
+            z_first, z_last = cells[:, :, 0].T.copy(), cells[:, :, -1].T.copy()
         del cells   # the next w's windows are packed without these
-    if bt.k >= 2 and bt.recycled:
+    if k >= 2 and bt.recycled:
         rec_e, ec = _recycled_cells(bt, code, rec_bits)
-        feats["rec_e"] = rec_e
-        feats["z_first"], feats["z_last"] = ends
-        feats["rec_cells"] = np.array([ec])
+        zc = z_size ** window
+        feats["rec_pairs"] = _count_rows(rec_e * zc + z_last[:-1], ec * zc)
+        feats["out_pairs"] = _count_rows(z_last[:-1] * zc + z_first[1:], zc * zc)
+    del bt   # the replicate loop holds only the per-trial counts
+    per_trial = np.hstack(hists).astype(np.float64)
+    boot = np.array([wts @ per_trial
+                     for wts in _poisson_rows(rng, n_boot, trials)])
+    bounds = np.cumsum([h.shape[1] for h in hists])[:-1]
+    for w, hist, reps in zip(widths, hists, np.split(boot, bounds, axis=1)):
+        feats[f"win{w}"] = hist.sum(axis=0)
+        feats[f"boot{w}"] = reps
     return feats
 
 
@@ -667,66 +662,61 @@ def mc_chunk_features(
     *,
     window: int = 2,
     rec_bits: int = 3,
+    n_boot: int = 1000,
     null: bool = False,
     recycle: bool = True,
-) -> dict[str, np.ndarray]:
-    """Simulate one chunk of trials and return its transcript features.
+) -> dict:
+    """Simulate one chunk of trials and return its count tables.
 
+    The trials draw from ``rng`` first, then the bootstrap weight rows.
     ``null=True`` replaces the code's inputs with true i.i.d. draws from the
     target input laws (the calibration baseline); ``recycle=False`` is the
     fresh-seed ablation.
     """
-    bt = _null_transcript(code, n_trials, rng) if null else \
-        run_trials(code, n_trials, rng, recycle=recycle)
-    return transcript_features(code, bt, window=window, rec_bits=rec_bits)
+    # the transcript is passed, not bound here, so that transcript_features
+    # frees it before its replicate loop
+    return transcript_features(
+        code, _null_transcript(code, n_trials, rng) if null else
+        run_trials(code, n_trials, rng, recycle=recycle),
+        rng, window=window, rec_bits=rec_bits, n_boot=n_boot)
 
 
 def assemble_mc_metrics(
     code: MacCode,
-    feats: dict[str, np.ndarray],
+    feats: dict,
     rng: np.random.Generator,
     *,
     window: int = 2,
     n_boot: int = 1000,
 ) -> list[MetricRow]:
-    """Metrics with bootstrap CIs from concatenated transcript features.
+    """Metrics with bootstrap CIs from the count tables of all trials.
 
-    Window TVs against the i.i.d. target (lower-bound proxies for the
-    full-block distance) come from the ``win{w}`` features, block-Markov
-    dependence checks from the dependence features; each family is emitted
-    when its features are present.  For each block i >= 2 the dependence
-    checks are the TV between the joint of (first recycled bits, last output
-    window of block i-1) and the product of its marginals, and likewise for
-    adjacent output windows.
+    ``feats`` is ``transcript_features`` of all trials or the sum of those of
+    its chunks.  Window TVs against the i.i.d. target (lower-bound proxies
+    for the full-block distance) read ``win{w}`` and ``boot{w}``; when
+    ``rec_pairs`` is present, for each block i >= 2 the dependence checks are
+    the TV between the joint of (first recycled bits, last output window of
+    block i-1) and the product of its marginals, and likewise for adjacent
+    output windows, with ``n_boot`` replicates drawn from ``rng``.
     """
-    trials = max((v.shape[0] for key, v in feats.items() if key != "rec_cells"),
-                 default=0)
+    trials = int(feats["trials"])
     if trials < 1000:
         raise ValueError(f"need >= 1000 trials for stable estimates, got {trials}")
     qz = target_output_dist(code.channel, list(code.input_dists)).pmf
-    z_size = code.channel.output_alphabet.size
     out: list[MetricRow] = []
     for w in sorted({1, window}):
-        if f"win{w}" not in feats:
-            continue
         target = np.array([1.0])
         for _ in range(w):
             target = np.multiply.outer(target, qz).reshape(-1)
-        tv, lo, hi = _bootstrap_tv(feats[f"win{w}"], target, n_boot, rng)
+        tv, lo, hi = _window_tv(feats[f"win{w}"], feats[f"boot{w}"], target)
         name = "symbol_marginal_tv" if w == 1 else f"windowed_tv_w{w}"
         out.append(MetricRow(name, tv, lo, hi, trials, "mc"))
-    if "rec_e" in feats:
-        k = feats["z_last"].shape[1]
-        ec = int(feats["rec_cells"][0])
-        zc = z_size ** window
+    if "rec_pairs" in feats:
+        zc = code.channel.output_alphabet.size ** window
         rec_rows, zz_rows = [], []
-        for i in range(2, k + 1):
-            rec_rows.append(_pair_tv(feats["rec_e"][:, i - 2],
-                                     feats["z_last"][:, i - 2], ec, zc,
-                                     n_boot, rng))
-            zz_rows.append(_pair_tv(feats["z_last"][:, i - 2],
-                                    feats["z_first"][:, i - 1], zc, zc,
-                                    n_boot, rng))
+        for rec, zz in zip(feats["rec_pairs"], feats["out_pairs"]):
+            rec_rows.append(_pair_tv(rec, len(rec) // zc, zc, n_boot, rng))
+            zz_rows.append(_pair_tv(zz, zc, zc, n_boot, rng))
         families = (("recycled_independence_tv", rec_rows),
                     ("interblock_output_tv", zz_rows))
         for name, rows in families:
@@ -739,15 +729,15 @@ def assemble_mc_metrics(
     return out
 
 
-def _pair_tv(a_idx: np.ndarray, b_idx: np.ndarray, na: int, nb: int,
-             n_boot: int, rng: np.random.Generator) -> tuple[float, float, float]:
-    """TV between the empirical joint of two indices and the product of marginals.
+def _pair_tv(counts: np.ndarray, na: int, nb: int, n_boot: int,
+             rng: np.random.Generator) -> tuple[float, float, float]:
+    """TV between a joint of two indices, as cell counts, and the product of
+    its marginals.
 
     Each trial adds one count to one cell, so under Poisson(1) trial weights a
     bootstrap replicate's cell counts are independent Poisson(n_c): the
     replicates are drawn per cell, not per trial.
     """
-    counts = np.bincount(a_idx * nb + b_idx, minlength=na * nb)
     tv = float(_pair_stat(counts[None].astype(np.float64), na, nb)[0])
     boot = rng.poisson(counts, size=(n_boot, na * nb)).astype(np.float64)
     lo, hi = np.percentile(_pair_stat(boot, na, nb), [2.5, 97.5])

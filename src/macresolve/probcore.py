@@ -358,7 +358,6 @@ def transmit(
     words = [w if w.dtype.kind in "iu" else w.astype(np.int64) for w in words]
     if len(words) != ch.n_users:
         raise ValueError(f"{len(words)} codewords for {ch.n_users}-user channel")
-    n = words[0].shape[-1] if words[0].ndim else len(words[0])
     for i, w in enumerate(words):
         if w.shape != words[0].shape:
             raise ValueError("codeword length mismatch")

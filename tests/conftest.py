@@ -60,13 +60,3 @@ def random_input(rng: np.random.Generator) -> Dist:
 def rng():
     return np.random.default_rng(20240817)
 
-
-def split_features(feats: dict) -> tuple[dict, dict]:
-    """Window-TV features and dependence features of one feature dict.
-
-    Bootstrapping the two families from separate generators reproduces the
-    figures of the separate window and dependence estimators.
-    """
-    win = {k: v for k, v in feats.items() if k.startswith("win")}
-    dep = {k: v for k, v in feats.items() if not k.startswith("win")}
-    return win, dep

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
-    split_features, xor_mac
+    xor_mac
 from macresolve import cli
 from macresolve.encoder import IdealizedOverrides, achieved_rates, build_mac_code, \
     make_plan, run_trials, tally_fresh_bits
@@ -329,14 +329,12 @@ def test_criterion_6_empirical_convergence():
                               xi=0.05, idealized=IDEAL, eps_split=0.5,
                               rng=make_rng(100 + n))
         bt = run_trials(code, trials, make_rng(61))
-        win, dep = split_features(transcript_features(code, bt, window=2))
+        feats = transcript_features(code, bt, make_rng(62), window=2, n_boot=400)
         rows = {m.name: m for m in assemble_mc_metrics(
-            code, win, make_rng(62).spawn(1)[0], window=2, n_boot=400)}
-        ind = {m.name: m for m in assemble_mc_metrics(
-            code, dep, make_rng(63).spawn(1)[0], n_boot=400)}
+            code, feats, make_rng(63), window=2, n_boot=400)}
         wtv[n] = rows["windowed_tv_w2"]
-        rec[n] = ind["recycled_independence_tv_mean"]
-        zz[n] = ind["interblock_output_tv_mean"]
+        rec[n] = rows["recycled_independence_tv_mean"]
+        zz[n] = rows["interblock_output_tv_mean"]
     tv_ok = (wtv[8].value > wtv[16].value > wtv[32].value
              and wtv[16].ci_hi < wtv[8].ci_lo
              and wtv[32].ci_hi < wtv[16].ci_lo)

@@ -444,3 +444,20 @@ class TestSweepCommand:
         assert header[:4] == ["n", "k", "eps", "name"]
         # 2 N values x 2 eps values, several metrics each
         assert len(lines) > 8
+
+    @pytest.mark.parametrize("n_list,message", [("8,2", "--window 3"),
+                                                ("8,6", "power of two")])
+    def test_bad_grid_point_rejected_before_trials(self, adder_spec, tmp_path,
+                                                   capsys, monkeypatch,
+                                                   n_list, message):
+        # the bad point comes second: the N = 8 point must not run first
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_trials)
+        rc = main(["sweep", "--channel", adder_spec, "--out-dir",
+                   str(tmp_path / "sw"), "--n-list", n_list, "--k", "2",
+                   "--idealized", "--window", "3", "--trials", "8000"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sw" / "sweep.csv").exists()

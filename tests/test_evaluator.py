@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
-    split_features, xor_mac
-from macresolve.encoder import IdealizedOverrides, build_mac_code, run_trials
+    xor_mac
+from macresolve.encoder import BatchTranscript, IdealizedOverrides, build_mac_code, \
+    run_trials
 from macresolve import evaluator
 from macresolve.evaluator import (
     RegionSpec,
     _ExactEngine,
-    _bootstrap_tv,
     _count_rows,
     _pair_tv,
-    _poisson_weights,
+    _poisson_rows,
+    _recycled_cells,
+    _window_cells,
+    _window_tv,
     assemble_mc_metrics,
     delta0,
     delta0_multi,
@@ -520,14 +523,14 @@ class TestStreamedTvs:
 
 
 def window_rows(code, trials, rng, n_boot=1000, **kw):
-    """Window-TV rows of fresh trials, bootstrapped from rng's first child."""
-    feats, _ = split_features(mc_chunk_features(code, trials, rng, **kw))
+    """Rows of one chunk of fresh trials; its window replicates continue rng."""
+    feats = mc_chunk_features(code, trials, rng, n_boot=n_boot, **kw)
     return assemble_mc_metrics(code, feats, rng.spawn(1)[0], n_boot=n_boot)
 
 
 def dependence_rows(code, bt, rng, n_boot=1000):
-    """Dependence rows of a transcript, bootstrapped from rng's first child."""
-    _, feats = split_features(transcript_features(code, bt))
+    """Rows of a transcript; the dependence replicates draw from rng's first child."""
+    feats = transcript_features(code, bt, rng, n_boot=n_boot)
     return assemble_mc_metrics(code, feats, rng.spawn(1)[0], n_boot=n_boot)
 
 
@@ -543,14 +546,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="1000"):
             window_rows(code, 10, make_rng(0))
 
-    def test_trials_guard_on_concatenated_chunks(self):
+    def test_trials_guard_on_summed_chunks(self):
         # 9000 trials in chunks of 8192 leave an 808-trial chunk; the guard
-        # applies to the concatenated features, not to each chunk
+        # applies to the summed tables, not to each chunk
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 30)
         rng = make_rng(1)
-        chunks = [mc_chunk_features(code, n, rng) for n in (8192, 808)]
-        feats = {key: chunks[0][key] if key == "rec_cells" else
-                 np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+        chunks = [mc_chunk_features(code, n, rng, n_boot=50) for n in (8192, 808)]
+        feats = {key: sum(c[key] for c in chunks) for key in chunks[0]}
         rows = assemble_mc_metrics(code, feats, make_rng(2), n_boot=50)
         assert {m.samples for m in rows} == {9000}
 
@@ -598,15 +600,16 @@ class TestMonteCarlo:
         # one block recycles nothing: only the window rows are reported
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 1, 37)
         bt = run_trials(code, 2_000, make_rng(38))
-        rows = assemble_mc_metrics(code, transcript_features(code, bt),
-                                   make_rng(39), n_boot=50)
+        rows = assemble_mc_metrics(
+            code, transcript_features(code, bt, make_rng(39), n_boot=50),
+            make_rng(39), n_boot=50)
         assert [m.name for m in rows] == ["symbol_marginal_tv", "windowed_tv_w2"]
 
     def test_window_longer_than_block_rejected(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 2, 2, 40)
         bt = run_trials(code, 10, make_rng(41))
         with pytest.raises(ValueError, match="window 3"):
-            transcript_features(code, bt, window=3)
+            transcript_features(code, bt, make_rng(0), window=3)
 
     def test_independence_needs_samples(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 40)
@@ -642,11 +645,21 @@ def per_trial_poisson_tv(counts, target, n_boot, rng):
     return float(np.abs(emp - target).sum()), lo, hi
 
 
+def concat_transcripts(a, b):
+    """One transcript of the trials of a, then those of b."""
+    cat = lambda x, y: np.concatenate([x, y])
+    per_block = lambda x, y: {n: [cat(u, v) for u, v in zip(x[n], y[n])] for n in x}
+    return BatchTranscript(a.mode, {n: cat(a.streams[n], b.streams[n]) for n in a.streams},
+                           per_block(a.fresh_seeds, b.fresh_seeds),
+                           per_block(a.recycled, b.recycled),
+                           cat(a.channel_out, b.channel_out))
+
+
 class TestBootstrapKernels:
     @pytest.fixture(scope="class")
-    def code_feats(self):
+    def code_bt(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 8, 3, 43)
-        return code, mc_chunk_features(code, 4000, make_rng(44))
+        return code, run_trials(code, 4000, make_rng(44))
 
     def test_count_rows_matches_add_at(self, rng):
         for trials, windows, n_cells in ((1, 1, 1), (50, 7, 9), (300, 31, 64)):
@@ -662,20 +675,25 @@ class TestBootstrapKernels:
         for na, nb, trials in ((8, 9, 1000), (2, 16, 3000), (1, 4, 500)):
             a = rng.integers(0, na, trials)
             b = rng.integers(0, nb, trials)
-            assert _pair_tv(a, b, na, nb, 10, make_rng(0))[0] == \
+            counts = np.bincount(a * nb + b, minlength=na * nb)
+            assert _pair_tv(counts, na, nb, 10, make_rng(0))[0] == \
                 one_hot_pair_tv(a, b, na, nb, 10, make_rng(0))[0]
 
-    def test_ci_endpoints_match_per_trial_bootstrap(self, code_feats):
+    def test_ci_endpoints_match_per_trial_bootstrap(self, code_bt):
         # same sampling distribution: endpoints agree up to replicate noise
-        _, feats = code_feats
+        code, bt = code_bt
+        feats = transcript_features(code, bt, make_rng(45))
+        cells = _window_cells(bt.channel_out, 3, 2)
+        z_first, z_last = cells[:, :, 0].T, cells[:, :, -1].T
+        rec_e, ec = _recycled_cells(bt, code, 3)
         qz = np.array([0.25, 0.5, 0.25])
         target = np.outer(qz, qz).reshape(-1)
-        cases = [(_bootstrap_tv(feats["win2"], target, 1000, make_rng(45)),
-                  per_trial_poisson_tv(feats["win2"], target, 1000, make_rng(46)))]
-        ec = int(feats["rec_cells"][0])
-        for a, b, na in ((feats["rec_e"][:, 0], feats["z_last"][:, 0], ec),
-                         (feats["z_last"][:, 0], feats["z_first"][:, 1], 9)):
-            cases.append((_pair_tv(a, b, na, 9, 1000, make_rng(47)),
+        cases = [(_window_tv(feats["win2"], feats["boot2"], target),
+                  per_trial_poisson_tv(_count_rows(cells.reshape(len(cells), -1), 9),
+                                       target, 1000, make_rng(46)))]
+        for counts, a, b, na in ((feats["rec_pairs"][0], rec_e[0], z_last[0], ec),
+                                 (feats["out_pairs"][0], z_last[0], z_first[1], 9)):
+            cases.append((_pair_tv(counts, na, 9, 1000, make_rng(47)),
                           one_hot_pair_tv(a, b, na, 9, 1000, make_rng(48))))
         for new, ref in cases:
             assert new[0] == pytest.approx(ref[0], rel=1e-12)
@@ -683,8 +701,30 @@ class TestBootstrapKernels:
             assert abs(new[1] - ref[1]) <= 0.15 * width
             assert abs(new[2] - ref[2]) <= 0.15 * width
 
+    def test_tables_add_over_transcripts(self, code_bt):
+        code, bt = code_bt
+        other = run_trials(code, 1000, make_rng(52))
+        n_boot = 400
+        parts = [transcript_features(code, t, make_rng(53 + i), n_boot=n_boot)
+                 for i, t in enumerate((bt, other))]
+        whole = transcript_features(code, concat_transcripts(bt, other),
+                                    make_rng(55), n_boot=n_boot)
+        assert set(whole) == set(parts[0]) == {"trials", "win1", "win2", "boot1",
+                                               "boot2", "rec_pairs", "out_pairs"}
+        assert whole["trials"] == parts[0]["trials"] + parts[1]["trials"] == 5000
+        for key in ("win1", "win2", "rec_pairs", "out_pairs"):
+            np.testing.assert_array_equal(parts[0][key] + parts[1][key], whole[key])
+        # a replicate's expected window counts are the pooled counts
+        for feats in (*parts, whole):
+            for w in (1, 2):
+                boot, pooled = feats[f"boot{w}"], feats[f"win{w}"]
+                assert boot.shape == (n_boot, 3 ** w)
+                np.testing.assert_array_equal(boot, np.round(boot))
+                se = boot.std(axis=0) / n_boot ** 0.5
+                assert np.all(np.abs(boot.mean(axis=0) - pooled) <= 5 * se)
+
     def test_split_weights_are_poisson_one(self):
-        wts = _poisson_weights(make_rng(49), 4000, 50)
+        wts = np.array(list(_poisson_rows(make_rng(49), 4000, 50)))
         assert wts.shape == (4000, 50)
         assert abs(wts.mean() - 1) < 0.01
         assert abs(wts.var() - 1) < 0.02
@@ -693,12 +733,13 @@ class TestBootstrapKernels:
         assert np.all(np.abs(wts.mean(axis=0) - 1) < 0.08)
         assert np.all(np.abs(wts.var(axis=0) - 1) < 0.15)
 
-    def test_same_rng_same_rows(self, code_feats):
-        np.testing.assert_array_equal(_poisson_weights(make_rng(50), 3, 100),
-                                      _poisson_weights(make_rng(50), 3, 100))
-        code, feats = code_feats
+    def test_same_rng_same_rows(self, code_bt):
+        np.testing.assert_array_equal(list(_poisson_rows(make_rng(50), 3, 100)),
+                                      list(_poisson_rows(make_rng(50), 3, 100)))
+        code, bt = code_bt
         rows = [[m.to_list() for m in assemble_mc_metrics(
-            code, feats, make_rng(51), n_boot=200)] for _ in range(2)]
+            code, transcript_features(code, bt, make_rng(51), n_boot=200),
+            make_rng(51), n_boot=200)] for _ in range(2)]
         assert rows[0] == rows[1]
 
 
