@@ -280,6 +280,16 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     except KeyError as e:
         raise ValueError(f"{desc_file} has no field {e.args[0]!r}; it was "
                          f"written by another version, rerun build") from None
+    plan = code.plan
+    for s in plan.streams:
+        if s.seed_len_rest > plan.block_len:
+            # a block of N binary codec symbols cannot use more than N fresh bits
+            hint = "lower --ideal-xi / --ideal-delta" if plan.idealized \
+                else "rerun with --idealized"
+            raise ValueError(
+                f"stream {s.name} draws {s.seed_len_rest} fresh bits per block "
+                f"after the first, more than N = {plan.block_len} "
+                f"(eps = {plan.eps:.6g}); {hint} or raise --n")
     notes = []
     metrics: list[evaluator.MetricRow] = []
     mode_used = "mc"

@@ -29,9 +29,9 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,8 @@ from .hashing import ToeplitzHash, bits_to_hex, sample_hash
 from .polar import EXACT_CAP_N, PolarProfile, ResolvabilityCode, \
     compute_profile, encode_batch
 from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
-    conditional_entropy, mutual_information, transmit
+    conditional_entropy, channel_from_json, channel_to_json, \
+    mutual_information, transmit
 from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
 
 __all__ = [
@@ -67,6 +68,14 @@ PROFILE_SAMPLES = 1 << 14  # blocks per sampled profile, drawn once in build
 def _ceil_bits(x: float) -> int:
     """Tolerant ceiling: absorbs 1e-9 of float fuzz before rounding up."""
     return max(0, math.ceil(x - 1e-9))
+
+
+def _block_exp(block_len: int) -> int:
+    """n with N = 2^n; any other N is refused."""
+    n_exp = block_len.bit_length() - 1
+    if block_len < 1 or 1 << n_exp != block_len:
+        raise ValueError(f"N must be a power of two, got {block_len}")
+    return n_exp
 
 
 def delta_concentration(sizes: Sequence[int], block_len: int) -> float:
@@ -117,12 +126,6 @@ class LengthPlan:
     mode: str                    # "case1" | "case2" | "multi"
     streams: tuple[StreamPlan, ...]
     idealized: bool = False
-
-    def __post_init__(self):
-        if self.block_len & (self.block_len - 1) or self.block_len < 1:
-            raise ValueError(f"N must be a power of two, got {self.block_len}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
 
     @property
     def asymptotic_only(self) -> bool:
@@ -260,8 +263,9 @@ def make_plan(
     only happen with idealized overrides.
     """
     joint, specs, sizes = _stream_specs(ch, inputs, mode, split, order)
-    if block_len & (block_len - 1) or block_len < 1:
-        raise ValueError(f"N must be a power of two, got {block_len}")
+    _block_exp(block_len)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if xi <= 0 and idealized is None:
         raise ValueError("xi must be > 0 (or pass idealized overrides)")
     delta = delta_concentration(sizes, block_len)
@@ -346,22 +350,21 @@ def build_mac_code(
     functions are sampled once here and stay fixed for all blocks and trials.
     """
     inputs = list(inputs)
-    if mode == "auto":
-        mode = classify_two_user(ch, inputs[0], inputs[1]) if ch.n_users == 2 \
-            else "multi"
+    if mode in ("auto", "case1", "case2") and ch.n_users == 2:
+        actual = classify_two_user(ch, inputs[0], inputs[1])
+        if mode not in ("auto", actual):
+            raise ValueError(
+                f"channel is {actual} (dichotomy at {CASE_TOL}); refusing {mode}"
+            )
+        mode = actual
+    elif mode in ("case1", "case2"):
+        raise ValueError(f"{mode} needs a two-user channel")
+    elif mode == "auto":
+        mode = "multi"
     if order is not None and mode != "multi":
         raise ValueError(f"a user order applies to multi mode only, not {mode}")
     split = None
     user_order: tuple[int, ...] | None = None
-
-    if mode in ("case1", "case2"):
-        if ch.n_users != 2:
-            raise ValueError(f"{mode} needs a two-user channel")
-        actual = classify_two_user(ch, inputs[0], inputs[1])
-        if actual != mode:
-            raise ValueError(
-                f"channel is {actual} (dichotomy at {CASE_TOL}); refusing {mode}"
-            )
     if mode == "case1":
         q = float(inputs[1].pmf[1])
         if target_r1 is not None:
@@ -370,36 +373,48 @@ def build_mac_code(
             split = split_rates(ch, inputs[0], q, 0.5 if eps_split is None else eps_split)
     elif mode == "multi":
         user_order = tuple(order) if order is not None else tuple(range(ch.n_users))
-    _, specs, _ = _stream_specs(ch, inputs, mode, split, user_order)
 
-    n_exp = block_len.bit_length() - 1
-    if 1 << n_exp != block_len:
-        raise ValueError(f"N must be a power of two, got {block_len}")
-    profile_seed = None
-    if block_len > EXACT_CAP_N:
-        profile_seed = int(rng.integers(0, 2 ** 63 - 1))
-    codecs = {}
-    for idx, (name, src, _, _) in enumerate(specs):
-        if profile_seed is None:
-            prof = compute_profile(src, n_exp, beta)
-        else:
-            child = np.random.SeedSequence(profile_seed, spawn_key=(idx,))
-            prof = compute_profile(src, n_exp, beta, mc_samples=PROFILE_SAMPLES,
-                                   rng=make_rng(child))
-        codecs[name] = ResolvabilityCode(prof)
-    widths = {name: codec.seed_len for name, codec in codecs.items()}
+    seed = int(rng.integers(0, 2 ** 63 - 1)) if block_len > EXACT_CAP_N else None
 
-    plan = make_plan(ch, inputs, mode, block_len, k, xi, split=split,
-                     order=user_order, idealized=idealized,
-                     min_codec_widths=widths)
-    if plan.asymptotic_only and idealized is None:
+    def profile(idx: int, name: str, src: Dist, n_exp: int) -> PolarProfile:
+        if seed is None:
+            return compute_profile(src, n_exp, beta)
+        child = np.random.SeedSequence(seed, spawn_key=(idx,))
+        return compute_profile(src, n_exp, beta, mc_samples=PROFILE_SAMPLES,
+                               rng=make_rng(child))
+
+    code = _assemble(ch, inputs, mode, block_len, k, xi, split, user_order,
+                     idealized, profile,
+                     lambda s: sample_hash(rng, block_len, s.hash_len))
+    if code.plan.asymptotic_only and idealized is None:
         warnings.warn(
             "plan is asymptotic-only: some hash lengths clamped to 0 at this N",
             stacklevel=2,
         )
-    hashes = {
-        s.name: sample_hash(rng, block_len, s.hash_len) for s in plan.streams
-    }
+    return code
+
+
+def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
+              block_len: int, k: int, xi: float, split: SplitPoint | None,
+              user_order: tuple[int, ...] | None,
+              idealized: IdealizedOverrides | None,
+              profile: Callable[[int, str, Dist, int], PolarProfile],
+              hash_of: Callable[[StreamPlan], ToeplitzHash]) -> MacCode:
+    """The code of ``make_plan``'s plan with the given codecs and hashes.
+
+    ``profile(idx, name, source, n)`` gives the profile of the stream at plan
+    position idx, and ``hash_of(stream_plan)`` its hash; the profiles'
+    seed lengths are the plan's minimum codec widths.
+    """
+    _, specs, _ = _stream_specs(ch, inputs, mode, split, user_order)
+    n_exp = _block_exp(block_len)
+    codecs = {name: ResolvabilityCode(profile(idx, name, src, n_exp))
+              for idx, (name, src, _, _) in enumerate(specs)}
+    plan = make_plan(ch, inputs, mode, block_len, k, xi, split=split,
+                     order=user_order, idealized=idealized,
+                     min_codec_widths={name: codec.seed_len
+                                       for name, codec in codecs.items()})
+    hashes = {s.name: hash_of(s) for s in plan.streams}
     return MacCode(ch, tuple(inputs), plan, split, codecs, hashes,
                    user_order=user_order)
 
@@ -459,7 +474,6 @@ class BatchTranscript:
     (trials, r); ``channel_out`` has shape (trials, k, N).
     """
 
-    mode: str
     streams: dict[str, np.ndarray]
     fresh_seeds: dict[str, list[np.ndarray]]
     recycled: dict[str, list[np.ndarray]]
@@ -510,7 +524,7 @@ def run_trials(
     channel_out = np.stack(
         [transmit(code.channel, [w[:, i, :] for w in words], rng)
          for i in range(plan.k)], axis=1)
-    return BatchTranscript(code.mode, streams, fresh, recycled, channel_out)
+    return BatchTranscript(streams, fresh, recycled, channel_out)
 
 
 def achieved_rates(plan: LengthPlan) -> dict:
@@ -556,7 +570,7 @@ def code_to_descriptor(code: MacCode) -> dict:
     profiles.
     """
     plan = code.plan
-    desc = {
+    return {
         "mode": plan.mode,
         "block_len": plan.block_len,
         "k": plan.k,
@@ -566,12 +580,7 @@ def code_to_descriptor(code: MacCode) -> dict:
         "idealized": plan.idealized,
         "asymptotic_only": plan.asymptotic_only,
         "streams": [s.__dict__.copy() for s in plan.streams],
-        "channel": {
-            "inputs": [a.size for a in code.channel.input_alphabets],
-            "output": code.channel.output_alphabet.size,
-            "transition": code.channel.transition.reshape(
-                -1, code.channel.output_alphabet.size).tolist(),
-        },
+        "channel": channel_to_json(code.channel),
         "input_dists": [d.pmf.tolist() for d in code.input_dists],
         "split": code.split.to_dict() if code.split else None,
         "hashes": {name: {"in_len": h.in_len, "out_len": h.out_len,
@@ -584,48 +593,60 @@ def code_to_descriptor(code: MacCode) -> dict:
                      for name, c in code.codecs.items()},
         "user_order": list(code.user_order) if code.user_order else None,
     }
-    return desc
 
 
 def code_from_descriptor(desc: dict) -> MacCode:
-    """Rebuild a MacCode from its descriptor, with the stored profiles."""
-    from .probcore import Alphabet, channel_from_json
+    """Rebuild a MacCode from its descriptor through ``build_mac_code``'s path.
 
-    ch, _ = channel_from_json(desc["channel"])
-    inputs = tuple(
-        Dist(Alphabet(len(p)), np.asarray(p)) for p in desc["input_dists"]
-    )
-    names = [f.name for f in fields(StreamPlan)]
-    for s in desc["streams"]:
-        extra = set(s) - set(names)
-        if extra:
-            raise ValueError(f"descriptor stream {s.get('name')!r} has unknown "
-                             f"field {min(extra)!r}; it was written by another "
-                             f"version, rerun build")
-    # a missing field raises KeyError, which the caller names
-    streams = tuple(StreamPlan(**{n: s[n] for n in names})
-                    for s in desc["streams"])
-    plan = LengthPlan(desc["block_len"], desc["k"], desc["xi"], desc["eps"],
-                      desc["delta"], desc["mode"], streams,
-                      idealized=desc["idealized"])
+    Only what build drew or chose is read back: channel, input laws, mode, N,
+    k, xi (and delta if idealized), the split's eps, the user order, profile
+    entropies and hash bits.  The rebuilt code must serialize back to
+    ``desc`` (``config_hash`` aside); a field that differs is named.
+    """
+    ch, inputs = channel_from_json({**desc["channel"],
+                                    "input_dists": desc["input_dists"]})
     split = None
     if desc["split"] is not None:
-        sd = desc["split"]
-        split = SplitPoint(sd["eps"], Dist.bernoulli(sd["a"]),
-                           Dist.bernoulli(sd["b"]),
-                           (sd["r1"], sd["r_u"], sd["r_v"]))
-    codecs = {}
-    for s in streams:
-        prof = desc["profiles"][s.name]
-        codecs[s.name] = ResolvabilityCode(PolarProfile.from_entropies(
-            Dist(Alphabet(2), np.asarray(prof["source"])), prof["n"],
-            prof["beta"], prof["cond_entropies"], prof["exact"]))
-    hashes = {
-        name: ToeplitzHash.from_hex(h["hex"], h["in_len"], h["out_len"])
-        for name, h in desc["hashes"].items()
-    }
+        split = split_rates(ch, inputs[0], float(inputs[1].pmf[1]),
+                            desc["split"]["eps"])
+    ideal = IdealizedOverrides(desc["xi"], desc["delta"]) \
+        if desc["idealized"] else None
     order = tuple(desc["user_order"]) if desc["user_order"] else None
-    return MacCode(ch, inputs, plan, split, codecs, hashes, user_order=order)
+
+    def profile(idx: int, name: str, src: Dist, n_exp: int) -> PolarProfile:
+        prof = desc["profiles"][name]
+        return PolarProfile.from_entropies(src, n_exp, prof["beta"],
+                                           prof["cond_entropies"], prof["exact"])
+
+    code = _assemble(ch, inputs, desc["mode"], desc["block_len"], desc["k"],
+                     desc["xi"], split, order, ideal, profile,
+                     lambda s: ToeplitzHash.from_hex(desc["hashes"][s.name]["hex"],
+                                                     desc["block_len"], s.hash_len))
+    stored = {key: v for key, v in desc.items() if key != "config_hash"}
+    where = _first_difference(code_to_descriptor(code), stored)
+    if where is not None:
+        raise ValueError(f"descriptor field {where} differs from the code its "
+                         f"inputs derive; it was edited or written by another "
+                         f"version, rerun build")
+    return code
+
+
+def _first_difference(built, stored, path: str = "") -> str | None:
+    """Path of the first leaf where two JSON values differ, None if none does."""
+    if type(built) is not type(stored):   # json keeps 1, 1.0 and true apart
+        return path
+    if isinstance(built, list):
+        built, stored = dict(enumerate(built)), dict(enumerate(stored))
+    if not isinstance(built, dict):
+        return None if built == stored else path
+    for key in [*built, *(key for key in stored if key not in built)]:
+        at = f"{path}[{key!r}]"
+        if key not in built or key not in stored:
+            return at
+        found = _first_difference(built[key], stored[key], at)
+        if found is not None:
+            return found
+    return None
 
 
 def descriptor_hash(desc: dict) -> str:

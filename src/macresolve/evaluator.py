@@ -3,13 +3,12 @@
 Resolvability-region geometry (constraints, corner points, the case
 dichotomy), exact variational-distance evaluation of whole codes at
 enumerable sizes, Monte-Carlo estimates at scale, and the distributed
-leftover-hash bound check.  Monte Carlo has one path: ``run_trials`` (or
-the i.i.d. null), then ``transcript_features`` per chunk of trials, which
-reduces the chunk to fixed-size count tables (window counts, their Poisson
-bootstrap replicates and the dependence checks' pair counts), then
-``assemble_mc_metrics`` on the tables summed over chunks for windowed
-proxies and inter-block independence diagnostics with bootstrap confidence
-intervals.
+leftover-hash bound check.  Monte Carlo has one path: ``run_trials``, then
+``transcript_features`` per chunk of trials, which reduces the chunk to
+fixed-size count tables (window counts, their Poisson bootstrap replicates
+and the dependence checks' pair counts), then ``assemble_mc_metrics`` on the
+tables summed over chunks for windowed proxies and inter-block independence
+diagnostics with bootstrap confidence intervals.
 
 Full-block variational distance over Z^{kN} cannot be estimated by sampling
 at realistic sizes, so the exact joint TV is computed in exhaustive mode
@@ -158,8 +157,6 @@ def _region(ch: MacChannel, inputs: list[Dist]) -> RegionSpec:
 
 def region_2user(ch: MacChannel, p_x: Dist, p_y: Dist) -> tuple[RegionSpec, str]:
     """Exact two-user region slice plus the case tag of the dichotomy."""
-    if ch.n_users != 2:
-        raise ValueError("region_2user needs a two-user channel")
     return _region(ch, [p_x, p_y]), classify_two_user(ch, p_x, p_y)
 
 
@@ -167,8 +164,6 @@ def region_multi(ch: MacChannel, inputs: list[Dist]) -> RegionSpec:
     """Exact L-user region: all 2^L - 1 constraints and L! corner points."""
     if ch.n_users > 4:
         raise ValueError(f"exact region computation supports L <= 4, got {ch.n_users}")
-    if len(inputs) != ch.n_users:
-        raise ValueError(f"{len(inputs)} input dists for {ch.n_users} users")
     return _region(ch, list(inputs))
 
 
@@ -449,9 +444,11 @@ def tv_exhaustive(code: MacCode) -> float:
     return _ExactEngine(code).output_tvs()[0]
 
 
-def _dependence_tv(joint: np.ndarray) -> float:
-    """sum |j - j_A x j_B| of a 2-D joint law against the product of its marginals."""
-    return float(np.abs(joint - np.outer(joint.sum(1), joint.sum(0))).sum())
+def _dependence_tv(joint: np.ndarray) -> np.ndarray:
+    """sum |j - j_A x j_B| of 2-D joint laws (the last two axes) against the
+    product of their marginals, batched over any leading axes."""
+    prod = joint.sum(-1)[..., :, None] * joint.sum(-2)[..., None, :]
+    return np.abs(joint - prod).sum(axis=(-2, -1))
 
 
 def exact_report(code: MacCode) -> list["MetricRow"]:
@@ -487,12 +484,12 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
                     np.add.at(joint_ez, eng.e_key[lo:hi],
                               m_prev[lo:hi, None] * eng.emission[lo:hi])
                 rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}",
-                                      _dependence_tv(joint_ez)))
+                                      float(_dependence_tv(joint_ez))))
         # consecutive output blocks vs product of their marginals
         for i, m_prev in enumerate(states[:-1], start=2):
             pair = eng._carry(m_prev, 2) @ eng.b_table
             rows.append(MetricRow(f"consecutive_output_tv_block{i}",
-                                  _dependence_tv(pair)))
+                                  float(_dependence_tv(pair))))
 
     # reference curves from the analysis, evaluated with the exact codec TVs
     codec_tv = max(
@@ -574,27 +571,6 @@ def _window_tv(counts: np.ndarray, boot: np.ndarray,
     return tv, float(lo), float(hi)
 
 
-def _null_transcript(code: MacCode, trials: int,
-                     rng: np.random.Generator) -> BatchTranscript:
-    """Channel outputs when inputs are true i.i.d. draws from the targets.
-
-    The calibration baseline: no chains run, so nothing is recycled.
-    """
-    from .probcore import transmit
-
-    plan = code.plan
-    blocks = []
-    for _ in range(plan.k):
-        words = []
-        for u, d in enumerate(code.input_dists):
-            cdf = np.cumsum(d.pmf)
-            uphase = rng.random((trials, plan.block_len, 1))
-            words.append(np.sum(uphase >= cdf, axis=-1).clip(
-                0, d.alphabet.size - 1).astype(np.int64))
-        blocks.append(transmit(code.channel, words, rng))
-    return BatchTranscript("null", {}, {}, {}, np.stack(blocks, axis=1))
-
-
 def _recycled_cells(bt: BatchTranscript, code: MacCode,
                     rec_bits: int) -> tuple[np.ndarray, int]:
     """First recycled bits of blocks 2..k as cells (k-1, trials), and their count."""
@@ -663,21 +639,17 @@ def mc_chunk_features(
     window: int = 2,
     rec_bits: int = 3,
     n_boot: int = 1000,
-    null: bool = False,
     recycle: bool = True,
 ) -> dict:
     """Simulate one chunk of trials and return its count tables.
 
     The trials draw from ``rng`` first, then the bootstrap weight rows.
-    ``null=True`` replaces the code's inputs with true i.i.d. draws from the
-    target input laws (the calibration baseline); ``recycle=False`` is the
-    fresh-seed ablation.
+    ``recycle=False`` is the fresh-seed ablation.
     """
     # the transcript is passed, not bound here, so that transcript_features
     # frees it before its replicate loop
     return transcript_features(
-        code, _null_transcript(code, n_trials, rng) if null else
-        run_trials(code, n_trials, rng, recycle=recycle),
+        code, run_trials(code, n_trials, rng, recycle=recycle),
         rng, window=window, rec_bits=rec_bits, n_boot=n_boot)
 
 
@@ -705,10 +677,8 @@ def assemble_mc_metrics(
     qz = target_output_dist(code.channel, list(code.input_dists)).pmf
     out: list[MetricRow] = []
     for w in sorted({1, window}):
-        target = np.array([1.0])
-        for _ in range(w):
-            target = np.multiply.outer(target, qz).reshape(-1)
-        tv, lo, hi = _window_tv(feats[f"win{w}"], feats[f"boot{w}"], target)
+        tv, lo, hi = _window_tv(feats[f"win{w}"], feats[f"boot{w}"],
+                                _times_iid(np.array([1.0]), qz, w))
         name = "symbol_marginal_tv" if w == 1 else f"windowed_tv_w{w}"
         out.append(MetricRow(name, tv, lo, hi, trials, "mc"))
     if "rec_pairs" in feats:
@@ -738,17 +708,12 @@ def _pair_tv(counts: np.ndarray, na: int, nb: int, n_boot: int,
     bootstrap replicate's cell counts are independent Poisson(n_c): the
     replicates are drawn per cell, not per trial.
     """
-    tv = float(_pair_stat(counts[None].astype(np.float64), na, nb)[0])
+    stat = lambda c: _dependence_tv((c / c.sum(axis=-1, keepdims=True))
+                                    .reshape(*c.shape[:-1], na, nb))
+    tv = float(stat(counts.astype(np.float64)))
     boot = rng.poisson(counts, size=(n_boot, na * nb)).astype(np.float64)
-    lo, hi = np.percentile(_pair_stat(boot, na, nb), [2.5, 97.5])
+    lo, hi = np.percentile(stat(boot), [2.5, 97.5])
     return tv, float(lo), float(hi)
-
-
-def _pair_stat(c: np.ndarray, na: int, nb: int) -> np.ndarray:
-    """Per-row TV of the joint vs the product of its marginals, (reps, na * nb)."""
-    joint = (c / c.sum(axis=1, keepdims=True)).reshape(-1, na, nb)
-    prod = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
-    return np.abs(joint - prod).reshape(len(c), -1).sum(axis=1)
 
 
 # -- leftover-hash bound check ----------------------------------------------------

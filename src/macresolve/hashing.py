@@ -25,6 +25,11 @@ HASH_STATE_BUDGET = 1 << 24
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+def _diagonal_len(in_len: int, out_len: int) -> int:
+    """Diagonal bits of an out_len x in_len Toeplitz matrix (none if it is empty)."""
+    return in_len + out_len - 1 if out_len > 0 else 0
+
+
 def bits_to_hex(bits: np.ndarray) -> str:
     """Bits as hex, first bit in the high nibble, zero-padded to a nibble."""
     bits = np.asarray(bits, dtype=np.uint8)
@@ -47,7 +52,7 @@ class ToeplitzHash:
                 f"need 0 <= out_len <= in_len, got ({self.in_len}, {self.out_len})"
             )
         d = np.ascontiguousarray(self.diagonal_bits, dtype=np.uint8) & 1
-        want = max(0, self.in_len + self.out_len - 1) if self.out_len > 0 else 0
+        want = _diagonal_len(self.in_len, self.out_len)
         if d.shape != (want,):
             raise ValueError(f"diagonal has {d.shape} bits, expected ({want},)")
         d.setflags(write=False)
@@ -85,7 +90,7 @@ class ToeplitzHash:
     @staticmethod
     def from_hex(hex_str: str, in_len: int, out_len: int) -> "ToeplitzHash":
         """Inverse of :meth:`to_hex`; rejects bad characters, length or padding."""
-        want = max(0, in_len + out_len - 1) if out_len > 0 else 0
+        want = _diagonal_len(in_len, out_len)
         bad = sorted(set(hex_str) - _HEX_DIGITS)
         if bad:
             raise ValueError(f"non-hex characters {bad} in hash hex string")
@@ -106,8 +111,8 @@ def sample_hash(
     """Draw a uniform member of the Toeplitz two-universal family."""
     if out_len > in_len:
         raise ValueError(f"out_len {out_len} exceeds in_len {in_len}")
-    n_bits = max(0, in_len + out_len - 1) if out_len > 0 else 0
-    return ToeplitzHash(in_len, out_len, rng.integers(0, 2, size=n_bits, dtype=np.uint8))
+    return ToeplitzHash(in_len, out_len, rng.integers(
+        0, 2, size=_diagonal_len(in_len, out_len), dtype=np.uint8))
 
 
 def hashed_joint_dist_exact(

@@ -55,23 +55,13 @@ class InfeasibleTargetError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite alphabet, optionally with symbol labels."""
+    """A finite alphabet of ``size`` symbols 0..size-1."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise ValueError(
-                    f"{len(labels)} labels for alphabet of size {self.size}"
-                )
-            if len(set(labels)) != len(labels):
-                raise ValueError("alphabet labels must be distinct")
 
 
 BIT = Alphabet(2)
@@ -84,6 +74,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _check_pmf(pmf: np.ndarray, renormalize: bool) -> np.ndarray:
+    if not np.all(np.isfinite(pmf)):
+        raise ValueError("pmf has non-finite entries")
     if np.any(pmf < 0):
         worst = float(pmf.min())
         if worst < -PMF_ATOL:
@@ -217,6 +209,8 @@ class MacChannel:
         if t.shape != shape:
             raise ValueError(f"transition shape {t.shape}, expected {shape}")
         rows = t.reshape(-1, self.output_alphabet.size)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("transition has non-finite entries")
         if np.any(rows < -PMF_ATOL):
             raise ValueError("transition has negative entries")
         bad = np.abs(rows.sum(axis=1) - 1.0) > 1e-9

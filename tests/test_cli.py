@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -52,6 +53,26 @@ class TestRegionCommand:
         rc = main(["region", "--channel", str(bad), "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "transition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["region", "simulate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["input_dists", "transition"])
+    def test_non_finite_spec_rejected(self, tmp_path, capsys, command, value,
+                                      field):
+        spec = channel_to_json(adder_mac(), [Dist.bernoulli(0.5)] * 2)
+        spec[field][1][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        argv = [command, "--channel", str(bad), "--out-dir", str(out)]
+        if command == "simulate":
+            argv += ["--idealized", "--n", "4", "--trials", "1000"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "non-finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestBuildCommand:
@@ -176,6 +197,19 @@ class TestSimulateCommand:
             assert main(base + extra + ["--out-dir", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_oversized_plan_writes_no_rates(self, parallel_spec, tmp_path,
+                                            capsys):
+        # eps = 2 (5 + 5) asks for 84 fresh bits per 4-symbol block
+        out = tmp_path / "s"
+        rc = main(["simulate", "--channel", parallel_spec, "--out-dir", str(out),
+                   "--mode", "case2", "--n", "4", "--k", "2", "--idealized",
+                   "--ideal-xi", "5", "--ideal-delta", "5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: stream x draws 84 fresh bits" in err
+        assert "N = 4" in err and "eps = 20" in err
+        assert not (out / "report.json").exists()
 
     def test_window_wider_than_block_rejected(self, adder_spec, tmp_path,
                                               capsys, monkeypatch):
@@ -327,6 +361,8 @@ class TestDescriptorContents:
     @pytest.mark.parametrize("field,edit", [
         ("bogus", lambda stream: stream.update(bogus=1)),
         ("clamped", lambda stream: stream.pop("clamped")),
+        ("seed_len_rest", lambda stream: stream.update(
+            seed_len_rest=stream["seed_len_rest"] + 1)),
     ])
     def test_stream_field_mismatch_named(self, adder_spec, tmp_path, capsys,
                                          field, edit):

@@ -45,6 +45,7 @@ from macresolve.probcore import (
     make_rng,
     mutual_information,
     target_output_dist,
+    transmit,
 )
 
 UNIF = Dist.bernoulli(0.5)
@@ -536,8 +537,15 @@ def dependence_rows(code, bt, rng, n_boot=1000):
 
 class TestMonteCarlo:
     def test_null_calibration_near_zero(self):
+        # true i.i.d. draws from the input laws, sent through the channel
         code = small_code(adder_mac(), [UNIF, UNIF], 8, 3, 28)
-        rows = window_rows(code, 30_000, make_rng(29), null=True, n_boot=200)
+        trials, n_sym, rng = 30_000, code.plan.block_len, make_rng(29)
+        z = np.stack([transmit(code.channel,
+                               [d.sample(trials * n_sym, rng).reshape(trials, n_sym)
+                                for d in code.input_dists], rng)
+                      for _ in range(code.plan.k)], axis=1)
+        rows = dependence_rows(code, BatchTranscript({}, {}, {}, z), rng,
+                               n_boot=200)
         for m in rows:
             assert m.value < 0.02
 
@@ -649,7 +657,7 @@ def concat_transcripts(a, b):
     """One transcript of the trials of a, then those of b."""
     cat = lambda x, y: np.concatenate([x, y])
     per_block = lambda x, y: {n: [cat(u, v) for u, v in zip(x[n], y[n])] for n in x}
-    return BatchTranscript(a.mode, {n: cat(a.streams[n], b.streams[n]) for n in a.streams},
+    return BatchTranscript({n: cat(a.streams[n], b.streams[n]) for n in a.streams},
                            per_block(a.fresh_seeds, b.fresh_seeds),
                            per_block(a.recycled, b.recycled),
                            cat(a.channel_out, b.channel_out))

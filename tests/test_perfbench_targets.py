@@ -9,9 +9,15 @@ otherwise surface only as a crash of ``perfbench/run.py --trace 1``.
 import importlib
 import importlib.util
 import inspect
+import json
+import time
 from pathlib import Path
 
 import pytest
+
+from conftest import adder_mac
+from macresolve import cli
+from macresolve.probcore import Dist, channel_to_json
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
@@ -31,30 +37,34 @@ def test_trace_target_resolves(target):
     assert callable(owner)
 
 
-def test_traced_monte_carlo_run(tmp_path, monkeypatch):
-    # a change of the feature tables must not break the tracer's counters
-    import json
-    import time
-
-    from conftest import adder_mac
-    from macresolve import cli
-    from macresolve.probcore import Dist, channel_to_json
-
+@pytest.fixture
+def tracer(monkeypatch):
+    """A tracer with every INSTRUMENTS target wrapped, unwrapped after the test."""
     for targets, _ in tracing.INSTRUMENTS.values():
-        for target in targets:   # undo the tracer's patches after the test
+        for target in targets:
             module_name, *path = target.split(".")
             owner = importlib.import_module(f"macresolve.{module_name}")
             for attr in path[:-1]:
                 owner = getattr(owner, attr)
             monkeypatch.setattr(owner, path[-1],
                                 inspect.getattr_static(owner, path[-1]))
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    return tracer
+
+
+@pytest.fixture
+def adder_spec(tmp_path):
     spec = tmp_path / "adder.json"
     spec.write_text(json.dumps(channel_to_json(
         adder_mac(), [Dist.bernoulli(0.5), Dist.bernoulli(0.5)])))
-    cfg = cli.ExperimentConfig(channel=str(spec), n=4, k=2, idealized=True,
+    return str(spec)
+
+
+def test_traced_monte_carlo_run(tracer, adder_spec):
+    # a change of the feature tables must not break the tracer's counters
+    cfg = cli.ExperimentConfig(channel=adder_spec, n=4, k=2, idealized=True,
                                trials=1000)
-    tracer = tracing.Tracer()
-    tracing.instrument(tracer)
     # build, then the Monte-Carlo path of simulate: this config fits the
     # exhaustive engine, which simulate would run instead
     code = cli._build_code(cfg)
@@ -68,5 +78,25 @@ def test_traced_monte_carlo_run(tmp_path, monkeypatch):
     names = {s["name"] for s in spans[n_build:]}
     assert {"evaluator.mc_chunk_features",
             "evaluator.assemble_mc_metrics"} <= names
+    metrics = tracing.layer_metrics(spans[:n_build], spans[n_build:], sim_s, sim_s)
+    assert set(metrics) >= {name for name, _, _ in tracing.PER_LAYER}
+
+
+def test_traced_exhaustive_simulate_loads_the_descriptor(tracer, adder_spec,
+                                                         tmp_path):
+    # the whole simulate command, so the descriptor loader runs traced; the
+    # case-1 adder at N=4, k=3 carries a 7-bit key through the exact engine
+    args = ["--channel", adder_spec, "--out-dir", str(tmp_path / "o"),
+            "--mode", "case1", "--n", "4", "--k", "3", "--idealized"]
+    assert cli.main(["build", *args]) == 0
+    n_build = len(tracer.spans)
+    t0 = time.perf_counter()
+    assert cli.main(["simulate", *args]) == 0
+    sim_s = time.perf_counter() - t0
+    spans = tracer.spans
+    assert not [s for s in spans if "error" in s]
+    names = {s["name"] for s in spans[n_build:]}
+    assert {"encoder.code_from_descriptor", "ratesplit.split_rates",
+            "evaluator.exact_report"} <= names
     metrics = tracing.layer_metrics(spans[:n_build], spans[n_build:], sim_s, sim_s)
     assert set(metrics) >= {name for name, _, _ in tracing.PER_LAYER}

@@ -45,10 +45,6 @@ class TestDistInvariants:
         d = Dist(Alphabet(2), np.array([1.0, 3.0]), renormalize=True)
         assert d.pmf[1] == pytest.approx(0.75)
 
-    def test_labels_checked(self):
-        with pytest.raises(ValueError, match="distinct"):
-            Alphabet(2, ("a", "a"))
-
     def test_joint_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             JointDist((Alphabet(2), Alphabet(3)), np.full((2, 2), 0.25))
