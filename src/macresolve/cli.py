@@ -235,10 +235,11 @@ def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
     _WORKER_JOB = (code, cfg)
     chunks = [(i, min(CHUNK_TRIALS, cfg.trials - lo))
               for i, lo in enumerate(range(0, cfg.trials, CHUNK_TRIALS))]
-    if cfg.workers == 1 or len(chunks) == 1:
+    workers = min(cfg.workers, len(chunks))
+    if workers == 1:
         results = [_run_chunk(c) for c in chunks]
     else:
-        with multiprocessing.get_context("fork").Pool(cfg.workers) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.map(_run_chunk, chunks)
     return {key: sum(r[key] for r in results) for key in results[0]}
 
@@ -277,9 +278,11 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
             f"spec and build flags of that descriptor, or use another --out-dir")
     try:
         code = encoder.code_from_descriptor(desc)
-    except KeyError as e:
-        raise ValueError(f"{desc_file} has no field {e.args[0]!r}; it was "
-                         f"written by another version, rerun build") from None
+    except (KeyError, TypeError, AttributeError) as e:
+        what = f"no field {e}" if isinstance(e, KeyError) else \
+            f"a field of the wrong JSON type ({e})"
+        raise ValueError(f"{desc_file} has {what}; it was written by another "
+                         f"version, rerun build") from None
     plan = code.plan
     for s in plan.streams:
         if s.seed_len_rest > plan.block_len:
@@ -290,6 +293,8 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
                 f"stream {s.name} draws {s.seed_len_rest} fresh bits per block "
                 f"after the first, more than N = {plan.block_len} "
                 f"(eps = {plan.eps:.6g}); {hint} or raise --n")
+    rates = encoder.achieved_rates(plan)
+    region = _region_verdicts(code, rates)   # refuses L > 4 before any trial
     notes = []
     metrics: list[evaluator.MetricRow] = []
     mode_used = "mc"
@@ -319,7 +324,6 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
         notes.append(
             f"the finite-N analysis bound is vacuous here ({bound:.3g} > 2)"
         )
-    rates = encoder.achieved_rates(code.plan)
     obj = {
         "mode": mode_used,
         "metrics": [m.to_list() for m in metrics],
@@ -328,10 +332,9 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
                    "limit": v["limit"], "total_fresh_bits": v["total_fresh_bits"]}
             for name, v in rates["per_stream"].items()
         },
-        "region": _region_verdicts(code, rates),
+        "region": region,
         "config_hash": cfg.hash(),
-        "descriptor_hash": encoder.descriptor_hash(
-            {k: v for k, v in desc.items() if k != "config_hash"}),
+        "descriptor_hash": encoder.descriptor_hash(desc),
         "notes": notes,
     }
     _write_json(out / "report.json", obj)
@@ -468,6 +471,9 @@ def _config_from_args(args) -> ExperimentConfig:
         kw["order"] = tuple(u - 1 for u in kw["order"]) or None
     if given.get("no_recycle"):
         kw["recycle"] = False
+    if {"ideal_xi", "ideal_delta"} & kw.keys() and not kw.get("idealized"):
+        raise ValueError("--ideal-xi and --ideal-delta apply only with "
+                         "--idealized")
     cfg = ExperimentConfig(**kw)
     cfg.validate()
     return cfg

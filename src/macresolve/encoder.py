@@ -214,9 +214,15 @@ def _stream_specs(
     users the mode's analysis is stated for.  Both two-user modes are
     analysed as the 3-user virtual MAC (X, U, V), sizes (|X|, |Y|, |Y|).
     Multi mode chains user ``order[l]`` conditioned on Z and the users
-    earlier in ``order`` (0-based).
+    earlier in ``order`` (0-based).  Build and load both pass through here,
+    so this is where a split outside case 1 or an order outside multi mode
+    is refused.
     """
     sizes = tuple(a.size for a in ch.input_alphabets)
+    if split is not None and mode != "case1":
+        raise ValueError(f"a rate split applies to case 1 only, not {mode}")
+    if order is not None and mode != "multi":
+        raise ValueError(f"a user order applies to multi mode only, not {mode}")
     if mode == "case1":
         if split is None:
             raise ValueError("case 1 needs a rate-split point")
@@ -291,6 +297,7 @@ class MacCode:
 
     ``codecs`` and ``hashes`` are keyed by stream name in plan order.
     ``user_order`` (multi mode) maps chain position to 0-based user index.
+    ``_assemble`` is its one constructor, and derives every field.
     """
 
     channel: MacChannel
@@ -300,25 +307,6 @@ class MacCode:
     codecs: dict[str, ResolvabilityCode]
     hashes: dict[str, ToeplitzHash]
     user_order: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if (self.plan.mode == "case1") != (self.split is not None):
-            raise ValueError("split must be present exactly in case-1 mode")
-        for s in self.plan.streams:
-            codec = self.codecs[s.name]
-            h = self.hashes[s.name]
-            if codec.block_len != self.plan.block_len:
-                raise ValueError(f"stream {s.name}: codec block length mismatch")
-            if codec.seed_len > s.codec_width:
-                raise ValueError(
-                    f"stream {s.name}: codec needs {codec.seed_len} seed bits, "
-                    f"plan width is {s.codec_width}; increase xi or N"
-                )
-            if h.out_len != s.hash_len or h.in_len != self.plan.block_len:
-                raise ValueError(f"stream {s.name}: hash dimensions mismatch")
-        if self.plan.mode == "multi":
-            if self.user_order is None or len(self.user_order) != self.channel.n_users:
-                raise ValueError("multi mode needs a full user_order")
 
     @property
     def mode(self) -> str:
@@ -343,8 +331,9 @@ def build_mac_code(
     """Compose plan, rate split, polar profiles, and hashes into a MacCode.
 
     Mode ``auto`` resolves two-user channels to case1/case2 by the exact
-    dichotomy; requesting the wrong case raises, and so does an ``order``
-    outside multi mode.  This is the only place a code is profiled: beyond
+    dichotomy; requesting the wrong case raises, and so do ``eps_split`` or
+    ``target_r1`` outside case 1 (or both at once) and an ``order`` outside
+    multi mode.  This is the only place a code is profiled: beyond
     ``EXACT_CAP_N`` each stream samples ``PROFILE_SAMPLES`` blocks from one
     seed drawn from ``rng``, with its plan position as spawn key.  Hash
     functions are sampled once here and stay fixed for all blocks and trials.
@@ -361,18 +350,21 @@ def build_mac_code(
         raise ValueError(f"{mode} needs a two-user channel")
     elif mode == "auto":
         mode = "multi"
-    if order is not None and mode != "multi":
-        raise ValueError(f"a user order applies to multi mode only, not {mode}")
+    if target_r1 is not None and eps_split is not None:
+        raise ValueError("give a rate split's eps or its target r1, not both")
     split = None
-    user_order: tuple[int, ...] | None = None
     if mode == "case1":
         q = float(inputs[1].pmf[1])
         if target_r1 is not None:
             split = solve_eps(ch, inputs[0], q, target_r1)
         else:
             split = split_rates(ch, inputs[0], q, 0.5 if eps_split is None else eps_split)
-    elif mode == "multi":
-        user_order = tuple(order) if order is not None else tuple(range(ch.n_users))
+    elif target_r1 is not None or eps_split is not None:
+        raise ValueError(f"a rate split's eps or target r1 applies to case 1 "
+                         f"only, not {mode}")
+    if order is None and mode == "multi":
+        order = range(ch.n_users)
+    user_order = tuple(order) if order is not None else None
 
     seed = int(rng.integers(0, 2 ** 63 - 1)) if block_len > EXACT_CAP_N else None
 
@@ -600,28 +592,42 @@ def code_from_descriptor(desc: dict) -> MacCode:
 
     Only what build drew or chose is read back: channel, input laws, mode, N,
     k, xi (and delta if idealized), the split's eps, the user order, profile
-    entropies and hash bits.  The rebuilt code must serialize back to
-    ``desc`` (``config_hash`` aside); a field that differs is named.
+    entropies and hash bits; a chosen scalar of another JSON type is named.
+    The rebuilt code must serialize back to ``desc`` (``config_hash``
+    aside); a field that differs is named.
     """
+    def read(kind: type, *path):
+        value = desc
+        for key in path:
+            value = value[key]
+        if type(value) is kind and (kind is not float or math.isfinite(value)):
+            return value
+        where = "".join(f"[{key!r}]" for key in path)
+        raise ValueError(f"descriptor field {where} holds {value!r}, not a "
+                         f"valid {kind.__name__}; rerun build")
+
     ch, inputs = channel_from_json({**desc["channel"],
                                     "input_dists": desc["input_dists"]})
     split = None
     if desc["split"] is not None:
         split = split_rates(ch, inputs[0], float(inputs[1].pmf[1]),
-                            desc["split"]["eps"])
-    ideal = IdealizedOverrides(desc["xi"], desc["delta"]) \
+                            read(float, "split", "eps"))
+    xi, block_len = read(float, "xi"), read(int, "block_len")
+    ideal = IdealizedOverrides(xi, read(float, "delta")) \
         if desc["idealized"] else None
     order = tuple(desc["user_order"]) if desc["user_order"] else None
 
     def profile(idx: int, name: str, src: Dist, n_exp: int) -> PolarProfile:
         prof = desc["profiles"][name]
-        return PolarProfile.from_entropies(src, n_exp, prof["beta"],
+        return PolarProfile.from_entropies(src, n_exp,
+                                           read(float, "profiles", name, "beta"),
                                            prof["cond_entropies"], prof["exact"])
 
-    code = _assemble(ch, inputs, desc["mode"], desc["block_len"], desc["k"],
-                     desc["xi"], split, order, ideal, profile,
-                     lambda s: ToeplitzHash.from_hex(desc["hashes"][s.name]["hex"],
-                                                     desc["block_len"], s.hash_len))
+    code = _assemble(ch, inputs, desc["mode"], block_len, read(int, "k"), xi,
+                     split, order, ideal, profile,
+                     lambda s: ToeplitzHash.from_hex(
+                         read(str, "hashes", s.name, "hex"), block_len,
+                         s.hash_len))
     stored = {key: v for key, v in desc.items() if key != "config_hash"}
     where = _first_difference(code_to_descriptor(code), stored)
     if where is not None:
@@ -650,8 +656,10 @@ def _first_difference(built, stored, path: str = "") -> str | None:
 
 
 def descriptor_hash(desc: dict) -> str:
+    """Hash of the descriptor's code, its ``config_hash`` stamp left out."""
+    body = {key: v for key, v in desc.items() if key != "config_hash"}
     return hashlib.sha256(
-        json.dumps(desc, sort_keys=True).encode()
+        json.dumps(body, sort_keys=True).encode()
     ).hexdigest()[:16]
 
 

@@ -472,19 +472,19 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
     if plan.k >= 2:
         rows.append(MetricRow("interblock_product_tv", tvs[1]))
         # recycled bits of block i vs output of block i-1 (exact law)
+        # hashes keep at most N bits: 2^R x |Z|^N is within the emission table
         total_r = sum(s.hash_len for s in plan.streams)
-        if (1 << total_r) * eng.zn <= EXACT_STATE_BUDGET:
-            step = max(1, EXACT_CHUNK_ENTRIES // eng.zn)
-            for i, m_prev in enumerate(states[:-1], start=2):
-                joint_ez = np.zeros((1 << total_r, eng.zn))
-                # consecutive state ranges, in order: each cell adds its terms
-                # in the order of one unchunked np.add.at
-                for lo in range(0, eng.n_states, step):
-                    hi = lo + step
-                    np.add.at(joint_ez, eng.e_key[lo:hi],
-                              m_prev[lo:hi, None] * eng.emission[lo:hi])
-                rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}",
-                                      float(_dependence_tv(joint_ez))))
+        step = max(1, EXACT_CHUNK_ENTRIES // eng.zn)
+        for i, m_prev in enumerate(states[:-1], start=2):
+            joint_ez = np.zeros((1 << total_r, eng.zn))
+            # consecutive state ranges, in order: each cell adds its terms
+            # in the order of one unchunked np.add.at
+            for lo in range(0, eng.n_states, step):
+                hi = lo + step
+                np.add.at(joint_ez, eng.e_key[lo:hi],
+                          m_prev[lo:hi, None] * eng.emission[lo:hi])
+            rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}",
+                                  float(_dependence_tv(joint_ez))))
         # consecutive output blocks vs product of their marginals
         for i, m_prev in enumerate(states[:-1], start=2):
             pair = eng._carry(m_prev, 2) @ eng.b_table

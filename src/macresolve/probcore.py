@@ -417,8 +417,12 @@ def channel_from_json(obj: dict) -> tuple[MacChannel, list[Dist]]:
             raise ValueError(f"channel spec missing field '{key}'")
     sizes = [int(s) for s in obj["inputs"]]
     out_size = int(obj["output"])
-    rows = np.asarray(obj["transition"], dtype=np.float64)
     n_rows = int(np.prod(sizes))
+    try:
+        rows = np.asarray(obj["transition"], dtype=np.float64)
+    except ValueError:   # ragged rows, or entries that are not numbers
+        raise ValueError(f"transition must be {n_rows} rows of {out_size} "
+                         "numbers each, one per output symbol") from None
     if rows.shape != (n_rows, out_size):
         raise ValueError(
             f"transition has shape {rows.shape}, expected ({n_rows}, {out_size}); "

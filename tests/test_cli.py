@@ -3,6 +3,7 @@ import logging
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,14 @@ def parallel_spec(tmp_path):
     path = tmp_path / "parallel.json"
     path.write_text(json.dumps(channel_to_json(
         parallel_mac(), [Dist.bernoulli(0.3), Dist.bernoulli(0.6)])))
+    return str(path)
+
+
+@pytest.fixture
+def adder3_spec(tmp_path):
+    path = tmp_path / "adder3.json"
+    path.write_text(json.dumps(channel_to_json(
+        adder_mac3(), [Dist.bernoulli(p) for p in (0.2, 0.3, 0.4)])))
     return str(path)
 
 
@@ -372,6 +381,44 @@ class TestDescriptorContents:
         assert f"'{field}'" in err and "rerun build" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda desc: desc.update(k="2"), "['k']"),
+        (lambda desc: desc.update(block_len="4"), "['block_len']"),
+        (lambda desc: desc["profiles"]["x"].update(beta="0.25"),
+         "['profiles']['x']['beta']"),
+        (lambda desc: desc["hashes"]["x"].update(hex=5), "['hashes']['x']['hex']"),
+        (lambda desc: desc["split"].update(eps="0.5"), "['split']['eps']"),
+        (lambda desc: desc.update(xi=None), "['xi']"),
+    ])
+    def test_mistyped_field_named(self, adder_spec, tmp_path, capsys, edit,
+                                  field):
+        rc, err = self._simulate_edited(adder_spec, tmp_path, capsys, edit)
+        assert rc == 1
+        assert f"error: descriptor field {field} " in err and "rerun build" in err
+
+    @pytest.mark.parametrize("spec,edit,message", [
+        ("adder_spec", lambda desc: desc.update(user_order=[0, 1]),
+         "a user order applies to multi mode only, not case1"),
+        ("parallel_spec", lambda desc: desc.update(user_order=[1, 0]),
+         "a user order applies to multi mode only, not case2"),
+        ("parallel_spec", lambda desc: desc.update(split={"eps": 0.5}),
+         "a rate split applies to case 1 only, not case2"),
+        ("adder3_spec", lambda desc: desc.update(split={"eps": 0.5}),
+         "rate splitting applies to two-user channels"),
+        ("adder_spec", lambda desc: desc.update(mode="case2"),
+         "a rate split applies to case 1 only, not case2"),
+        ("parallel_spec", lambda desc: desc.update(mode="case1"),
+         "case 1 needs a rate-split point"),
+        ("adder3_spec", lambda desc: desc.update(mode="case1"),
+         "a user order applies to multi mode only, not case1"),
+    ])
+    def test_field_the_mode_does_not_take_refused(self, request, tmp_path,
+                                                  capsys, spec, edit, message):
+        rc, err = self._simulate_edited(request.getfixturevalue(spec),
+                                        tmp_path, capsys, edit)
+        assert rc == 1
+        assert f"error: {message}" in err
+
     def test_entropies_breaking_the_chain_rule_rejected(self, adder_spec,
                                                         tmp_path, capsys):
         def tamper(desc):
@@ -402,6 +449,84 @@ class TestParserDefaults:
         assert cfg == default
         assert cfg.hash() == default.hash()
         assert cfg.build_hash() == default.build_hash()
+
+
+class TestBuildInputsTheModeUses:
+    @pytest.mark.parametrize("spec,flags,message", [
+        ("parallel_spec", ["--mode", "case2", "--eps", "0.3"],
+         "applies to case 1 only, not case2"),
+        ("parallel_spec", ["--mode", "case2", "--target-r1", "0.5"],
+         "applies to case 1 only, not case2"),
+        ("adder_spec", ["--target-r1", "0.8", "--eps", "0.3"],
+         "eps or its target r1, not both"),
+        ("adder_spec", ["--ideal-xi", "0.2"], "apply only with --idealized"),
+        ("adder_spec", ["--ideal-delta", "0.2"], "apply only with --idealized"),
+    ])
+    def test_unused_input_refused(self, request, tmp_path, capsys, spec, flags,
+                                  message):
+        rc = main(["build", "--channel", request.getfixturevalue(spec),
+                   "--out-dir", str(tmp_path / "b"), "--n", "4"] + flags)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "b" / "descriptor.json").exists()
+
+    def test_printed_descriptor_hash_is_the_reports(self, parallel_spec,
+                                                    tmp_path, capsys):
+        args = ["--channel", parallel_spec, "--out-dir", str(tmp_path / "o"),
+                "--n", "4", "--k", "2", "--idealized"]
+        assert main(["build"] + args) == 0
+        printed = re.search(r"descriptor_hash=([0-9a-f]{16})",
+                            capsys.readouterr().out).group(1)
+        assert main(["simulate"] + args) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["descriptor_hash"] == printed
+
+
+class TestSimulateRefusesBeforeWork:
+    def test_five_users_refused_before_any_trial(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluation ran")
+
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_work)
+        monkeypatch.setattr(cli.evaluator, "exact_report", no_work)
+        spec = tmp_path / "adder5.json"
+        spec.write_text(json.dumps({
+            "inputs": [2] * 5, "output": 6,
+            "transition": [[1 if z == bin(x).count("1") else 0
+                            for z in range(6)] for x in range(32)]}))
+        rc = main(["simulate", "--channel", str(spec), "--out-dir",
+                   str(tmp_path / "s"), "--n", "4", "--k", "2", "--idealized",
+                   "--trials", "20000"])
+        assert rc == 1
+        assert "supports L <= 4" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "report.json").exists()
+
+    def test_pool_has_no_more_workers_than_chunks(self, adder_spec,
+                                                  monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features",
+                            lambda code, n_trials, rng, **kw: {"trials": n_trials})
+        cfg = cli.ExperimentConfig(channel=adder_spec, workers=8,
+                                   trials=2 * cli.CHUNK_TRIALS)
+        assert cli._mc_features_parallel(None, cfg) == {"trials": cfg.trials}
+        assert sizes == [2]
 
 
 class TestTrialsFloor:

@@ -84,12 +84,36 @@ def test_edited_derived_leaf_is_named(code, data):
         code_from_descriptor(desc)
 
 
+@SETTINGS
+@given(small_codes(), st.data())
+def test_mistyped_chosen_leaf_is_named(code, data):
+    desc = json.loads(json.dumps(code_to_descriptor(code)))
+    leaves = [("block_len",), ("k",), ("xi",), ("delta",)]
+    if desc["split"] is not None:
+        leaves.append(("split", "eps"))
+    leaves += [(table, name, key) for table, key in (("profiles", "beta"),
+                                                      ("hashes", "hex"))
+               for name in desc[table]]
+    path = data.draw(st.sampled_from(leaves))
+    owner = desc
+    for key in path[:-1]:
+        owner = owner[key]
+    value = owner[path[-1]]
+    owner[path[-1]] = data.draw(st.sampled_from(
+        [other for other in (str(value), None, True, 1, 1.5, [value],
+                             {"v": value})
+         if type(other) is not type(value)]))
+    where = "".join(f"[{key!r}]" for key in path)
+    with pytest.raises(ValueError, match=re.escape(f"descriptor field {where} ")):
+        code_from_descriptor(desc)
+
+
 _ADDER = channel_to_json(adder_mac(), [Dist.bernoulli(0.5)] * 2)
 
 
 @st.composite
 def malformed_specs(draw):
-    """(spec, extra flags) of a channel spec that no command may accept."""
+    """(kind, spec, extra flags) of a channel spec that no command may accept."""
     spec = json.loads(json.dumps(_ADDER))
     kind = draw(st.sampled_from(["non_finite", "shape", "ragged", "ternary"]))
     if kind == "non_finite":
@@ -112,14 +136,14 @@ def malformed_specs(draw):
                 "transition": [[1.0 if z == x + y else 0.0 for z in range(4)]
                                for x in range(2) for y in range(3)],
                 "input_dists": [[0.5, 0.5], [0.2, 0.3, 0.5]]}
-        return spec, ["--mode", "case1"]
-    return spec, []
+        return kind, spec, ["--mode", "case1"]
+    return kind, spec, []
 
 
 @SETTINGS
 @given(malformed_specs())
 def test_malformed_spec_exits_with_a_message(spec_flags):
-    spec, flags = spec_flags
+    kind, spec, flags = spec_flags
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(spec))
@@ -130,4 +154,6 @@ def test_malformed_spec_exits_with_a_message(spec_flags):
         assert rc == 1
         assert "error: " in err.getvalue()
         assert "Traceback" not in err.getvalue()
+        if kind in ("shape", "ragged"):
+            assert "transition" in err.getvalue()
         assert not (Path(tmp) / "o").exists()
