@@ -30,7 +30,7 @@ import numpy as np
 
 from . import encoder, evaluator
 from .probcore import (BudgetError, InfeasibleTargetError, channel_to_json,
-                        load_channel_file, make_rng)
+                        load_channel_file, make_rng, read_json_file)
 
 log = logging.getLogger("macresolve")
 
@@ -75,10 +75,8 @@ class ExperimentConfig:
         if self.trials < 1000:
             raise ValueError(f"--trials must be >= 1000 for stable estimates, "
                              f"got {self.trials}")
-        if not math.isfinite(self.xi):
-            raise ValueError(f"--xi must be finite, got {self.xi}")
-        if not self.idealized and self.xi <= 0:
-            raise ValueError("--xi must be > 0 unless --idealized")
+        if not 0 < self.xi < math.inf:   # --xi is never set with --idealized
+            raise ValueError(f"--xi must be finite and > 0, got {self.xi}")
         for name in ("ideal_xi", "ideal_delta"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"--{name.replace('_', '-')} must be finite "
@@ -190,8 +188,7 @@ def _build_code(cfg: ExperimentConfig):
 
 def cmd_build(cfg: ExperimentConfig) -> int:
     code = _build_code(cfg)
-    desc = encoder.code_to_descriptor(code)
-    desc["config_hash"] = cfg.build_hash()
+    desc = encoder.code_to_descriptor(code, cfg.build_hash())
     out = Path(cfg.out_dir)
     _write_json(out / "descriptor.json", desc)
     print(f"wrote {out / 'descriptor.json'} "
@@ -261,28 +258,15 @@ def _mc_metrics(code: encoder.MacCode,
 def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     out = Path(cfg.out_dir)
     # only the implicit out-dir descriptor may be built; a missing explicit
-    # --descriptor raises FileNotFoundError on read
+    # --descriptor is an error on read
     desc_file = out / "descriptor.json" if descriptor_path is None \
         else Path(descriptor_path)
     if descriptor_path is None and not desc_file.exists():
         rc = cmd_build(cfg)
         if rc not in (EXIT_OK, EXIT_ASYMPTOTIC_ONLY):
             return rc
-    desc = json.loads(desc_file.read_text())
-    if desc.get("config_hash") != cfg.build_hash():
-        # a code built under another config must not be run under this
-        # config's hash
-        raise ValueError(
-            f"{desc_file} has config_hash {desc.get('config_hash')}, but this "
-            f"run's build config hashes to {cfg.build_hash()}; pass the channel "
-            f"spec and build flags of that descriptor, or use another --out-dir")
-    try:
-        code = encoder.code_from_descriptor(desc)
-    except (KeyError, TypeError, AttributeError) as e:
-        what = f"no field {e}" if isinstance(e, KeyError) else \
-            f"a field of the wrong JSON type ({e})"
-        raise ValueError(f"{desc_file} has {what}; it was written by another "
-                         f"version, rerun build") from None
+    desc = read_json_file(desc_file, "descriptor")
+    code = encoder.code_from_descriptor(desc, cfg.build_hash())
     plan = code.plan
     for s in plan.streams:
         if s.seed_len_rest > plan.block_len:
@@ -474,6 +458,9 @@ def _config_from_args(args) -> ExperimentConfig:
     if {"ideal_xi", "ideal_delta"} & kw.keys() and not kw.get("idealized"):
         raise ValueError("--ideal-xi and --ideal-delta apply only with "
                          "--idealized")
+    if "xi" in kw and kw.get("idealized"):
+        raise ValueError("--xi does not apply with --idealized, which uses "
+                         "--ideal-xi")
     cfg = ExperimentConfig(**kw)
     cfg.validate()
     return cfg
@@ -507,7 +494,7 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:   # OSError: a file that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return 1
 

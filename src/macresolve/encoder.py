@@ -39,8 +39,8 @@ from .hashing import ToeplitzHash, bits_to_hex, sample_hash
 from .polar import EXACT_CAP_N, PolarProfile, ResolvabilityCode, \
     compute_profile, encode_batch
 from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
-    conditional_entropy, channel_from_json, channel_to_json, \
-    mutual_information, transmit
+    conditional_entropy, channel_from_json, channel_to_json, json_reader, \
+    mutual_information, read_numbers, transmit
 from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
 
 __all__ = [
@@ -554,15 +554,15 @@ def tally_fresh_bits(bt: BatchTranscript) -> dict[str, int]:
 # -- descriptor (de)serialization ----------------------------------------------
 
 
-def code_to_descriptor(code: MacCode) -> dict:
+def code_to_descriptor(code: MacCode, build_hash: str) -> dict:
     """Self-contained JSON-able descriptor enabling bit-exact rebuild.
 
     It holds the plan, the hashes and each stream's profile entropies
     (``tolist`` float64, which JSON round-trips exactly), so a rebuild never
-    profiles.
+    profiles.  Its ``config_hash`` stamps the body with ``build_hash``.
     """
     plan = code.plan
-    return {
+    desc = {
         "mode": plan.mode,
         "block_len": plan.block_len,
         "k": plan.k,
@@ -585,51 +585,54 @@ def code_to_descriptor(code: MacCode) -> dict:
                      for name, c in code.codecs.items()},
         "user_order": list(code.user_order) if code.user_order else None,
     }
+    desc["config_hash"] = hashlib.sha256(
+        f"{build_hash} {descriptor_hash(desc)}".encode()).hexdigest()[:16]
+    return desc
 
 
-def code_from_descriptor(desc: dict) -> MacCode:
+def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
     """Rebuild a MacCode from its descriptor through ``build_mac_code``'s path.
 
-    Only what build drew or chose is read back: channel, input laws, mode, N,
-    k, xi (and delta if idealized), the split's eps, the user order, profile
-    entropies and hash bits; a chosen scalar of another JSON type is named.
-    The rebuilt code must serialize back to ``desc`` (``config_hash``
-    aside); a field that differs is named.
+    Only what build drew or chose is read back, through one typed reader
+    that names a missing or mistyped field: channel, input laws, mode, N, k,
+    xi (and delta if idealized), the split's eps (case 1 only, so that the
+    mode gate refuses a split elsewhere), the user order, profile entropies
+    and hash bits.  The rebuilt code must serialize back to ``desc``, and a
+    field that differs is named; last, the ``config_hash`` stamp must be the
+    one ``build_hash`` gives this body.
     """
-    def read(kind: type, *path):
-        value = desc
-        for key in path:
-            value = value[key]
-        if type(value) is kind and (kind is not float or math.isfinite(value)):
-            return value
-        where = "".join(f"[{key!r}]" for key in path)
-        raise ValueError(f"descriptor field {where} holds {value!r}, not a "
-                         f"valid {kind.__name__}; rerun build")
-
-    ch, inputs = channel_from_json({**desc["channel"],
-                                    "input_dists": desc["input_dists"]})
-    split = None
-    if desc["split"] is not None:
-        split = split_rates(ch, inputs[0], float(inputs[1].pmf[1]),
+    read = json_reader(desc, "descriptor", "; rerun build")
+    read(list, "input_dists")   # optional in a channel spec, not here
+    ch, inputs = channel_from_json(desc, read, ("channel",))
+    mode, split = read(str, "mode"), read((dict, type(None)), "split")
+    if split is not None and mode == "case1":   # else the mode gate refuses it
+        # Y is the last input; split_joint refuses all but two binary users
+        split = split_rates(ch, inputs[0], float(inputs[-1].pmf[1]),
                             read(float, "split", "eps"))
+    order = read((list, type(None)), "user_order")
+    if order is not None:
+        order = tuple(read(int, "user_order", i) for i in range(len(order)))
     xi, block_len = read(float, "xi"), read(int, "block_len")
     ideal = IdealizedOverrides(xi, read(float, "delta")) \
-        if desc["idealized"] else None
-    order = tuple(desc["user_order"]) if desc["user_order"] else None
+        if read(bool, "idealized") else None
 
     def profile(idx: int, name: str, src: Dist, n_exp: int) -> PolarProfile:
-        prof = desc["profiles"][name]
-        return PolarProfile.from_entropies(src, n_exp,
-                                           read(float, "profiles", name, "beta"),
-                                           prof["cond_entropies"], prof["exact"])
+        return PolarProfile.from_entropies(
+            src, n_exp, read(float, "profiles", name, "beta"),
+            read_numbers(read, "profiles", name, "cond_entropies"),
+            read(bool, "profiles", name, "exact"))
 
-    code = _assemble(ch, inputs, desc["mode"], block_len, read(int, "k"), xi,
+    code = _assemble(ch, inputs, mode, block_len, read(int, "k"), xi,
                      split, order, ideal, profile,
                      lambda s: ToeplitzHash.from_hex(
                          read(str, "hashes", s.name, "hex"), block_len,
                          s.hash_len))
-    stored = {key: v for key, v in desc.items() if key != "config_hash"}
-    where = _first_difference(code_to_descriptor(code), stored)
+    where = _first_difference(code_to_descriptor(code, build_hash), desc)
+    if where == "['config_hash']":
+        raise ValueError(
+            f"descriptor config_hash {desc.get('config_hash')!r} does not "
+            f"stamp its body under this run's build config hash {build_hash}:"
+            f" it was built under another config, or edited since; rerun build")
     if where is not None:
         raise ValueError(f"descriptor field {where} differs from the code its "
                          f"inputs derive; it was edited or written by another "

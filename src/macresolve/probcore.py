@@ -14,6 +14,8 @@ nothing here touches global RNG state.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,6 +42,9 @@ __all__ = [
     "channel_from_json",
     "channel_to_json",
     "load_channel_file",
+    "json_reader",
+    "read_numbers",
+    "read_json_file",
 ]
 
 PMF_ATOL = 1e-12  # normalization tolerance on construction
@@ -403,6 +408,57 @@ def make_rng(seed: int | np.random.SeedSequence | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+# -- JSON documents --------------------------------------------------------------
+
+
+def json_reader(doc, what: str, hint: str = ""):
+    """``read(kind, *path)``: the field ``doc[path[0]][path[1]]...``.
+
+    ``kind`` is a type or a tuple of types, matched exactly (a bool is no
+    int, an int no float; a lone float must be finite).  A missing field, or
+    one of another JSON type, raises ValueError naming its path in ``what``.
+    """
+    def fail(path, problem):
+        where = "".join(f"[{key!r}]" for key in path)
+        raise ValueError(f"{what} field {where} {problem}{hint}")
+
+    def read(kind, *path):
+        value = doc
+        if path:   # a str key reads an object, an int key an array
+            key = path[-1]
+            holder = read(dict if isinstance(key, str) else list, *path[:-1])
+            if key not in (holder if type(holder) is dict else range(len(holder))):
+                fail(path, "is missing")
+            value = holder[key]
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if type(value) not in kinds or (kind is float
+                                        and not math.isfinite(value)):
+            fail(path, f"holds {reprlib.repr(value)}, not a valid "
+                 + " or ".join(k.__name__ for k in kinds))
+        return value
+    return read
+
+
+def read_numbers(read, *path) -> list:
+    """The array at ``path`` of a ``json_reader``, of numbers (finite or not)."""
+    values = read(list, *path)
+    for i in (i for i, v in enumerate(values) if type(v) not in (int, float)):
+        read((int, float), *path, i)   # raises, naming the entry
+    return values
+
+
+def read_json_file(path, what: str) -> dict:
+    """The JSON object in file ``path``; ``what`` names the file in errors."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:   # not JSON, or not UTF-8 text
+            raise ValueError(f"malformed {what} {path}: {e}") from None
+    if type(doc) is not dict:
+        raise ValueError(f"{what} {path} is not a JSON object")
+    return doc
+
+
 # -- channel spec file (JSON) --------------------------------------------------
 #
 # { "inputs": [2, 2], "output": 3, "transition": [[...], ...],
@@ -411,35 +467,34 @@ def make_rng(seed: int | np.random.SeedSequence | None) -> np.random.Generator:
 # most significant.
 
 
-def channel_from_json(obj: dict) -> tuple[MacChannel, list[Dist]]:
-    for key in ("inputs", "output", "transition"):
-        if key not in obj:
-            raise ValueError(f"channel spec missing field '{key}'")
-    sizes = [int(s) for s in obj["inputs"]]
-    out_size = int(obj["output"])
-    n_rows = int(np.prod(sizes))
-    try:
-        rows = np.asarray(obj["transition"], dtype=np.float64)
-    except ValueError:   # ragged rows, or entries that are not numbers
-        raise ValueError(f"transition must be {n_rows} rows of {out_size} "
-                         "numbers each, one per output symbol") from None
-    if rows.shape != (n_rows, out_size):
+def channel_from_json(obj: dict, read=None, at: tuple = ()
+                      ) -> tuple[MacChannel, list[Dist]]:
+    """Channel (fields at path ``at``) and input laws, through ``json_reader``
+    ``read`` of ``obj`` (by default, one naming a channel spec)."""
+    read = read or json_reader(obj, "channel spec")
+    sizes = [read(int, *at, "inputs", i)
+             for i in range(len(read(list, *at, "inputs")))]
+    out_size = read(int, *at, "output")
+    n_rows = math.prod(sizes)
+    rows = [read_numbers(read, *at, "transition", i)
+            for i in range(len(read(list, *at, "transition")))]
+    if len(rows) != n_rows or any(len(row) != out_size for row in rows):
         raise ValueError(
-            f"transition has shape {rows.shape}, expected ({n_rows}, {out_size}); "
-            "one row per input tuple in lexicographic order"
-        )
+            f"transition must have shape ({n_rows}, {out_size}): one row of "
+            f"{out_size} numbers per input tuple, in lexicographic order")
     ch = MacChannel(
         tuple(Alphabet(s) for s in sizes),
         Alphabet(out_size),
-        rows.reshape(tuple(sizes) + (out_size,)),
+        np.asarray(rows, dtype=np.float64).reshape(tuple(sizes) + (out_size,)),
     )
     dists = []
     if "input_dists" in obj:
-        raw = obj["input_dists"]
+        raw = [read_numbers(read, "input_dists", i)
+               for i in range(len(read(list, "input_dists")))]
         if len(raw) != len(sizes):
             raise ValueError(f"{len(raw)} input_dists for {len(sizes)} inputs")
-        dists = [Dist(Alphabet(sizes[i]), np.asarray(raw[i], dtype=np.float64))
-                 for i in range(len(sizes))]
+        dists = [Dist(Alphabet(s), np.asarray(pmf, dtype=np.float64))
+                 for s, pmf in zip(sizes, raw)]
     return ch, dists
 
 
@@ -455,9 +510,4 @@ def channel_to_json(ch: MacChannel, inputs: Sequence[Dist] | None = None) -> dic
 
 
 def load_channel_file(path) -> tuple[MacChannel, list[Dist]]:
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"malformed channel spec {path}: {e}") from e
-    return channel_from_json(obj)
+    return channel_from_json(read_json_file(path, "channel spec"))

@@ -63,6 +63,21 @@ class TestRegionCommand:
         assert rc == 1
         assert "transition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("inputs", 5), ("input_dists", 5), ("output", None)])
+    def test_mistyped_spec_field_named(self, tmp_path, capsys, field, value):
+        spec = channel_to_json(adder_mac(), [Dist.bernoulli(0.5)] * 2)
+        spec[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        rc = main(["region", "--channel", str(bad), "--out-dir",
+                   str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: channel spec field ['{field}'] " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", ["region", "simulate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["input_dists", "transition"])
@@ -258,11 +273,10 @@ class TestDescriptorProvenance:
         assert main(args + ["--k", "2"]) == 1
         err = capsys.readouterr().err
         assert (out / "report.json").read_bytes() == report
-        # the message names the stored hash and the k=2 build hash
-        assert main(["build", "--channel", adder_spec, "--n", "4", "--k", "2",
-                     "--idealized", "--out-dir", str(tmp_path / "k2")]) == 0
-        k2 = json.loads((tmp_path / "k2" / "descriptor.json").read_text())
-        assert desc["config_hash"] in err and k2["config_hash"] in err
+        # the message names the stored stamp and this run's build hash
+        k2 = cli.ExperimentConfig(channel=adder_spec, n=4, k=2,
+                                  idealized=True).build_hash()
+        assert desc["config_hash"] in err and k2 in err
         # an explicit --descriptor is checked the same way
         other = tmp_path / "o2"
         capsys.readouterr()
@@ -270,7 +284,7 @@ class TestDescriptorProvenance:
                                  "--k", "2", "--descriptor",
                                  str(out / "descriptor.json")]) == 1
         err = capsys.readouterr().err
-        assert desc["config_hash"] in err and k2["config_hash"] in err
+        assert desc["config_hash"] in err and k2 in err
         assert not (other / "report.json").exists()
 
     def test_missing_explicit_descriptor_is_an_error(self, adder_spec, tmp_path,
@@ -283,6 +297,19 @@ class TestDescriptorProvenance:
         assert "error:" in err and str(missing) in err
         assert not (out / "descriptor.json").exists()
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", None],
+                             ids=["not-json", "array", "directory"])
+    def test_unreadable_descriptor_file_named(self, adder_spec, tmp_path,
+                                              capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.mkdir() if text is None else bad.write_text(text)
+        out = tmp_path / "o"
+        assert main(self.BASE + ["--channel", adder_spec, "--out-dir", str(out),
+                                 "--k", "1", "--descriptor", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and str(bad) in err
+        assert not out.exists()
 
     def test_matching_rerun_reuses_descriptor(self, adder_spec, tmp_path,
                                               monkeypatch):
@@ -327,6 +354,12 @@ class TestDescriptorProvenance:
             cfg_hashes.append((cfg.hash(), cfg.build_hash()))
         assert region_hashes[0] == region_hashes[1]
         assert cfg_hashes[0] == cfg_hashes[1]
+
+
+def _flip_first_hash_bit(desc):
+    """Flip the first diagonal bit of the descriptor's longest hash."""
+    h = max(desc["hashes"].values(), key=lambda h: len(h["hex"]))
+    h["hex"] = f"{int(h['hex'][0], 16) ^ 8:x}" + h["hex"][1:]
 
 
 class TestDescriptorContents:
@@ -389,12 +422,27 @@ class TestDescriptorContents:
         (lambda desc: desc["hashes"]["x"].update(hex=5), "['hashes']['x']['hex']"),
         (lambda desc: desc["split"].update(eps="0.5"), "['split']['eps']"),
         (lambda desc: desc.update(xi=None), "['xi']"),
+        (lambda desc: desc.update(channel=5), "['channel']"),
+        (lambda desc: desc.update(profiles=[]), "['profiles']"),
+        (lambda desc: desc["channel"]["transition"][1].append({}),
+         "['channel']['transition'][1][3]"),
     ])
     def test_mistyped_field_named(self, adder_spec, tmp_path, capsys, edit,
                                   field):
         rc, err = self._simulate_edited(adder_spec, tmp_path, capsys, edit)
         assert rc == 1
         assert f"error: descriptor field {field} " in err and "rerun build" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda desc: desc.update(k=3), _flip_first_hash_bit], ids=["k", "hex"])
+    def test_edited_chosen_field_breaks_the_stamp(self, adder_spec, tmp_path,
+                                                  capsys, edit):
+        # the edited descriptor rebuilds cleanly, but its stamp was made over
+        # the body build wrote
+        rc, err = self._simulate_edited(adder_spec, tmp_path, capsys, edit)
+        assert rc == 1
+        assert "error: descriptor config_hash" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("spec,edit,message", [
         ("adder_spec", lambda desc: desc.update(user_order=[0, 1]),
@@ -404,7 +452,7 @@ class TestDescriptorContents:
         ("parallel_spec", lambda desc: desc.update(split={"eps": 0.5}),
          "a rate split applies to case 1 only, not case2"),
         ("adder3_spec", lambda desc: desc.update(split={"eps": 0.5}),
-         "rate splitting applies to two-user channels"),
+         "a rate split applies to case 1 only, not multi"),
         ("adder_spec", lambda desc: desc.update(mode="case2"),
          "a rate split applies to case 1 only, not case2"),
         ("parallel_spec", lambda desc: desc.update(mode="case1"),
@@ -461,6 +509,8 @@ class TestBuildInputsTheModeUses:
          "eps or its target r1, not both"),
         ("adder_spec", ["--ideal-xi", "0.2"], "apply only with --idealized"),
         ("adder_spec", ["--ideal-delta", "0.2"], "apply only with --idealized"),
+        ("adder_spec", ["--idealized", "--xi", "0.3"],
+         "--xi does not apply with --idealized"),
     ])
     def test_unused_input_refused(self, request, tmp_path, capsys, spec, flags,
                                   message):

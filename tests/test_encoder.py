@@ -29,6 +29,7 @@ from macresolve.ratesplit import split_rates
 
 UNIF = Dist.bernoulli(0.5)
 IDEAL = IdealizedOverrides()
+BUILD = "0123456789abcdef"   # stands in for a build config's hash
 
 
 def adder_code(n=8, k=3, seed=11, eps_split=0.5):
@@ -330,14 +331,14 @@ class TestAchievedRates:
 class TestDescriptor:
     def test_roundtrip_bit_exact(self):
         code = adder_code(n=8, k=2)
-        desc = code_to_descriptor(code)
+        desc = code_to_descriptor(code, BUILD)
         blob = json.dumps(desc, sort_keys=True)
-        code2 = code_from_descriptor(json.loads(blob))
+        code2 = code_from_descriptor(json.loads(blob), BUILD)
         a = run_trials(code, 50, make_rng(18))
         b = run_trials(code2, 50, make_rng(18))
         assert np.array_equal(a.channel_out, b.channel_out)
         assert descriptor_hash(desc) == descriptor_hash(
-            code_to_descriptor(code2))
+            code_to_descriptor(code2, BUILD))
 
     def test_rebuild_reproduces_sampled_profiles(self, monkeypatch):
         # the descriptor carries every stream's profile, so a rebuild uses the
@@ -351,7 +352,7 @@ class TestDescriptor:
                            rng=make_rng(13)),
             adder_code(n=8, k=2),
         ]
-        blobs = [json.dumps(code_to_descriptor(code), sort_keys=True)
+        blobs = [json.dumps(code_to_descriptor(code, BUILD), sort_keys=True)
                  for code in codes]
 
         def no_profiling(*args, **kwargs):
@@ -359,7 +360,7 @@ class TestDescriptor:
 
         monkeypatch.setattr(encoder, "compute_profile", no_profiling)
         for code, blob, sampled in zip(codes, blobs, (True, True, False)):
-            code2 = code_from_descriptor(json.loads(blob))
+            code2 = code_from_descriptor(json.loads(blob), BUILD)
             for s in code.plan.streams:
                 prof = code.codecs[s.name].profile
                 prof2 = code2.codecs[s.name].profile

@@ -1,4 +1,5 @@
-"""Every function the benchmark's tracer patches exists where it patches it.
+"""Every function the benchmark's tracer patches exists where it patches it,
+and the benchmark's own output checks accept what the program writes.
 
 ``perfbench/tracing.py`` replaces each target of ``INSTRUMENTS`` in the
 namespace its callers read it from (``encoder.split_rates``, not only
@@ -10,6 +11,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from conftest import adder_mac
 from macresolve import cli
 from macresolve.probcore import Dist, channel_to_json
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
 tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
@@ -100,3 +104,13 @@ def test_traced_exhaustive_simulate_loads_the_descriptor(tracer, adder_spec,
             "evaluator.exact_report"} <= names
     metrics = tracing.layer_metrics(spans[:n_build], spans[n_build:], sim_s, sim_s)
     assert set(metrics) >= {name for name, _, _ in tracing.PER_LAYER}
+
+
+def test_benchmark_selftest_passes():
+    # builds and simulates one tiny code through the CLI, then runs the
+    # benchmark's report checks on it: a descriptor or report change that
+    # those checks reject fails here, not only in a benchmark run
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=_ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

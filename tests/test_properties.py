@@ -20,6 +20,7 @@ from macresolve.encoder import IdealizedOverrides, build_mac_code, \
 from macresolve.probcore import Dist, channel_to_json, make_rng
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
+BUILD = "0123456789abcdef"   # stands in for a build config's hash
 
 
 @st.composite
@@ -50,8 +51,9 @@ def small_codes(draw):
 @SETTINGS
 @given(small_codes())
 def test_descriptor_round_trip(code):
-    desc = code_to_descriptor(code)
-    again = code_to_descriptor(code_from_descriptor(json.loads(json.dumps(desc))))
+    desc = code_to_descriptor(code, BUILD)
+    again = code_to_descriptor(
+        code_from_descriptor(json.loads(json.dumps(desc)), BUILD), BUILD)
     assert again == desc
     assert json.dumps(again) == json.dumps(desc)
 
@@ -68,7 +70,7 @@ def _edited(value):
 @SETTINGS
 @given(small_codes(), st.data())
 def test_edited_derived_leaf_is_named(code, data):
-    desc = json.loads(json.dumps(code_to_descriptor(code)))
+    desc = json.loads(json.dumps(code_to_descriptor(code, BUILD)))
     leaves = [("streams", i, key) for i, s in enumerate(desc["streams"])
               for key in s]
     leaves += [("eps",), ("asymptotic_only",)]
@@ -81,19 +83,23 @@ def test_edited_derived_leaf_is_named(code, data):
     owner[path[-1]] = _edited(owner[path[-1]])
     where = "".join(f"[{key!r}]" for key in path)
     with pytest.raises(ValueError, match=re.escape(f"descriptor field {where} ")):
-        code_from_descriptor(desc)
+        code_from_descriptor(desc, BUILD)
 
 
 @SETTINGS
 @given(small_codes(), st.data())
 def test_mistyped_chosen_leaf_is_named(code, data):
-    desc = json.loads(json.dumps(code_to_descriptor(code)))
+    desc = json.loads(json.dumps(code_to_descriptor(code, BUILD)))
     leaves = [("block_len",), ("k",), ("xi",), ("delta",)]
     if desc["split"] is not None:
         leaves.append(("split", "eps"))
     leaves += [(table, name, key) for table, key in (("profiles", "beta"),
                                                       ("hashes", "hex"))
                for name in desc[table]]
+    # the containers the loader reads, and the JSON types each may take
+    takes = {("split",): (dict, type(None)), ("user_order",): (list, type(None))}
+    leaves += [(key,) for key in ("channel", "input_dists", "profiles",
+                                  "hashes", "split", "user_order")]
     path = data.draw(st.sampled_from(leaves))
     owner = desc
     for key in path[:-1]:
@@ -102,10 +108,10 @@ def test_mistyped_chosen_leaf_is_named(code, data):
     owner[path[-1]] = data.draw(st.sampled_from(
         [other for other in (str(value), None, True, 1, 1.5, [value],
                              {"v": value})
-         if type(other) is not type(value)]))
+         if type(other) not in takes.get(path, (type(value),))]))
     where = "".join(f"[{key!r}]" for key in path)
     with pytest.raises(ValueError, match=re.escape(f"descriptor field {where} ")):
-        code_from_descriptor(desc)
+        code_from_descriptor(desc, BUILD)
 
 
 _ADDER = channel_to_json(adder_mac(), [Dist.bernoulli(0.5)] * 2)
@@ -113,37 +119,49 @@ _ADDER = channel_to_json(adder_mac(), [Dist.bernoulli(0.5)] * 2)
 
 @st.composite
 def malformed_specs(draw):
-    """(kind, spec, extra flags) of a channel spec that no command may accept."""
+    """(spec, extra flags, text the error names) of a channel spec that no
+    command may accept."""
     spec = json.loads(json.dumps(_ADDER))
-    kind = draw(st.sampled_from(["non_finite", "shape", "ragged", "ternary"]))
+    kind = draw(st.sampled_from(["non_finite", "shape", "ragged", "ternary",
+                                 "mistyped"]))
     if kind == "non_finite":
         field = draw(st.sampled_from(["transition", "input_dists"]))
         row = draw(st.integers(0, len(spec[field]) - 1))
         col = draw(st.integers(0, len(spec[field][row]) - 1))
         spec[field][row][col] = draw(st.sampled_from(
             [math.nan, math.inf, -math.inf]))
-    elif kind == "shape":
+        return spec, [], "non-finite"
+    if kind == "shape":
         rows = draw(st.integers(1, 6).filter(lambda n: n != 4))
         width = draw(st.integers(1, 5))
         spec["transition"] = [[1.0] + [0.0] * (width - 1)] * rows
-    elif kind == "ragged":
+        return spec, [], "transition"
+    if kind == "ragged":
         row = draw(st.integers(0, 3))
         spec["transition"][row] = spec["transition"][row][
             :draw(st.sampled_from([1, 2]))]
-    else:
-        # Y ternary: Z = X + Y over {0..3}; rate splitting needs binary inputs
-        spec = {"inputs": [2, 3], "output": 4,
-                "transition": [[1.0 if z == x + y else 0.0 for z in range(4)]
-                               for x in range(2) for y in range(3)],
-                "input_dists": [[0.5, 0.5], [0.2, 0.3, 0.5]]}
-        return kind, spec, ["--mode", "case1"]
-    return kind, spec, []
+        return spec, [], "transition"
+    if kind == "mistyped":   # a field of another JSON type
+        field = draw(st.sampled_from(["inputs", "output", "transition",
+                                      "input_dists"]))
+        value = spec[field]
+        spec[field] = draw(st.sampled_from(
+            [other for other in (str(value), None, True, 1, 1.5, [value],
+                                 {"v": value})
+             if type(other) is not type(value)]))
+        return spec, [], f"channel spec field ['{field}'] "
+    # Y ternary: Z = X + Y over {0..3}; rate splitting needs binary inputs
+    spec = {"inputs": [2, 3], "output": 4,
+            "transition": [[1.0 if z == x + y else 0.0 for z in range(4)]
+                           for x in range(2) for y in range(3)],
+            "input_dists": [[0.5, 0.5], [0.2, 0.3, 0.5]]}
+    return spec, ["--mode", "case1"], ""
 
 
 @SETTINGS
 @given(malformed_specs())
 def test_malformed_spec_exits_with_a_message(spec_flags):
-    kind, spec, flags = spec_flags
+    spec, flags, named = spec_flags
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(spec))
@@ -154,6 +172,5 @@ def test_malformed_spec_exits_with_a_message(spec_flags):
         assert rc == 1
         assert "error: " in err.getvalue()
         assert "Traceback" not in err.getvalue()
-        if kind in ("shape", "ragged"):
-            assert "transition" in err.getvalue()
+        assert named in err.getvalue()
         assert not (Path(tmp) / "o").exists()
