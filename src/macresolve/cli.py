@@ -24,6 +24,7 @@ import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,11 @@ class ExperimentConfig:
                      "order")
     _SIM_FIELDS = _BUILD_FIELDS + ("trials", "window", "rec_bits", "recycle")
 
+    @cached_property
+    def _spec(self):
+        """The channel and input laws the channel path names, read once."""
+        return load_channel_file(self.channel)
+
     def _hash_fields(self, fields) -> str:
         d = asdict(self)
         # the spec the path names, as loaded: a rewritten file changes the
@@ -126,7 +132,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _load_inputs(cfg: ExperimentConfig, *, quiet: bool = False):
-    ch, dists = load_channel_file(cfg.channel)
+    ch, dists = cfg._spec
     if not dists:
         from .probcore import Dist
 

@@ -513,9 +513,9 @@ def run_trials(
         if word not in streams:
             streams[word] = np.maximum.reduce([streams[p] for p in parts])
         words.append(streams[word])
-    channel_out = np.stack(
-        [transmit(code.channel, [w[:, i, :] for w in words], rng)
-         for i in range(plan.k)], axis=1)
+    channel_out = np.empty(words[0].shape, dtype=np.int64)
+    for i in range(plan.k):
+        channel_out[:, i] = transmit(code.channel, [w[:, i, :] for w in words], rng)
     return BatchTranscript(streams, fresh, recycled, channel_out)
 
 
@@ -561,8 +561,14 @@ def code_to_descriptor(code: MacCode, build_hash: str) -> dict:
     (``tolist`` float64, which JSON round-trips exactly), so a rebuild never
     profiles.  Its ``config_hash`` stamps the body with ``build_hash``.
     """
+    body = _descriptor_body(code)
+    return {**body, "config_hash": _stamp(build_hash, _body_json(body))}
+
+
+def _descriptor_body(code: MacCode) -> dict:
+    """The descriptor without its ``config_hash`` stamp."""
     plan = code.plan
-    desc = {
+    return {
         "mode": plan.mode,
         "block_len": plan.block_len,
         "k": plan.k,
@@ -585,9 +591,12 @@ def code_to_descriptor(code: MacCode, build_hash: str) -> dict:
                      for name, c in code.codecs.items()},
         "user_order": list(code.user_order) if code.user_order else None,
     }
-    desc["config_hash"] = hashlib.sha256(
-        f"{build_hash} {descriptor_hash(desc)}".encode()).hexdigest()[:16]
-    return desc
+
+
+def _stamp(build_hash: str, body_json: str) -> str:
+    """The ``config_hash`` of a body (as ``_body_json``) under ``build_hash``."""
+    body_hash = hashlib.sha256(body_json.encode()).hexdigest()[:16]
+    return hashlib.sha256(f"{build_hash} {body_hash}".encode()).hexdigest()[:16]
 
 
 def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
@@ -627,7 +636,14 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
                      lambda s: ToeplitzHash.from_hex(
                          read(str, "hashes", s.name, "hex"), block_len,
                          s.hash_len))
-    where = _first_difference(code_to_descriptor(code, build_hash), desc)
+    body = _descriptor_body(code)
+    text = _body_json(body)
+    stamp = _stamp(build_hash, text)
+    # equal canonical JSON is equal JSON, since dumps keeps 1, 1.0 and true
+    # apart; the walk only names where they differ
+    if stamp == desc.get("config_hash") and text == _body_json(desc):
+        return code
+    where = _first_difference({**body, "config_hash": stamp}, desc)
     if where == "['config_hash']":
         raise ValueError(
             f"descriptor config_hash {desc.get('config_hash')!r} does not "
@@ -660,10 +676,13 @@ def _first_difference(built, stored, path: str = "") -> str | None:
 
 def descriptor_hash(desc: dict) -> str:
     """Hash of the descriptor's code, its ``config_hash`` stamp left out."""
-    body = {key: v for key, v in desc.items() if key != "config_hash"}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode()
-    ).hexdigest()[:16]
+    return hashlib.sha256(_body_json(desc).encode()).hexdigest()[:16]
+
+
+def _body_json(desc: dict) -> str:
+    """Canonical JSON of the descriptor, its ``config_hash`` stamp left out."""
+    return json.dumps({key: v for key, v in desc.items() if key != "config_hash"},
+                      sort_keys=True)
 
 
 def transcript_to_csv(bt: BatchTranscript, trial: int, path) -> None:

@@ -66,6 +66,7 @@ EXACT_STATE_BUDGET = 1 << 24
 # (and of the recycled-row products) at once
 EXACT_CHUNK_ENTRIES = 1 << 15
 GEOM_TOL = 1e-9
+COUNT_ROWS = 1024   # rows per histogram pass in _count_rows
 
 
 # -- region geometry -----------------------------------------------------------
@@ -535,16 +536,24 @@ def _window_cells(z: np.ndarray, z_size: int, w: int) -> np.ndarray:
     trials, k, n_sym = z.shape
     cells = np.zeros((trials, k, n_sym - w + 1), dtype=np.int64)
     for off in range(w):
-        cells = cells * z_size + z[:, :, off:n_sym - w + 1 + off]
+        cells *= z_size
+        cells += z[:, :, off:n_sym - w + 1 + off]
     return cells
 
 
 def _count_rows(cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """Per-row histogram of cell indices: (rows, n) -> (rows, n_cells)."""
-    rows = cells.shape[0]
-    flat = cells + np.arange(rows)[:, None] * n_cells
-    return np.bincount(flat.reshape(-1), minlength=rows * n_cells).reshape(
-        rows, n_cells).astype(np.int32)
+    """Per-row histogram of cell indices: (rows, n) -> (rows, n_cells).
+
+    Counted ``COUNT_ROWS`` rows at a time, so that the offset copy of the
+    cells stays small beside them.
+    """
+    out = np.empty((cells.shape[0], n_cells), dtype=np.int32)
+    for lo in range(0, len(out), COUNT_ROWS):
+        block = out[lo:lo + COUNT_ROWS]
+        flat = cells[lo:lo + len(block)] + np.arange(len(block))[:, None] * n_cells
+        block[:] = np.bincount(flat.reshape(-1), minlength=block.size).reshape(
+            block.shape)
+    return out
 
 
 def _poisson_rows(rng: np.random.Generator, reps: int, trials: int):

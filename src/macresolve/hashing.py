@@ -13,6 +13,7 @@ randomness and is never charged against any rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,14 @@ def bits_to_hex(bits: np.ndarray) -> str:
     pad = (-bits.size) % 4
     nibbles = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)]).reshape(-1, 4)
     return "".join(f"{v:x}" for v in (nibbles * [8, 4, 2, 1]).sum(axis=1))
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Bit rows (rows, n) packed into (rows, ceil(n / 64)) uint64 words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    padded = np.zeros((len(bits), -(-bits.shape[-1] // 64) * 8), dtype=np.uint8)
+    padded[:, :packed.shape[-1]] = packed
+    return padded.view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,25 @@ class ToeplitzHash:
             raise ValueError(f"input length {x.shape[-1]}, expected {self.in_len}")
         if self.out_len == 0:
             return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
-        prod = x.astype(np.int64) @ self.matrix().T.astype(np.int64)
-        return (prod & 1).astype(np.uint8)
+        # parity of each row AND x, on 64-bit words: XOR the words together,
+        # fold each word onto its low byte by XORing its halves, then shift
+        xw = _pack_words(x.reshape(-1, self.in_len))
+        rows = self._packed_rows
+        acc = xw[:, :1] & rows[:, 0]
+        for w in range(1, rows.shape[1]):
+            acc ^= xw[:, w:w + 1] & rows[:, w]
+        for half in (np.uint32, np.uint16, np.uint8):
+            pair = acc.view(half).reshape(acc.shape + (2,))
+            acc = pair[..., 0] ^ pair[..., 1]
+        for shift in (4, 2, 1):
+            acc ^= acc >> shift
+        acc &= 1
+        return acc.reshape(x.shape[:-1] + (self.out_len,))
+
+    @cached_property
+    def _packed_rows(self) -> np.ndarray:
+        """The matrix rows as 64-bit words, (out_len, words)."""
+        return _pack_words(self.matrix())
 
     def to_hex(self) -> str:
         """Diagonal bits as a hex string (first bit in the high nibble)."""

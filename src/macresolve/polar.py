@@ -19,6 +19,16 @@ of blocks.  Encoding and sampled profiling run it over their own blocks; exact
 profiles and exact output laws run it over all 2^N blocks (N <= 20) and weight
 each block by its probability.
 
+The source is i.i.d., so at every node of the pass all positions share one
+prior function of a small integer context.  While that function's table has at
+most ``TABLE_MAX`` entries the pass carries the table and an int32 context per
+position instead of a dense float prior per position; past that size, and at
+the leaves, it gathers the dense priors and goes on with the dense laws.  Both
+modes evaluate the same float expressions on the same operands, so every
+conditional is bit-identical whichever mode computed it.  Encoding skips the
+subtrees whose coordinates are all seed coordinates: their block is the
+transform of their seed bits, whatever the priors are.
+
 Index convention: coordinates are 0-based internally; documentation quoting
 1-based positions always says so.
 """
@@ -57,23 +67,36 @@ EXACT_CAP_N = 20  # 2^N enumeration above this is refused
 # conditional-argmax ties (exact 0.5 arises from parity symmetries) resolve
 # to 0; the tolerance keeps the choice stable against last-ulp noise
 TIE_TOL = 1e-12
+# largest shared-prior table the SC pass carries before it goes dense
+TABLE_MAX = 4096
 
 
 def polar_transform(bits: np.ndarray) -> np.ndarray:
     """Apply the involutive polarization transform along the last axis.
 
-    Length must be a power of two.  Accepts batched input (..., N).
+    Length must be a power of two.  Accepts batched input (..., N).  The
+    work runs coordinate-major, so a batched result is a transposed view.
     """
-    x = np.array(bits, dtype=np.uint8, copy=True) & 1
-    n_sym = x.shape[-1]
+    x = np.moveaxis(np.asarray(bits), -1, 0)
+    n_sym = x.shape[0]
     if n_sym == 0 or (n_sym & (n_sym - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n_sym}")
-    n = n_sym.bit_length() - 1
-    for b in range(n):
-        half = 1 << b
-        step = half << 1
-        for j in range(0, n_sym, step):
-            x[..., j:j + half] ^= x[..., j + half:j + step]
+    x = np.array(x, dtype=np.uint8, order="C")
+    x &= 1
+    return np.moveaxis(_transform_cm(x), 0, -1)
+
+
+def _transform_cm(x: np.ndarray) -> np.ndarray:
+    """The transform along axis 0 of a C-contiguous uint8 array, in place.
+
+    Coordinate-major, every XOR of a level runs over whole rows at once.
+    """
+    m, rest = len(x), x.size // max(len(x), 1)
+    half = 1
+    while half < m:
+        v = x.reshape(m // (2 * half), 2, half, rest)
+        v[:, 0] ^= v[:, 1]
+        half <<= 1
     return x
 
 
@@ -175,7 +198,7 @@ def compute_profile(
     p1 = _check_binary_source(source)
     n_sym = 1 << n
     if n_sym <= EXACT_CAP_N and mc_samples is None:
-        x, reduce = all_bit_rows(n_sym), iid_block_pmf(source, n_sym).dot
+        x, reduce = all_bit_rows(n_sym).T, iid_block_pmf(source, n_sym).dot
     elif mc_samples is None:
         raise ValueError(
             f"N={n_sym} exceeds the exact cap {EXACT_CAP_N}; "
@@ -184,17 +207,17 @@ def compute_profile(
     elif rng is None:
         raise ValueError("approximate profiling needs an explicit rng")
     else:
-        x = (rng.random((int(mc_samples), n_sym)) < p1).astype(np.uint8)
+        x = (rng.random((int(mc_samples), n_sym)) < p1).T
         reduce = np.mean
-    a = polar_transform(x)
+    a = _transform_cm(np.array(x, dtype=np.uint8, order="C"))
     ce = np.empty(n_sym)
 
     def surprisal(j, pj):
-        prob = np.where(a[:, j] == 1, pj, 1.0 - pj)
+        prob = np.where(a[j] == 1, pj, 1.0 - pj)
         ce[j] = float(reduce(-np.log2(np.clip(prob, 1e-300, None))))
-        return a[:, j]
+        return a[j]
 
-    _sc(np.broadcast_to(p1, (n_sym, len(x))), surprisal)
+    _sc_iid(p1, a.shape, surprisal)
     return PolarProfile.from_entropies(source, n, beta, np.clip(ce, 0.0, 1.0),
                                        exact=mc_samples is None)
 
@@ -232,32 +255,70 @@ class ResolvabilityCode:
         return t
 
 
-def _sc(prior: np.ndarray, leaf, start: int = 0) -> np.ndarray:
-    """Successive cancellation: one depth-first butterfly pass, batched.
+def _left_law(p_l, p_r):
+    """P(x_L ^ x_R = 1) of independent bits with P(x = 1) = p_l, p_r."""
+    return p_l * (1.0 - p_r) + (1.0 - p_l) * p_r
 
-    ``prior`` (m, batch) holds P(x_t = 1) for independent bits x_t,
-    coordinate-major so that every operation runs along the batch.  The
-    coordinates of a = polar_transform(x) are decided in index order, numbered
-    from ``start``: ``leaf(j, p)`` gets p = P(a_j = 1 | a_<j), shape (batch,),
-    and returns the uint8 bits a_j.  Returns x as (m, batch); O(m log m) work
-    per block.
-    """
-    m = len(prior)
-    if m == 1:
-        return leaf(start, prior[0])[None]
-    half = m // 2
-    p_l, p_r = prior[:half], prior[half:]
-    # the first half of a transforms s = x_L ^ x_R, the second half x_R
-    s = _sc(p_l * (1.0 - p_r) + (1.0 - p_l) * p_r, leaf, start)
+
+def _right_law(p_l, p_r, s):
+    """P(x_R = 1 | x_L ^ x_R = s) of the same bits; 1/2 where s is impossible."""
     g = np.where(s == 1, 1.0 - p_l, p_l)        # P(x_L = s ^ 1)
     g *= p_r
     tot = np.where(s == 1, p_l, 1.0 - p_l)      # P(x_L = s)
     tot *= 1.0 - p_r
     tot += g
-    np.divide(g, tot, out=g, where=tot > 0)     # P(x_R = 1 | s)
+    np.divide(g, tot, out=g, where=tot > 0)
     g[tot <= 0] = 0.5
-    x_r = _sc(g, leaf, start + half)
+    return g
+
+
+def _sc(prior: np.ndarray, leaf, start: int = 0, ctx: np.ndarray | None = None,
+        known=None) -> np.ndarray:
+    """Successive cancellation: one depth-first butterfly pass, batched.
+
+    ``prior`` (m, batch) holds P(x_t = 1) for independent bits x_t,
+    coordinate-major so that every operation runs along the batch.  With
+    ``ctx`` (m, batch) of ints given, ``prior`` is instead a table and the
+    prior of x_t is ``prior[ctx[t]]``: the left child's table holds the left
+    law of every pair of entries, the right child's the right law of every
+    (pair, s) triple, and once a child's table would pass ``TABLE_MAX``
+    entries the pass gathers the dense priors and goes on densely.  The
+    coordinates of a = polar_transform(x) are decided in index order, numbered
+    from ``start``: ``leaf(j, p)`` gets p = P(a_j = 1 | a_<j), shape (batch,),
+    and returns the uint8 bits a_j.  ``known(start, m)``, if given, returns the
+    (m, batch) bits of a subtree's coordinates when its caller fixes all of
+    them regardless of their conditionals, else None; such a subtree is not
+    descended.  Returns x as (m, batch); O(m log m) work per block.
+    """
+    m = len(ctx if ctx is not None else prior)
+    if known is not None and (bits := known(start, m)) is not None:
+        return _transform_cm(bits)
+    if ctx is not None and (m == 1 or 2 * len(prior) ** 2 > TABLE_MAX):
+        prior, ctx = prior[ctx], None
+    if m == 1:
+        return leaf(start, prior[0])[None]
+    half = m // 2
+    # the first half of a transforms s = x_L ^ x_R, the second half x_R
+    if ctx is None:
+        p_l, p_r = prior[:half], prior[half:]
+        s = _sc(_left_law(p_l, p_r), leaf, start, known=known)
+        x_r = _sc(_right_law(p_l, p_r, s), leaf, start + half, known=known)
+        return np.concatenate((s ^ x_r, x_r))
+    k = len(prior)
+    # with one entry every context is 0, and so is every pair's
+    pair = ctx[:half] if k == 1 else ctx[:half] * k + ctx[half:]
+    p_l, p_r = np.repeat(prior, k), np.tile(prior, k)
+    s = _sc(_left_law(p_l, p_r), leaf, start, pair, known)
+    x_r = _sc(_right_law(np.repeat(p_l, 2), np.repeat(p_r, 2),
+                         np.tile(np.array([0, 1], dtype=np.uint8), k * k)),
+              leaf, start + half, pair * 2 + s, known)
     return np.concatenate((s ^ x_r, x_r))
+
+
+def _sc_iid(p1: float, shape: tuple[int, int], leaf, known=None) -> np.ndarray:
+    """The pass over (N, batch) i.i.d. Bern(p1) bits: one table entry, one context."""
+    return _sc(np.array([p1]), leaf, ctx=np.zeros(shape, dtype=np.int32),
+               known=known)
 
 
 def encode_batch(
@@ -271,17 +332,24 @@ def encode_batch(
         )
     batch = seeds.shape[0]
     tiers = code._tiers
-    seed_cols = iter(seeds.T)
+    seed_rows = np.ascontiguousarray(seeds.T)
+    # seeds before each coordinate: the seed coordinates of a subtree are
+    # consecutive seed columns
+    before = np.concatenate(([0], np.cumsum(tiers == 0)))
+
+    def seeded(start, m):
+        lo = before[start]
+        if before[start + m] - lo < m:
+            return None
+        return np.array(seed_rows[lo:lo + m], order="C")
 
     def decide(j, pj):
-        if tiers[j] == 0:
-            return next(seed_cols)
         if tiers[j] == 1:
             return (rng.random(batch) < pj).astype(np.uint8)
         return (pj > 0.5 + TIE_TOL).astype(np.uint8)
 
     p1 = float(code.profile.source.pmf[1])
-    return _sc(np.broadcast_to(p1, (code.block_len, batch)), decide).T.copy()
+    return _sc_iid(p1, (code.block_len, batch), decide, seeded).T.copy()
 
 
 def encode(
@@ -314,22 +382,22 @@ def output_pmf_exact(
         else np.zeros(0, dtype=np.uint8)
     if clamp.ndim != 1 or clamp.size > code.seed_len:
         raise ValueError(f"clamp length {clamp.size} exceeds seed length {code.seed_len}")
-    a = polar_transform(all_bit_rows(n_sym))
+    a = _transform_cm(np.array(all_bit_rows(n_sym).T, order="C"))
     tiers = code._tiers
     clamp_bits = iter(clamp)
-    px = np.ones(len(a))
+    px = np.ones(a.shape[1])
 
     def weigh(j, pj):
         if tiers[j] == 0:
             bit = next(clamp_bits, None)
-            px[:] *= 0.5 if bit is None else a[:, j] == bit
+            px[:] *= 0.5 if bit is None else a[j] == bit
         elif tiers[j] == 1:
-            px[:] *= np.where(a[:, j] == 1, pj, 1.0 - pj)
+            px[:] *= np.where(a[j] == 1, pj, 1.0 - pj)
         else:
-            px[:] *= a[:, j] == (pj > 0.5 + TIE_TOL)
-        return a[:, j]
+            px[:] *= a[j] == (pj > 0.5 + TIE_TOL)
+        return a[j]
 
-    _sc(np.broadcast_to(float(code.profile.source.pmf[1]), a.T.shape), weigh)
+    _sc_iid(float(code.profile.source.pmf[1]), a.shape, weigh)
     return px
 
 

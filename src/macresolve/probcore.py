@@ -360,15 +360,26 @@ def transmit(
     for i, w in enumerate(words):
         if w.shape != words[0].shape:
             raise ValueError("codeword length mismatch")
-        if w.size and (w.min() < 0 or w.max() >= ch.input_alphabets[i].size):
+        if w.size and ((w.dtype.kind == "i" and w.min() < 0)
+                       or w.max() >= ch.input_alphabets[i].size):
             raise ValueError(f"codeword {i} has symbols outside its alphabet")
     if words[0].size == 0:
         return np.zeros(words[0].shape, dtype=np.int64)
-    u = rng.random(size=words[0].shape + (1,))
-    # inverse-CDF per position, read from the cumulative table so that only
-    # one (..., N, |Z|) array exists at a time
-    out = np.sum(u >= np.cumsum(ch.transition, axis=-1)[tuple(words)], axis=-1)
-    return out.clip(0, ch.output_alphabet.size - 1).astype(np.int64)
+    u = rng.random(size=words[0].shape)
+    # inverse CDF per position: the output counts the entries of the joint
+    # input's cumulative row that the draw reaches.  A draw in [0, 1) always
+    # reaches an entry <= 0 and never one >= 1, so the columns of only such
+    # entries are counted per joint input, not compared per position.
+    joint = words[0].astype(np.intp)
+    for w, a in zip(words[1:], ch.input_alphabets[1:]):
+        joint *= a.size
+        joint += w
+    cum = np.cumsum(ch.transition, axis=-1).reshape(-1, ch.output_alphabet.size)
+    sure = np.all((cum <= 0) | (cum >= 1), axis=0)
+    out = (cum[:, sure] <= 0).sum(axis=1, dtype=np.int64)[joint]
+    for col in cum[:, ~sure].T:
+        out += u >= col[joint]
+    return out.clip(0, ch.output_alphabet.size - 1)
 
 
 # -- bit-sequence <-> integer index conventions ------------------------------

@@ -72,6 +72,20 @@ class TestApply:
             assert np.array_equal(batch[i], h.apply(xs[i]))
 
 
+    @pytest.mark.parametrize("in_len", [1, 7, 63, 64, 65, 130])
+    def test_packed_parities_match_the_matrix_product(self, in_len):
+        # the words are 64 bits wide: these lengths fill none, one exactly
+        # and spill over into a second and a third
+        rng = make_rng(in_len)
+        xs = rng.integers(0, 2, size=(3, 40, in_len), dtype=np.uint8)
+        for out_len in (0, in_len):
+            h = sample_hash(rng, in_len, out_len)
+            want = (xs.astype(np.int64) @ h.matrix().T.astype(np.int64)) % 2
+            got = h.apply_batch(xs)
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 class TestTwoUniversality:
     def test_exact_average_over_family_small_n(self):
         # enumerate every diagonal: collision probability of any fixed

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macresolve import polar
 from macresolve.polar import (
     EXACT_CAP_N,
     PolarProfile,
@@ -330,6 +331,30 @@ class TestScConditional:
             assert got.dtype == np.uint8
             assert np.array_equal(got, ref_encode_batch(code, seeds,
                                                         make_rng(n + 20)))
+
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("p", [0.11, 0.3, 0.5])
+    def test_tables_match_the_dense_pass(self, p, n, monkeypatch):
+        # at batch 4096 the shared-prior tables last until they reach
+        # TABLE_MAX; with TABLE_MAX 0 the pass is dense from the root
+        src = Dist.bernoulli(p)
+
+        def run():
+            rng = make_rng(n)
+            prof = compute_profile(src, n, mc_samples=4096, rng=rng)
+            code = ResolvabilityCode(prof)
+            seeds = rng.integers(0, 2, size=(4096, code.seed_len),
+                                 dtype=np.uint8)
+            return prof.cond_entropies, encode_batch(code, seeds, rng), \
+                rng.random()
+
+        tables = run()
+        monkeypatch.setattr(polar, "TABLE_MAX", 0)
+        dense = run()
+        assert np.array_equal(tables[0], dense[0])
+        assert np.array_equal(tables[1], dense[1])
+        assert tables[2] == dense[2]
 
 
 class TestEncode:

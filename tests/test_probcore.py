@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adder_mac, random_input, random_mac
+from conftest import adder_mac, adder_mac3, random_input, random_mac
 from macresolve.probcore import (
     Alphabet,
     Dist,
@@ -219,6 +219,13 @@ class TestTargetOutputDist:
             target_output_dist(random_mac(rng), [Dist.bernoulli(0.5)])
 
 
+def half_noisy_mac3() -> MacChannel:
+    """3-user adder whose all-zero input row is noisy instead."""
+    t = adder_mac3().transition.copy()
+    t[0, 0, 0] = [0.5, 0.25, 0.125, 0.125]
+    return MacChannel(adder_mac3().input_alphabets, Alphabet(4), t)
+
+
 class TestTransmit:
     def test_deterministic_channel_exact_image(self, rng):
         ch = adder_mac()
@@ -249,6 +256,33 @@ class TestTransmit:
         emp = np.bincount(z, minlength=4) / n
         target = target_output_dist(ch, ins).pmf
         assert np.abs(emp - target).sum() <= 0.01
+
+
+    @staticmethod
+    def cumulative_oracle(ch, words, rng):
+        """Inverse CDF through one (..., N, |Z|) gather of the cumulative table."""
+        u = rng.random(size=words[0].shape + (1,))
+        out = np.sum(u >= np.cumsum(ch.transition, axis=-1)[tuple(words)],
+                     axis=-1)
+        return out.clip(0, ch.output_alphabet.size - 1).astype(np.int64)
+
+    @pytest.mark.parametrize("make_ch", [
+        lambda: random_mac(make_rng(2), n_users=2, z_size=4),
+        lambda: random_mac(make_rng(3), n_users=3, z_size=4),
+        adder_mac3,
+        half_noisy_mac3,
+    ], ids=["noisy2", "noisy3", "adder3", "half_noisy3"])
+    def test_matches_the_cumulative_table_oracle(self, make_ch):
+        ch = make_ch()
+        gen = make_rng(10 + ch.n_users)
+        words = [gen.integers(0, 2, size=(300, 16), dtype=np.uint8)
+                 for _ in range(ch.n_users)]
+        got_rng, want_rng = make_rng(7), make_rng(7)
+        got = transmit(ch, words, got_rng)
+        want = self.cumulative_oracle(ch, words, want_rng)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
+        assert len(np.unique(got)) == 4
 
 
 class TestBitPacking:
