@@ -46,8 +46,8 @@ for n in (8, 16, 32):
     code = build_mac_code(adder, inputs, block_len=n, k=5, xi=0.05,
                           idealized=IdealizedOverrides(), rng=make_rng(100 + n))
     bt = run_trials(code, 100_000, make_rng(7))
-    # count tables with window-TV replicates, then the dependence replicates
-    feats = transcript_features(code, bt, make_rng(8), n_boot=200)
+    # count tables, then every bootstrap replicate from one generator
+    feats = transcript_features(code, bt)
     rows = {m.name: m for m in assemble_mc_metrics(
         code, feats, make_rng(9), n_boot=200)}
     w = rows["windowed_tv_w2"]

@@ -251,9 +251,9 @@ def _mc_metrics(code: encoder.MacCode,
                 cfg: ExperimentConfig) -> list[evaluator.MetricRow]:
     """Monte-Carlo metrics of ``code``: chunked trials, then bootstrap CIs.
 
-    Chunk i of CHUNK_TRIALS trials draws its trials and then its window-TV
-    bootstrap weights from child (1, i) of the seed; the dependence checks'
-    bootstrap draws from child (2,).
+    Chunk i of CHUNK_TRIALS trials draws only its trials, from child (1, i) of
+    the seed; every bootstrap replicate is drawn once from the summed tables and
+    child (2,): the window counts' first, then each dependence check's.
     """
     _check_window(cfg)
     boot_rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))

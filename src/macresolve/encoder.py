@@ -463,7 +463,7 @@ class BatchTranscript:
 
     ``streams[name]`` has shape (trials, k, N); ``fresh_seeds[name]`` is a
     list of k arrays (trials, len_i); ``recycled[name]`` a list of k-1 arrays
-    (trials, r); ``channel_out`` has shape (trials, k, N).
+    (trials, r); ``channel_out`` (trials, k, N) is uint8 if |Z| <= 256.
     """
 
     streams: dict[str, np.ndarray]
@@ -513,7 +513,8 @@ def run_trials(
         if word not in streams:
             streams[word] = np.maximum.reduce([streams[p] for p in parts])
         words.append(streams[word])
-    channel_out = np.empty(words[0].shape, dtype=np.int64)
+    small = code.channel.output_alphabet.size <= 256
+    channel_out = np.empty(words[0].shape, dtype=np.uint8 if small else np.int64)
     for i in range(plan.k):
         channel_out[:, i] = transmit(code.channel, [w[:, i, :] for w in words], rng)
     return BatchTranscript(streams, fresh, recycled, channel_out)

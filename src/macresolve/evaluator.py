@@ -5,10 +5,10 @@ dichotomy), exact variational-distance evaluation of whole codes at
 enumerable sizes, Monte-Carlo estimates at scale, and the distributed
 leftover-hash bound check.  Monte Carlo has one path: ``run_trials``, then
 ``transcript_features`` per chunk of trials, which reduces the chunk to
-fixed-size count tables (window counts, their Poisson bootstrap replicates
+fixed-size count tables (window counts, their second moments over trials
 and the dependence checks' pair counts), then ``assemble_mc_metrics`` on the
 tables summed over chunks for windowed proxies and inter-block independence
-diagnostics with bootstrap confidence intervals.
+diagnostics with Gaussian-multiplier bootstrap confidence intervals.
 
 Full-block variational distance over Z^{kN} cannot be estimated by sampling
 at realistic sizes, so the exact joint TV is computed in exhaustive mode
@@ -534,7 +534,7 @@ def _window_cells(z: np.ndarray, z_size: int, w: int) -> np.ndarray:
     ``z`` has shape (trials, k, N); returns (trials, k, N - w + 1).
     """
     trials, k, n_sym = z.shape
-    cells = np.zeros((trials, k, n_sym - w + 1), dtype=np.int64)
+    cells = np.zeros((trials, k, n_sym - w + 1), dtype=np.int32)
     for off in range(w):
         cells *= z_size
         cells += z[:, :, off:n_sym - w + 1 + off]
@@ -556,23 +556,11 @@ def _count_rows(cells: np.ndarray, n_cells: int) -> np.ndarray:
     return out
 
 
-def _poisson_rows(rng: np.random.Generator, reps: int, trials: int):
-    """``reps`` rows of ``trials`` i.i.d. Poisson(1) bootstrap weights, one at a time.
-
-    Per row, W ~ Poisson(trials) uniform trial indices counted per trial are
-    i.i.d. Poisson(1), exactly; uniform integers cost a fraction of as many
-    Poisson variates.
-    """
-    for _ in range(reps):
-        yield np.bincount(rng.integers(0, trials, size=rng.poisson(trials)),
-                          minlength=trials)
-
-
 def _window_tv(counts: np.ndarray, boot: np.ndarray,
                target: np.ndarray) -> tuple[float, float, float]:
-    """Plug-in TV of pooled window counts vs target, with Poisson-bootstrap CI.
+    """Plug-in TV of pooled window counts vs target, with bootstrap CI.
 
-    ``boot`` holds the replicates' weighted window counts, one row each.
+    ``boot`` holds the replicates' window counts, one row each.
     """
     tv = float(np.abs(counts / counts.sum() - target).sum())
     tvs = np.abs(boot / boot.sum(axis=1, keepdims=True) - target).sum(axis=1)
@@ -593,22 +581,19 @@ def _recycled_cells(bt: BatchTranscript, code: MacCode,
 def transcript_features(
     code: MacCode,
     bt: BatchTranscript,
-    rng: np.random.Generator,
     *,
     window: int = 2,
     rec_bits: int = 3,
-    n_boot: int = 1000,
 ) -> dict:
     """Fixed-size count tables of a batch of transcripts.
 
     ``trials`` is the trial count.  For w = 1 and ``window``, ``win{w}``
-    counts the sliding w-symbol output windows of all trials, and ``boot{w}``
-    (n_boot, cells) their counts under i.i.d. Poisson(1) trial weights, one
-    weight row per replicate from ``rng``, shared by both widths.  With
-    k >= 2 and recycled bits, ``rec_pairs`` and ``out_pairs`` (k-1, cells)
-    count the cells of each block pair's dependence checks.  The tables are
-    integer-valued (well under 2^53) and sized by the code and flags alone,
-    so those of disjoint batches add up to those of their union.
+    counts the sliding w-symbol output windows of all trials; ``mom`` is
+    sum_t h_t h_t^T over the trials' rows h_t of those counts, both widths
+    side by side.  With k >= 2 and recycled bits, ``rec_pairs`` and
+    ``out_pairs`` (k-1, cells) count the cells of each block pair's
+    dependence checks.  The tables are exact integers, sized by the code and
+    flags alone, so those of disjoint batches add up to those of their union.
     """
     z_size = code.channel.output_alphabet.size
     trials, k, n_sym = bt.channel_out.shape
@@ -616,27 +601,21 @@ def transcript_features(
         raise ValueError(f"window {window} is longer than the block "
                          f"length {n_sym}")
     feats: dict = {"trials": trials}
-    widths = sorted({1, window})
     hists = []
-    for w in widths:
+    for w in sorted({1, window}):
         cells = _window_cells(bt.channel_out, z_size, w)
         hists.append(_count_rows(cells.reshape(trials, -1), z_size ** w))
-        if w == window:   # each block's first and last window
-            z_first, z_last = cells[:, :, 0].T.copy(), cells[:, :, -1].T.copy()
+        feats[f"win{w}"] = hists[-1].sum(axis=0)
+        if w == window:   # first and last windows, intp: pair cells reach zc^2
+            z_first, z_last = (cells[:, :, j].T.astype(np.intp) for j in (0, -1))
         del cells   # the next w's windows are packed without these
     if k >= 2 and bt.recycled:
         rec_e, ec = _recycled_cells(bt, code, rec_bits)
         zc = z_size ** window
         feats["rec_pairs"] = _count_rows(rec_e * zc + z_last[:-1], ec * zc)
         feats["out_pairs"] = _count_rows(z_last[:-1] * zc + z_first[1:], zc * zc)
-    del bt   # the replicate loop holds only the per-trial counts
-    per_trial = np.hstack(hists).astype(np.float64)
-    boot = np.array([wts @ per_trial
-                     for wts in _poisson_rows(rng, n_boot, trials)])
-    bounds = np.cumsum([h.shape[1] for h in hists])[:-1]
-    for w, hist, reps in zip(widths, hists, np.split(boot, bounds, axis=1)):
-        feats[f"win{w}"] = hist.sum(axis=0)
-        feats[f"boot{w}"] = reps
+    per_trial = np.hstack(hists).astype(np.int64)
+    feats["mom"] = per_trial.T @ per_trial   # integer matmul: exact, no BLAS
     return feats
 
 
@@ -647,19 +626,36 @@ def mc_chunk_features(
     *,
     window: int = 2,
     rec_bits: int = 3,
-    n_boot: int = 1000,
     recycle: bool = True,
 ) -> dict:
-    """Simulate one chunk of trials and return its count tables.
+    """Simulate one chunk of trials from ``rng`` and return its count tables.
 
-    The trials draw from ``rng`` first, then the bootstrap weight rows.
+    The chunk draws only its trials; every bootstrap replicate is drawn by
+    ``assemble_mc_metrics`` from the tables summed over all chunks.
     ``recycle=False`` is the fresh-seed ablation.
     """
-    # the transcript is passed, not bound here, so that transcript_features
-    # frees it before its replicate loop
     return transcript_features(
         code, run_trials(code, n_trials, rng, recycle=recycle),
-        rng, window=window, rec_bits=rec_bits, n_boot=n_boot)
+        window=window, rec_bits=rec_bits)
+
+
+def _replicates(counts: np.ndarray, n_boot: int, rng: np.random.Generator,
+                mom: np.ndarray | None = None) -> np.ndarray:
+    """``n_boot`` Gaussian-multiplier bootstrap replicates of pooled counts.
+
+    With i.i.d. N(1, 1) trial weights a replicate is N(counts, mom), the mean
+    and covariance of Poisson(1) weights: counts + (Z sqrt(L)) V^T with
+    mom = V L V^T over the cells with a count; the others stay exactly 0.
+    ``mom=None`` is a table to which each trial adds one count: diag(counts).
+    """
+    if mom is None:
+        return counts + np.sqrt(counts) * rng.standard_normal((n_boot, counts.size))
+    on = np.flatnonzero(counts)
+    lam, vec = np.linalg.eigh(mom[np.ix_(on, on)].astype(np.float64))
+    reps = np.zeros((n_boot, counts.size))
+    reps[:, on] = counts[on] + (rng.standard_normal((n_boot, on.size))
+                                * np.sqrt(np.maximum(lam, 0))) @ vec.T
+    return reps
 
 
 def assemble_mc_metrics(
@@ -674,20 +670,25 @@ def assemble_mc_metrics(
 
     ``feats`` is ``transcript_features`` of all trials or the sum of those of
     its chunks.  Window TVs against the i.i.d. target (lower-bound proxies
-    for the full-block distance) read ``win{w}`` and ``boot{w}``; when
-    ``rec_pairs`` is present, for each block i >= 2 the dependence checks are
-    the TV between the joint of (first recycled bits, last output window of
-    block i-1) and the product of its marginals, and likewise for adjacent
-    output windows, with ``n_boot`` replicates drawn from ``rng``.
+    for the full-block distance) read ``win{w}``; when ``rec_pairs`` is
+    present, for each block i >= 2 the dependence checks are the TV between
+    the joint of (first recycled bits, last output window of block i-1) and
+    the product of its marginals, and likewise for adjacent output windows.
+    ``n_boot`` Gaussian-multiplier replicates (``_replicates``) come from
+    ``rng``: first those of both widths' window counts, jointly from
+    ``mom``, then those of each block's recycled and then output pair table.
     """
     trials = int(feats["trials"])
     if trials < 1000:
         raise ValueError(f"need >= 1000 trials for stable estimates, got {trials}")
     qz = target_output_dist(code.channel, list(code.input_dists)).pmf
+    widths = sorted({1, window})
+    wins = [feats[f"win{w}"] for w in widths]
+    reps = _replicates(np.concatenate(wins), n_boot, rng, feats["mom"])
+    bounds = np.cumsum([len(c) for c in wins])[:-1]
     out: list[MetricRow] = []
-    for w in sorted({1, window}):
-        tv, lo, hi = _window_tv(feats[f"win{w}"], feats[f"boot{w}"],
-                                _times_iid(np.array([1.0]), qz, w))
+    for w, counts, boot in zip(widths, wins, np.split(reps, bounds, axis=1)):
+        tv, lo, hi = _window_tv(counts, boot, _times_iid(np.array([1.0]), qz, w))
         name = "symbol_marginal_tv" if w == 1 else f"windowed_tv_w{w}"
         out.append(MetricRow(name, tv, lo, hi, trials, "mc"))
     if "rec_pairs" in feats:
@@ -711,17 +712,15 @@ def assemble_mc_metrics(
 def _pair_tv(counts: np.ndarray, na: int, nb: int, n_boot: int,
              rng: np.random.Generator) -> tuple[float, float, float]:
     """TV between a joint of two indices, as cell counts, and the product of
-    its marginals.
+    its marginals, with bootstrap CI.
 
-    Each trial adds one count to one cell, so under Poisson(1) trial weights a
-    bootstrap replicate's cell counts are independent Poisson(n_c): the
-    replicates are drawn per cell, not per trial.
+    Each trial adds one count to one cell, so a replicate's cells are
+    independent N(n_c, n_c), drawn per cell, not per trial.
     """
     stat = lambda c: _dependence_tv((c / c.sum(axis=-1, keepdims=True))
                                     .reshape(*c.shape[:-1], na, nb))
     tv = float(stat(counts.astype(np.float64)))
-    boot = rng.poisson(counts, size=(n_boot, na * nb)).astype(np.float64)
-    lo, hi = np.percentile(stat(boot), [2.5, 97.5])
+    lo, hi = np.percentile(stat(_replicates(counts, n_boot, rng)), [2.5, 97.5])
     return tv, float(lo), float(hi)
 
 

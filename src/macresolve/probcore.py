@@ -379,7 +379,7 @@ def transmit(
     out = (cum[:, sure] <= 0).sum(axis=1, dtype=np.int64)[joint]
     for col in cum[:, ~sure].T:
         out += u >= col[joint]
-    return out.clip(0, ch.output_alphabet.size - 1)
+    return np.minimum(out, ch.output_alphabet.size - 1, out=out)
 
 
 # -- bit-sequence <-> integer index conventions ------------------------------

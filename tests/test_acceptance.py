@@ -329,7 +329,7 @@ def test_criterion_6_empirical_convergence():
                               xi=0.05, idealized=IDEAL, eps_split=0.5,
                               rng=make_rng(100 + n))
         bt = run_trials(code, trials, make_rng(61))
-        feats = transcript_features(code, bt, make_rng(62), window=2, n_boot=400)
+        feats = transcript_features(code, bt, window=2)
         rows = {m.name: m for m in assemble_mc_metrics(
             code, feats, make_rng(63), window=2, n_boot=400)}
         wtv[n] = rows["windowed_tv_w2"]

@@ -383,9 +383,9 @@ class TestDescriptor:
 
 
 def _transcript_digest(bt) -> str:
-    """sha256 over channel outputs, then every stream and recycled array."""
+    """sha256 over channel outputs (as int64), then every stream and recycled array."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(bt.channel_out).tobytes())
+    h.update(np.ascontiguousarray(bt.channel_out.astype(np.int64)).tobytes())
     for name, arr in bt.streams.items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())

@@ -14,10 +14,9 @@ from macresolve.evaluator import (
     _ExactEngine,
     _count_rows,
     _pair_tv,
-    _poisson_rows,
     _recycled_cells,
+    _replicates,
     _window_cells,
-    _window_tv,
     assemble_mc_metrics,
     delta0,
     delta0_multi,
@@ -524,15 +523,15 @@ class TestStreamedTvs:
 
 
 def window_rows(code, trials, rng, n_boot=1000, **kw):
-    """Rows of one chunk of fresh trials; its window replicates continue rng."""
-    feats = mc_chunk_features(code, trials, rng, n_boot=n_boot, **kw)
+    """Rows of one chunk of fresh trials; the replicates draw from rng's first child."""
+    feats = mc_chunk_features(code, trials, rng, **kw)
     return assemble_mc_metrics(code, feats, rng.spawn(1)[0], n_boot=n_boot)
 
 
 def dependence_rows(code, bt, rng, n_boot=1000):
-    """Rows of a transcript; the dependence replicates draw from rng's first child."""
-    feats = transcript_features(code, bt, rng, n_boot=n_boot)
-    return assemble_mc_metrics(code, feats, rng.spawn(1)[0], n_boot=n_boot)
+    """Rows of a transcript; the replicates draw from rng's first child."""
+    return assemble_mc_metrics(code, transcript_features(code, bt),
+                               rng.spawn(1)[0], n_boot=n_boot)
 
 
 class TestMonteCarlo:
@@ -559,7 +558,7 @@ class TestMonteCarlo:
         # applies to the summed tables, not to each chunk
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 30)
         rng = make_rng(1)
-        chunks = [mc_chunk_features(code, n, rng, n_boot=50) for n in (8192, 808)]
+        chunks = [mc_chunk_features(code, n, rng) for n in (8192, 808)]
         feats = {key: sum(c[key] for c in chunks) for key in chunks[0]}
         rows = assemble_mc_metrics(code, feats, make_rng(2), n_boot=50)
         assert {m.samples for m in rows} == {9000}
@@ -609,15 +608,14 @@ class TestMonteCarlo:
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 1, 37)
         bt = run_trials(code, 2_000, make_rng(38))
         rows = assemble_mc_metrics(
-            code, transcript_features(code, bt, make_rng(39), n_boot=50),
-            make_rng(39), n_boot=50)
+            code, transcript_features(code, bt), make_rng(39), n_boot=50)
         assert [m.name for m in rows] == ["symbol_marginal_tv", "windowed_tv_w2"]
 
     def test_window_longer_than_block_rejected(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 2, 2, 40)
         bt = run_trials(code, 10, make_rng(41))
         with pytest.raises(ValueError, match="window 3"):
-            transcript_features(code, bt, make_rng(0), window=3)
+            transcript_features(code, bt, window=3)
 
     def test_independence_needs_samples(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 4, 2, 40)
@@ -688,15 +686,18 @@ class TestBootstrapKernels:
                 one_hot_pair_tv(a, b, na, nb, 10, make_rng(0))[0]
 
     def test_ci_endpoints_match_per_trial_bootstrap(self, code_bt):
-        # same sampling distribution: endpoints agree up to replicate noise
+        # same replicate mean and covariance as per-trial Poisson(1) weights:
+        # endpoints agree up to replicate noise
         code, bt = code_bt
-        feats = transcript_features(code, bt, make_rng(45))
+        feats = transcript_features(code, bt)
+        rows = {m.name: m for m in assemble_mc_metrics(code, feats, make_rng(45))}
+        w2 = rows["windowed_tv_w2"]
         cells = _window_cells(bt.channel_out, 3, 2)
         z_first, z_last = cells[:, :, 0].T, cells[:, :, -1].T
         rec_e, ec = _recycled_cells(bt, code, 3)
         qz = np.array([0.25, 0.5, 0.25])
         target = np.outer(qz, qz).reshape(-1)
-        cases = [(_window_tv(feats["win2"], feats["boot2"], target),
+        cases = [((w2.value, w2.ci_lo, w2.ci_hi),
                   per_trial_poisson_tv(_count_rows(cells.reshape(len(cells), -1), 9),
                                        target, 1000, make_rng(46)))]
         for counts, a, b, na in ((feats["rec_pairs"][0], rec_e[0], z_last[0], ec),
@@ -712,42 +713,60 @@ class TestBootstrapKernels:
     def test_tables_add_over_transcripts(self, code_bt):
         code, bt = code_bt
         other = run_trials(code, 1000, make_rng(52))
-        n_boot = 400
-        parts = [transcript_features(code, t, make_rng(53 + i), n_boot=n_boot)
-                 for i, t in enumerate((bt, other))]
-        whole = transcript_features(code, concat_transcripts(bt, other),
-                                    make_rng(55), n_boot=n_boot)
-        assert set(whole) == set(parts[0]) == {"trials", "win1", "win2", "boot1",
-                                               "boot2", "rec_pairs", "out_pairs"}
+        parts = [transcript_features(code, t) for t in (bt, other)]
+        whole = transcript_features(code, concat_transcripts(bt, other))
+        assert set(whole) == set(parts[0]) == {"trials", "win1", "win2", "mom",
+                                               "rec_pairs", "out_pairs"}
         assert whole["trials"] == parts[0]["trials"] + parts[1]["trials"] == 5000
-        for key in ("win1", "win2", "rec_pairs", "out_pairs"):
+        for key in ("win1", "win2", "mom", "rec_pairs", "out_pairs"):
             np.testing.assert_array_equal(parts[0][key] + parts[1][key], whole[key])
-        # a replicate's expected window counts are the pooled counts
-        for feats in (*parts, whole):
-            for w in (1, 2):
-                boot, pooled = feats[f"boot{w}"], feats[f"win{w}"]
-                assert boot.shape == (n_boot, 3 ** w)
-                np.testing.assert_array_equal(boot, np.round(boot))
-                se = boot.std(axis=0) / n_boot ** 0.5
-                assert np.all(np.abs(boot.mean(axis=0) - pooled) <= 5 * se)
+        assert whole["mom"].shape == (3 + 9, 3 + 9)
+        assert whole["mom"].dtype == np.int64
 
-    def test_split_weights_are_poisson_one(self):
-        wts = np.array(list(_poisson_rows(make_rng(49), 4000, 50)))
-        assert wts.shape == (4000, 50)
-        assert abs(wts.mean() - 1) < 0.01
-        assert abs(wts.var() - 1) < 0.02
-        assert abs((wts == 0).mean() - np.exp(-1)) < 0.005
-        # per trial, across replicates (standard errors ~0.016 and ~0.027)
-        assert np.all(np.abs(wts.mean(axis=0) - 1) < 0.08)
-        assert np.all(np.abs(wts.var(axis=0) - 1) < 0.15)
+    def test_window_replicates_have_pooled_moments(self, code_bt):
+        code, bt = code_bt
+        feats = transcript_features(code, bt)
+        win, mom = np.concatenate([feats["win1"], feats["win2"]]), feats["mom"]
+        n_boot = 4000
+        reps = _replicates(win, n_boot, make_rng(49), mom)
+        assert reps.shape == (n_boot, 12)
+        se = np.sqrt(np.diag(mom) / n_boot)
+        assert np.all(np.abs(reps.mean(axis=0) - win) <= 5 * se)
+        # a normal sample covariance's entry (i, j) has standard deviation
+        # sqrt((m_ij^2 + m_ii m_jj) / (n_boot - 1)); allow 5 of them
+        sd = np.sqrt((mom.astype(np.float64) ** 2 + np.outer(np.diag(mom), np.diag(mom)))
+                     / (n_boot - 1))
+        assert np.all(np.abs(np.cov(reps, rowvar=False) - mom) <= 5 * sd)
+
+    def test_zero_cells_stay_zero(self, rng):
+        per_trial = rng.integers(0, 4, size=(500, 6))
+        per_trial[:, [1, 4]] = 0
+        counts = per_trial.sum(axis=0)
+        for reps in (_replicates(counts, 300, make_rng(56), per_trial.T @ per_trial),
+                     _replicates(counts, 300, make_rng(57))):
+            assert np.all(reps[:, [1, 4]] == 0)
+            assert np.all(reps[:, [0, 2, 3, 5]] != 0)
+
+    def test_pair_cells_have_mean_and_variance_n(self):
+        counts = np.array([0, 1, 7, 40, 300, 5000])
+        n_boot = 20_000
+        reps = _replicates(counts, n_boot, make_rng(58))
+        assert reps.shape == (n_boot, 6)
+        assert np.all(np.abs(reps.mean(axis=0) - counts)
+                      <= 5 * np.sqrt(counts / n_boot))
+        # a normal sample variance has standard deviation n_c sqrt(2 / (n_boot - 1))
+        assert np.all(np.abs(reps.var(axis=0, ddof=1) - counts)
+                      <= 5 * counts * np.sqrt(2 / (n_boot - 1)))
 
     def test_same_rng_same_rows(self, code_bt):
-        np.testing.assert_array_equal(list(_poisson_rows(make_rng(50), 3, 100)),
-                                      list(_poisson_rows(make_rng(50), 3, 100)))
         code, bt = code_bt
+        feats = transcript_features(code, bt)
+        win = np.concatenate([feats["win1"], feats["win2"]])
+        for mom in (feats["mom"], None):
+            np.testing.assert_array_equal(_replicates(win, 3, make_rng(50), mom),
+                                          _replicates(win, 3, make_rng(50), mom))
         rows = [[m.to_list() for m in assemble_mc_metrics(
-            code, transcript_features(code, bt, make_rng(51), n_boot=200),
-            make_rng(51), n_boot=200)] for _ in range(2)]
+            code, feats, make_rng(51), n_boot=200)] for _ in range(2)]
         assert rows[0] == rows[1]
 
 
