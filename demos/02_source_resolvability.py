@@ -10,7 +10,7 @@ blocks before the asymptotics bite.  The seed rate already tracks H(X).
 import numpy as np
 
 from macresolve import Dist, ResolvabilityCode, compute_profile, make_rng
-from macresolve.polar import encode, output_pmf_exact, profile_to_csv
+from macresolve.polar import encode_batch, output_pmf_exact, profile_to_csv
 from macresolve.probcore import all_bit_rows
 
 source = Dist.bernoulli(0.3)
@@ -33,7 +33,7 @@ code = ResolvabilityCode(prof)
 rng = make_rng(7)
 seed = rng.integers(0, 2, code.seed_len, dtype=np.uint8)
 print("seed   :", seed)
-print("block  :", encode(code, seed, rng))
+print("block  :", encode_batch(code, seed[None], rng)[0])
 
 profile_to_csv(prof, "profile_bern03_n8.csv")
 print("wrote profile_bern03_n8.csv (index, cond_entropy, in_v_set, in_h_set)")

@@ -217,6 +217,18 @@ def _check_window(cfg: ExperimentConfig) -> None:
                          f"(--n {cfg.n}): no window of that length fits")
 
 
+def _check_fresh_bits(plan: encoder.LengthPlan) -> None:
+    for s in plan.streams:
+        if s.seed_len_rest > plan.block_len:
+            # a block of N binary codec symbols cannot use more than N fresh bits
+            hint = "lower --ideal-xi / --ideal-delta" if plan.idealized \
+                else "rerun with --idealized"
+            raise ValueError(
+                f"stream {s.name} draws {s.seed_len_rest} fresh bits per block "
+                f"after the first, more than N = {plan.block_len} "
+                f"(eps = {plan.eps:.6g}); {hint} or raise --n")
+
+
 _WORKER_JOB = None   # (code, cfg) of the running evaluation; forks inherit it
 
 
@@ -273,17 +285,8 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
             return rc
     desc = read_json_file(desc_file, "descriptor")
     code = encoder.code_from_descriptor(desc, cfg.build_hash())
-    plan = code.plan
-    for s in plan.streams:
-        if s.seed_len_rest > plan.block_len:
-            # a block of N binary codec symbols cannot use more than N fresh bits
-            hint = "lower --ideal-xi / --ideal-delta" if plan.idealized \
-                else "rerun with --idealized"
-            raise ValueError(
-                f"stream {s.name} draws {s.seed_len_rest} fresh bits per block "
-                f"after the first, more than N = {plan.block_len} "
-                f"(eps = {plan.eps:.6g}); {hint} or raise --n")
-    rates = encoder.achieved_rates(plan)
+    _check_fresh_bits(code.plan)
+    rates = encoder.achieved_rates(code.plan)
     region = _region_verdicts(code, rates)   # refuses L > 4 before any trial
     notes = []
     metrics: list[evaluator.MetricRow] = []
@@ -341,7 +344,7 @@ def _region_verdicts(code, rates) -> dict:
     """Check the achieved finite-k rates against every region constraint."""
     spec, tag = _region(code.channel, list(code.input_dists))
     per_user = [sum(rates["per_stream"][p]["rate_float"] for p in parts)
-                for _, parts in code.plan.channel_inputs]
+                for _, parts in code.channel_inputs]
     verdicts = {}
     for subset, bound in spec.constraints.items():
         key = "+".join(str(u + 1) for u in sorted(subset))
@@ -360,11 +363,14 @@ def _region_verdicts(code, rates) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
     grid = [ExperimentConfig(**{**asdict(cfg), "n": n, "k": k, "eps": eps})
             for n in n_list for k in k_list for eps in eps_list]
+    codes = []
     for sub in grid:   # a bad grid point exits before any trial runs
         sub.validate()
         _check_window(sub)
+        codes.append(_build_code(sub))
+        _check_fresh_bits(codes[-1].plan)
     rows = [[sub.n, sub.k, "" if sub.eps is None else sub.eps, *m.to_list()]
-            for sub in grid for m in _mc_metrics(_build_code(sub), sub)]
+            for sub, code in zip(grid, codes) for m in _mc_metrics(code, sub)]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="") as f:

@@ -6,8 +6,9 @@ black-box source-resolvability codec with the two-universal hash of the
 previous block's output sequence (rate H(S | side-info) - eps/2)
 concatenated with fresh bits (rate I(S; side-info) + eps).  Every mode is the
 same construction: one chain per (possibly virtual) user, then one
-channel word per real user.  ``LengthPlan.channel_inputs`` is the only place
-that says which streams form which channel word:
+channel word per real user.  ``_stream_specs`` is the only place that says
+which chains a mode runs and which streams form which channel word (kept on
+the code as ``MacCode.channel_inputs``):
 
 * case 1 (I(XY;Z) > I(X;Z) + I(Y;Z)): transmitter 2 is rate-split into
   virtual users U, V and sends Y = max(U, V);
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hashing import ToeplitzHash, bits_to_hex, sample_hash
+from .hashing import ToeplitzHash, sample_hash
 from .polar import EXACT_CAP_N, PolarProfile, ResolvabilityCode, \
     compute_profile, encode_batch
 from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
@@ -58,11 +59,13 @@ __all__ = [
     "code_to_descriptor",
     "code_from_descriptor",
     "descriptor_hash",
-    "transcript_to_csv",
 ]
 
 CASE_TOL = 1e-9
 PROFILE_SAMPLES = 1 << 14  # blocks per sampled profile, drawn once in build
+
+# per channel user, in user order: (word name, streams it is the bitwise max of)
+ChannelWords = tuple[tuple[str, tuple[str, ...]], ...]
 
 
 def _ceil_bits(x: float) -> int:
@@ -137,20 +140,6 @@ class LengthPlan:
                 return s
         raise KeyError(name)
 
-    @property
-    def channel_inputs(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """Per channel user, in user order: (word name, streams it is the max of).
-
-        Case 1 sends Y = max(U, V) as user 2; otherwise every stream is one
-        user's word, and stream ``x{l}`` belongs to user l.
-        """
-        if self.mode == "case1":
-            return (("x", ("x",)), ("y", ("u", "v")))
-        if self.mode == "case2":
-            return (("x", ("x",)), ("y", ("y",)))
-        by_user = sorted(self.streams, key=lambda s: int(s.name[1:]))
-        return tuple((s.name, (s.name,)) for s in by_user)
-
 
 def _plan_stream(
     name: str,
@@ -206,17 +195,19 @@ def _stream_specs(
     mode: str,
     split: SplitPoint | None,
     order: Sequence[int] | None,
-) -> tuple[JointDist, list[tuple[str, Dist, int, list[int]]], tuple[int, ...]]:
-    """The mode's joint law, chains and analysed alphabet sizes.
+) -> tuple[JointDist, list[tuple[str, Dist, int, list[int]]],
+           tuple[int, ...], ChannelWords]:
+    """The mode's joint law, chains, analysed alphabet sizes and channel words.
 
     Returns the joint law, one (name, source, axis, conditioning axes) per
-    chain in plan order, and the alphabet sizes of the (possibly virtual)
-    users the mode's analysis is stated for.  Both two-user modes are
-    analysed as the 3-user virtual MAC (X, U, V), sizes (|X|, |Y|, |Y|).
-    Multi mode chains user ``order[l]`` conditioned on Z and the users
-    earlier in ``order`` (0-based).  Build and load both pass through here,
-    so this is where a split outside case 1 or an order outside multi mode
-    is refused.
+    chain in plan order, the alphabet sizes of the (possibly virtual) users
+    the mode's analysis is stated for, and each real user's channel word in
+    user order.  Both two-user modes are analysed as the 3-user virtual MAC
+    (X, U, V), sizes (|X|, |Y|, |Y|); case 1 sends Y = max(U, V).  Multi
+    mode chains user ``order[l]`` conditioned on Z and the users earlier in
+    ``order`` (0-based), and user l sends stream ``x{l+1}``.  Build and load
+    both pass through here, so this is where a split outside case 1 or an
+    order outside multi mode is refused.
     """
     sizes = tuple(a.size for a in ch.input_alphabets)
     if split is not None and mode != "case1":
@@ -230,11 +221,13 @@ def _stream_specs(
         u, v, x, y, z = range(5)
         specs = [("x", inputs[0], x, [u, z]), ("u", split.p_u, u, [z]),
                  ("v", split.p_v, v, [u, z, x])]
-        return j, specs, sizes + sizes[1:]
+        words = (("x", ("x",)), ("y", ("u", "v")))
+        return j, specs, sizes + sizes[1:], words
     if mode == "case2":
         x, y, z = range(3)
         specs = [("x", inputs[0], x, [z]), ("y", inputs[1], y, [z, x])]
-        return ch.joint_with_output(list(inputs)), specs, sizes + sizes[1:]
+        words = (("x", ("x",)), ("y", ("y",)))
+        return ch.joint_with_output(list(inputs)), specs, sizes + sizes[1:], words
     if mode == "multi":
         if order is None or sorted(order) != list(range(ch.n_users)):
             raise ValueError(
@@ -242,7 +235,9 @@ def _stream_specs(
         specs = [(f"x{user + 1}", inputs[user], user,
                   [ch.n_users] + list(order[:pos]))
                  for pos, user in enumerate(order)]
-        return ch.joint_with_output(list(inputs)), specs, sizes
+        words = tuple((f"x{user + 1}", (f"x{user + 1}",))
+                      for user in range(ch.n_users))
+        return ch.joint_with_output(list(inputs)), specs, sizes, words
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -268,7 +263,7 @@ def make_plan(
     concrete codec needs a wider input than the formula provides, which can
     only happen with idealized overrides.
     """
-    joint, specs, sizes = _stream_specs(ch, inputs, mode, split, order)
+    joint, specs, sizes, _ = _stream_specs(ch, inputs, mode, split, order)
     _block_exp(block_len)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -296,8 +291,10 @@ class MacCode:
     """A complete block-Markov MAC-resolvability code.
 
     ``codecs`` and ``hashes`` are keyed by stream name in plan order.
-    ``user_order`` (multi mode) maps chain position to 0-based user index.
-    ``_assemble`` is its one constructor, and derives every field.
+    ``channel_inputs`` gives, per channel user in user order, the word's
+    name and the streams it is the bitwise max of.  ``user_order`` (multi
+    mode) maps chain position to 0-based user index.  ``_assemble`` is its
+    one constructor, and derives every field.
     """
 
     channel: MacChannel
@@ -306,11 +303,8 @@ class MacCode:
     split: SplitPoint | None
     codecs: dict[str, ResolvabilityCode]
     hashes: dict[str, ToeplitzHash]
+    channel_inputs: ChannelWords
     user_order: tuple[int, ...] | None = None
-
-    @property
-    def mode(self) -> str:
-        return self.plan.mode
 
 
 def build_mac_code(
@@ -398,7 +392,7 @@ def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
     position idx, and ``hash_of(stream_plan)`` its hash; the profiles'
     seed lengths are the plan's minimum codec widths.
     """
-    _, specs, _ = _stream_specs(ch, inputs, mode, split, user_order)
+    _, specs, _, words = _stream_specs(ch, inputs, mode, split, user_order)
     n_exp = _block_exp(block_len)
     codecs = {name: ResolvabilityCode(profile(idx, name, src, n_exp))
               for idx, (name, src, _, _) in enumerate(specs)}
@@ -407,7 +401,7 @@ def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
                      min_codec_widths={name: codec.seed_len
                                        for name, codec in codecs.items()})
     hashes = {s.name: hash_of(s) for s in plan.streams}
-    return MacCode(ch, tuple(inputs), plan, split, codecs, hashes,
+    return MacCode(ch, tuple(inputs), plan, split, codecs, hashes, words,
                    user_order=user_order)
 
 
@@ -489,7 +483,7 @@ def run_trials(
     """Draw seeds, run every chain, and transmit each block through the channel.
 
     Each user's channel word is the bitwise max of the streams
-    ``plan.channel_inputs`` names for it; a word that is not itself a stream
+    ``code.channel_inputs`` names for it; a word that is not itself a stream
     (case 1's Y) joins ``streams`` after the chains.  Deterministic given the
     generator state: seeds are drawn stream-major in plan order, chains
     encode in plan order, channel noise is drawn block by block.
@@ -509,7 +503,7 @@ def run_trials(
             recycle)
         streams[s.name] = np.stack(seqs, axis=1)
     words = []
-    for word, parts in plan.channel_inputs:
+    for word, parts in code.channel_inputs:
         if word not in streams:
             streams[word] = np.maximum.reduce([streams[p] for p in parts])
         words.append(streams[word])
@@ -524,8 +518,8 @@ def achieved_rates(plan: LengthPlan) -> dict:
     """Exact rational per-stream rates plus the large-k limit formulas.
 
     R_s = (|E_1| + (k-1) |E_i|) / (k N) as a Fraction; the reported limit is
-    fresh_info + eps evaluated in floating point.  ``r{l}`` and ``r{l}_limit``
-    sum them over the streams that form channel user l's word.
+    fresh_info + eps evaluated in floating point.  A channel user's rate is
+    the sum over the streams of its word in ``MacCode.channel_inputs``.
     """
     k, n = plan.k, plan.block_len
     per_stream = {}
@@ -537,11 +531,7 @@ def achieved_rates(plan: LengthPlan) -> dict:
             "total_fresh_bits": total_bits,
             "limit": s.fresh_info + plan.eps,
         }
-    rates = {"per_stream": per_stream}
-    for user, (_, parts) in enumerate(plan.channel_inputs, start=1):
-        rates[f"r{user}"] = sum(per_stream[p]["rate"] for p in parts)
-        rates[f"r{user}_limit"] = sum(per_stream[p]["limit"] for p in parts)
-    return rates
+    return {"per_stream": per_stream}
 
 
 def tally_fresh_bits(bt: BatchTranscript) -> dict[str, int]:
@@ -684,26 +674,3 @@ def _body_json(desc: dict) -> str:
     """Canonical JSON of the descriptor, its ``config_hash`` stamp left out."""
     return json.dumps({key: v for key, v in desc.items() if key != "config_hash"},
                       sort_keys=True)
-
-
-def transcript_to_csv(bt: BatchTranscript, trial: int, path) -> None:
-    """Dump one trial as hex CSV rows (block, field, hex bits) for replay."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(["block", "field", "n_bits", "hex"])
-        for i in range(bt.k):
-            for name, blocks in bt.fresh_seeds.items():
-                w.writerow([i + 1, f"fresh_{name}", blocks[i].shape[1],
-                            bits_to_hex(blocks[i][trial])])
-            for name, rec in bt.recycled.items():
-                if i >= 1:
-                    w.writerow([i + 1, f"recycled_{name}", rec[i - 1].shape[1],
-                                bits_to_hex(rec[i - 1][trial])])
-            for name, arr in bt.streams.items():
-                w.writerow([i + 1, f"stream_{name}", arr.shape[2],
-                            bits_to_hex(arr[trial, i])])
-            z = bt.channel_out[trial, i]
-            w.writerow([i + 1, "channel_out", z.size,
-                        "".join(str(int(s)) for s in z)])

@@ -292,7 +292,7 @@ class _ExactEngine:
         rows = all_bit_rows(self.n_sym)
         # a word that is the max of several streams is their bitwise OR
         words = [np.bitwise_or.reduce([rows[per_stream[p]] for p in parts])
-                 for _, parts in self.code.plan.channel_inputs]
+                 for _, parts in self.code.channel_inputs]
         em = np.ones((self.n_states, 1))
         for pos in range(self.n_sym):
             row = self.code.channel.transition[tuple(w[:, pos] for w in words)]

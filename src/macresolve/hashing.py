@@ -75,18 +75,12 @@ class ToeplitzHash:
         j = np.arange(self.in_len)[None, :]
         return self.diagonal_bits[i - j + self.in_len - 1]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Hash one input vector of ``in_len`` bits down to ``out_len`` bits."""
-        x = np.asarray(x, dtype=np.uint8)
-        if x.shape != (self.in_len,):
-            raise ValueError(f"input shape {x.shape}, expected ({self.in_len},)")
-        return self.apply_batch(x[None, :])[0]
-
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
         """Hash a batch (..., in_len) -> (..., out_len); linear over GF(2)."""
         x = np.asarray(x, dtype=np.uint8)
         if x.shape[-1] != self.in_len:
-            raise ValueError(f"input length {x.shape[-1]}, expected {self.in_len}")
+            raise ValueError(f"input shape {x.shape}, expected "
+                             f"(..., {self.in_len})")
         if self.out_len == 0:
             return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
         # parity of each row AND x, on 64-bit words: XOR the words together,

@@ -41,13 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .probcore import (
-    BIT,
-    Dist,
-    JointDist,
-    all_bit_rows,
-    entropy,
-)
+from .probcore import Dist, all_bit_rows, entropy
 
 __all__ = [
     "EXACT_CAP_N",
@@ -55,10 +49,8 @@ __all__ = [
     "ResolvabilityCode",
     "polar_transform",
     "compute_profile",
-    "encode",
     "encode_batch",
     "iid_block_pmf",
-    "output_dist_exact",
     "output_pmf_exact",
     "profile_to_csv",
 ]
@@ -352,16 +344,6 @@ def encode_batch(
     return _sc_iid(p1, (code.block_len, batch), decide, seeded).T.copy()
 
 
-def encode(
-    code: ResolvabilityCode, seed: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Encode one seed of ``code.seed_len`` uniform bits into a length-N block."""
-    seed = np.asarray(seed, dtype=np.uint8)
-    if seed.shape != (code.seed_len,):
-        raise ValueError(f"seed shape {seed.shape}, expected ({code.seed_len},)")
-    return encode_batch(code, seed[None, :], rng)[0]
-
-
 def output_pmf_exact(
     code: ResolvabilityCode, clamped_seed_bits: np.ndarray | None = None
 ) -> np.ndarray:
@@ -399,13 +381,6 @@ def output_pmf_exact(
 
     _sc_iid(float(code.profile.source.pmf[1]), a.shape, weigh)
     return px
-
-
-def output_dist_exact(code: ResolvabilityCode) -> JointDist:
-    """Exact encoder-output law as a JointDist over N binary axes."""
-    px = output_pmf_exact(code)
-    n_sym = code.block_len
-    return JointDist((BIT,) * n_sym, px.reshape((2,) * n_sym), renormalize=True)
 
 
 def profile_to_csv(profile: PolarProfile, path) -> None:

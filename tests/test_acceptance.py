@@ -243,13 +243,13 @@ def _oracle_joint_z(code):
             for s in range(dim):
                 bits = np.array([(s >> (n_sym - 1 - i)) & 1
                                  for i in range(n_sym)], dtype=np.uint8)
-                clamp = h.apply(bits)[: codec.seed_len]
+                clamp = h.apply_batch(bits)[: codec.seed_len]
                 t[s] = _oracle_codec_law(codec, clamp.tolist())
             trans[name] = t
 
     # channel word of each user, written out here rather than read from the
     # code so the oracle stays an independent reference
-    if code.mode == "multi":
+    if code.plan.mode == "multi":
         user_names = [f"x{u + 1}" for u in range(ch.n_users)]
     else:
         user_names = ["x", "y"]
@@ -262,7 +262,7 @@ def _oracle_joint_z(code):
         for name in names:
             seqs[name] = [(per[name] >> (n_sym - 1 - i)) & 1
                           for i in range(n_sym)]
-        if code.mode == "case1":
+        if code.plan.mode == "case1":
             seqs["y"] = [max(a, b) for a, b in zip(seqs["u"], seqs["v"])]
         out = np.array([1.0])
         for i in range(n_sym):

@@ -211,6 +211,24 @@ class TestSimulateCommand:
         assert all(v["achieved"] >= v["required"]
                    for v in region["verdicts"].values())
 
+    @pytest.mark.parametrize("spec,flags,user_streams", [
+        ("adder_spec", [], [["x"], ["u", "v"]]),
+        ("parallel_spec", ["--mode", "case2"], [["x"], ["y"]]),
+        # chain order x3, x1, x2; the rates stay in user order
+        ("adder3_spec", ["--mode", "multi", "--order", "3,1,2"],
+         [["x1"], ["x2"], ["x3"]]),
+    ])
+    def test_rates_per_user_sum_each_users_streams(self, request, tmp_path,
+                                                   spec, flags, user_streams):
+        rc = main(["simulate", "--channel", request.getfixturevalue(spec),
+                   "--out-dir", str(tmp_path / "s"), "--n", "4", "--k", "1",
+                   "--idealized", *flags])
+        assert rc == 0
+        rep = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert rep["region"]["rates_per_user"] == [
+            sum(rep["rates"][name]["rate_float"] for name in names)
+            for names in user_streams]
+
     def test_deterministic_across_runs_and_workers(self, adder_spec, tmp_path):
         base = ["simulate", "--channel", adder_spec, "--n", "16", "--k", "2",
                 "--idealized", "--seed", "9", "--trials", "12000"]
@@ -671,4 +689,22 @@ class TestSweepCommand:
                    "--idealized", "--window", "3", "--trials", "8000"])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+    def test_oversized_plan_rejected_before_trials(self, parallel_spec,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        # the plan simulate refuses: 84 fresh bits per 4-symbol block
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_trials)
+        rc = main(["sweep", "--channel", parallel_spec, "--out-dir",
+                   str(tmp_path / "sw"), "--mode", "case2", "--n", "4",
+                   "--k", "2", "--idealized", "--ideal-xi", "5",
+                   "--ideal-delta", "5", "--trials", "1000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: stream x draws 84 fresh bits" in err
+        assert "N = 4" in err and "eps = 20" in err
         assert not (tmp_path / "sw" / "sweep.csv").exists()

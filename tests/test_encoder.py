@@ -21,7 +21,6 @@ from macresolve.encoder import (
     make_plan,
     run_trials,
     tally_fresh_bits,
-    transcript_to_csv,
 )
 from macresolve.probcore import Dist, MacChannel, Alphabet, make_rng, \
     mutual_information
@@ -109,25 +108,30 @@ class TestPlan:
 
 class TestChannelInputs:
     def test_case1_sends_max_of_split_users(self):
-        assert adder_code(n=4, k=1).plan.channel_inputs == (
+        assert adder_code(n=4, k=1).channel_inputs == (
             ("x", ("x",)), ("y", ("u", "v")))
 
     def test_case2_one_stream_per_user(self):
-        plan = make_plan(parallel_mac(), [UNIF, UNIF], "case2", 8, 2, 0.05,
-                         idealized=IDEAL)
-        assert plan.channel_inputs == (("x", ("x",)), ("y", ("y",)))
+        code = build_mac_code(parallel_mac(), [UNIF, UNIF], mode="case2",
+                              block_len=8, k=2, xi=0.05, idealized=IDEAL,
+                              rng=make_rng(0))
+        assert code.channel_inputs == (("x", ("x",)), ("y", ("y",)))
 
     def test_multi_in_user_order_whatever_the_chain_order(self):
-        plan = make_plan(adder_mac3(), [UNIF] * 3, "multi", 8, 2, 0.05,
-                         order=(2, 0, 1), idealized=IDEAL)
-        assert plan.channel_inputs == (
+        code = build_mac_code(adder_mac3(), [UNIF] * 3, mode="multi",
+                              order=(2, 0, 1), block_len=8, k=2, xi=0.05,
+                              idealized=IDEAL, rng=make_rng(0))
+        assert [s.name for s in code.plan.streams] == ["x3", "x1", "x2"]
+        assert code.channel_inputs == (
             ("x1", ("x1",)), ("x2", ("x2",)), ("x3", ("x3",)))
 
     def test_per_user_rates_follow_the_map(self):
-        rates = achieved_rates(adder_code(n=8, k=2).plan)
-        per = rates["per_stream"]
-        assert rates["r1"] == per["x"]["rate"]
-        assert rates["r2"] == per["u"]["rate"] + per["v"]["rate"]
+        code = adder_code(n=8, k=2)
+        per = achieved_rates(code.plan)["per_stream"]
+        r1, r2 = (sum(per[p]["rate"] for p in parts)
+                  for _, parts in code.channel_inputs)
+        assert r1 == per["x"]["rate"]
+        assert r2 == per["u"]["rate"] + per["v"]["rate"]
 
 
 class TestCaseClassification:
@@ -232,7 +236,7 @@ class TestCase2AndMulti:
                                                Dist.bernoulli(0.6)],
                               block_len=8, k=2, xi=0.05, idealized=IDEAL,
                               rng=make_rng(9))
-        assert code.mode == "case2"
+        assert code.plan.mode == "case2"
         bt = run_trials(code, 100, make_rng(10))
         assert set(bt.streams) == {"x", "y"}
 
@@ -324,7 +328,8 @@ class TestAchievedRates:
         for name, r in j_stream.items():
             assert rates["per_stream"][name]["limit"] == pytest.approx(
                 r + plan.eps, abs=1e-12)
-        assert rates["r2_limit"] == pytest.approx(
+        per = rates["per_stream"]
+        assert per["u"]["limit"] + per["v"]["limit"] == pytest.approx(
             sp.rates[1] + sp.rates[2] + 2 * plan.eps, abs=1e-12)
 
 
@@ -371,15 +376,6 @@ class TestDescriptor:
             a = run_trials(code, 200, make_rng(20))
             b = run_trials(code2, 200, make_rng(20))
             assert np.array_equal(a.channel_out, b.channel_out)
-
-    def test_transcript_csv_dump(self, tmp_path):
-        code = adder_code(n=4, k=2)
-        bt = run_trials(code, 3, make_rng(19))
-        path = tmp_path / "transcript.csv"
-        transcript_to_csv(bt, 1, path)
-        text = path.read_text()
-        assert "stream_x" in text and "recycled_x" in text
-        assert "channel_out" in text
 
 
 def _transcript_digest(bt) -> str:

@@ -160,7 +160,7 @@ def gathered_emission(code, grids):
     n_sym = code.plan.block_len
     rows = all_bit_rows(n_sym)
     keys = np.zeros(len(next(iter(grids.values()))), dtype=np.int64)
-    for _, parts in code.plan.channel_inputs:
+    for _, parts in code.channel_inputs:
         word = np.bitwise_or.reduce([rows[grids[p]] for p in parts])
         keys = keys * (1 << n_sym) + bits_to_index(word)
     return _emission_table(code.channel, n_sym)[keys]
@@ -286,7 +286,7 @@ class TestExactEngine:
         code = small_code(ch, [UNIF], 4, 1, 21, mode="multi")
         assert tv_exhaustive(code) == pytest.approx(0.0, abs=1e-12)
 
-    def test_k1_matches_pushforward_of_output_dist_exact(self, rng):
+    def test_k1_matches_pushforward_of_output_pmf_exact(self, rng):
         ch = random_mac(rng)
         inputs = [random_input(rng), random_input(rng)]
         code = small_code(ch, inputs, 4, 1, 22)

@@ -23,7 +23,7 @@ class TestSampling:
 
     def test_zero_output(self):
         h = sample_hash(make_rng(0), 8, 0)
-        assert h.apply(np.ones(8, dtype=np.uint8)).shape == (0,)
+        assert h.apply_batch(np.ones(8, dtype=np.uint8)).shape == (0,)
 
     def test_out_len_bound(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -41,7 +41,7 @@ class TestSampling:
 class TestApply:
     def test_zero_maps_to_zero(self):
         h = sample_hash(make_rng(1), 12, 5)
-        assert not h.apply(np.zeros(12, dtype=np.uint8)).any()
+        assert not h.apply_batch(np.zeros(12, dtype=np.uint8)).any()
 
     def test_identity_diagonal(self):
         n = 6
@@ -49,7 +49,7 @@ class TestApply:
         d[n - 1] = 1  # entry (i, j) = 1 iff i == j
         h = ToeplitzHash(n, n, d)
         x = make_rng(2).integers(0, 2, n, dtype=np.uint8)
-        assert np.array_equal(h.apply(x), x)
+        assert np.array_equal(h.apply_batch(x), x)
 
     def test_linearity(self):
         h = sample_hash(make_rng(3), 64, 16)
@@ -57,19 +57,20 @@ class TestApply:
         for _ in range(50):
             x = rng.integers(0, 2, 64, dtype=np.uint8)
             y = rng.integers(0, 2, 64, dtype=np.uint8)
-            assert np.array_equal(h.apply(x ^ y), h.apply(x) ^ h.apply(y))
+            assert np.array_equal(h.apply_batch(x ^ y),
+                                  h.apply_batch(x) ^ h.apply_batch(y))
 
     def test_length_checked(self):
         h = sample_hash(make_rng(0), 8, 2)
         with pytest.raises(ValueError, match="shape"):
-            h.apply(np.zeros(7, dtype=np.uint8))
+            h.apply_batch(np.zeros(7, dtype=np.uint8))
 
     def test_batch_matches_single(self):
         h = sample_hash(make_rng(5), 10, 4)
         xs = make_rng(6).integers(0, 2, size=(20, 10), dtype=np.uint8)
         batch = h.apply_batch(xs)
         for i in range(20):
-            assert np.array_equal(batch[i], h.apply(xs[i]))
+            assert np.array_equal(batch[i], h.apply_batch(xs[i]))
 
 
     @pytest.mark.parametrize("in_len", [1, 7, 63, 64, 65, 130])
@@ -101,7 +102,8 @@ class TestTwoUniversality:
             diff = xs[i] ^ xs[j]
             # by linearity a collision is h(diff) == 0
             coll = sum(
-                not ToeplitzHash(n, r, d).apply(diff).any() for d in diagonals
+                not ToeplitzHash(n, r, d).apply_batch(diff).any()
+                for d in diagonals
             )
             assert coll / len(diagonals) <= 2.0 ** -r + 1e-12
 

@@ -14,9 +14,7 @@ from macresolve.polar import (
     TIE_TOL,
     _sc,
     compute_profile,
-    encode,
     encode_batch,
-    output_dist_exact,
     output_pmf_exact,
     polar_transform,
     profile_to_csv,
@@ -367,20 +365,22 @@ class TestEncode:
     def test_point_mass_all_zero(self):
         code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.0), 2))
         assert code.seed_len == 0
-        out = encode(code, np.zeros(0, dtype=np.uint8), make_rng(0))
+        out = encode_batch(code, np.zeros((1, 0), dtype=np.uint8),
+                           make_rng(0))[0]
         assert not out.any()
 
     def test_seed_length_checked(self):
         code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.3), 2))
         with pytest.raises(ValueError, match="seed"):
-            encode(code, np.zeros(code.seed_len + 1, dtype=np.uint8), make_rng(0))
+            encode_batch(code, np.zeros((1, code.seed_len + 1), dtype=np.uint8),
+                         make_rng(0))
 
     def test_exhaustive_paths_match_exact_dist(self):
         """Independent oracle: enumerate every seed and sampling path.
 
         Walks the three-tier encoder by hand with conditionals recomputed
         from a freshly built joint table, accumulating path weights, and
-        compares with output_dist_exact to 1e-12.
+        compares with output_pmf_exact to 1e-12.
         """
         src = Dist.bernoulli(0.3)
         n = 3
@@ -449,7 +449,8 @@ class TestEncode:
         seeds = all_bit_rows(code.seed_len).astype(np.uint8)
         batch = encode_batch(code, seeds, make_rng(7))
         for i, seed in enumerate(seeds):
-            assert np.array_equal(batch[i], encode(code, seed, make_rng(8)))
+            assert np.array_equal(batch[i],
+                                  encode_batch(code, seed[None], make_rng(8))[0])
 
 
 class TestOutputDistExact:
@@ -470,12 +471,6 @@ class TestOutputDistExact:
             code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.3), n))
             got = np.abs(output_pmf_exact(code) - iid_pmf(0.3, 1 << n)).sum()
             assert got == pytest.approx(tv, abs=1e-12)
-
-    def test_joint_dist_wrapper(self):
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.3), 2))
-        j = output_dist_exact(code)
-        assert j.pmf.shape == (2, 2, 2, 2)
-        assert j.pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_cap_enforced(self):
         prof = compute_profile(Dist.bernoulli(0.3), 4)
