@@ -44,7 +44,7 @@ print("dichotomy gap I(XY;Z) - I(X;Z) - I(Y;Z) =", gap)
 # drive the channel with one million true samples and compare frequencies
 rng = make_rng(1)
 n = 1_000_000
-z = transmit(adder, [p_x.sample(n, rng), p_y.sample(n, rng)], rng)
+z = transmit(adder, [rng.choice(2, size=n, p=d.pmf) for d in (p_x, p_y)], rng)
 emp = np.bincount(z, minlength=3) / n
 print("empirical output law:", emp)
 print("unnormalized L1 gap :", np.abs(emp - q_z.pmf).sum())

@@ -7,14 +7,13 @@ Monte-Carlo run shows the windowed proxies shrinking as N grows.
 
 The analysis-scale epsilon makes hash lengths clamp to zero at desk-scale N
 (the plan is flagged asymptotic-only), so these runs use idealized length
-overrides to exercise the recycling machinery.
+constants (xi = delta = 0) to exercise the recycling machinery.
 """
 
 import numpy as np
 
-from macresolve import Dist, IdealizedOverrides, achieved_rates, \
-    assemble_mc_metrics, build_mac_code, make_rng, run_trials, \
-    transcript_features, tv_exhaustive
+from macresolve import Dist, achieved_rates, assemble_mc_metrics, \
+    build_mac_code, make_rng, run_trials, transcript_features, tv_exhaustive
 from macresolve.evaluator import exact_report
 from macresolve.probcore import Alphabet, MacChannel
 
@@ -26,8 +25,8 @@ adder = MacChannel((Alphabet(2), Alphabet(2)), Alphabet(3), transition)
 inputs = [Dist.bernoulli(0.5), Dist.bernoulli(0.5)]
 
 # exact mode at a tiny size
-code = build_mac_code(adder, inputs, block_len=2, k=2, xi=0.05,
-                      idealized=IdealizedOverrides(), rng=make_rng(3))
+code = build_mac_code(adder, inputs, block_len=2, k=2, xi=0.0, delta=0.0,
+                      rng=make_rng(3))
 print("streams:", [(s.name, s.hash_len, s.seed_len_first, s.seed_len_rest)
                    for s in code.plan.streams])
 print("exact joint output distance:", tv_exhaustive(code))
@@ -43,8 +42,8 @@ print("k->inf limits :", {k: round(v["limit"], 4) for k, v in
 # Monte-Carlo proxies across block lengths
 print("\nwindowed proxies (100k trials, k=5):")
 for n in (8, 16, 32):
-    code = build_mac_code(adder, inputs, block_len=n, k=5, xi=0.05,
-                          idealized=IdealizedOverrides(), rng=make_rng(100 + n))
+    code = build_mac_code(adder, inputs, block_len=n, k=5, xi=0.0, delta=0.0,
+                          rng=make_rng(100 + n))
     bt = run_trials(code, 100_000, make_rng(7))
     # count tables, then every bootstrap replicate from one generator
     feats = transcript_features(code, bt)

@@ -6,8 +6,8 @@ user ordering), and a code run targeting one of them.
 
 import numpy as np
 
-from macresolve import Dist, IdealizedOverrides, build_mac_code, make_rng, \
-    region_multi, run_trials
+from macresolve import Dist, build_mac_code, make_rng, region_multi, \
+    run_trials
 from macresolve.encoder import achieved_rates
 from macresolve.probcore import Alphabet, MacChannel
 
@@ -29,8 +29,7 @@ for sigma, rates in sorted(spec.to_dict()["corner_points"].items()):
 
 # run the chain targeting the order (2, 3, 1) corner
 code = build_mac_code(adder3, inputs, mode="multi", order=(1, 2, 0),
-                      block_len=8, k=3, xi=0.05,
-                      idealized=IdealizedOverrides(), rng=make_rng(5))
+                      block_len=8, k=3, xi=0.0, delta=0.0, rng=make_rng(5))
 bt = run_trials(code, 20_000, make_rng(6))
 rates = achieved_rates(code.plan)
 print("\nfinite-k rates per stream:",

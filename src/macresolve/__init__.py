@@ -22,7 +22,6 @@ from .hashing import ToeplitzHash, hashed_joint_dist_exact, sample_hash
 from .ratesplit import SplitPoint, solve_eps, split_dists, split_rates
 from .encoder import (
     BatchTranscript,
-    IdealizedOverrides,
     LengthPlan,
     MacCode,
     achieved_rates,

@@ -181,15 +181,13 @@ def _build_code(cfg: ExperimentConfig):
     if cfg.order is not None and sorted(cfg.order) != list(range(ch.n_users)):
         typed = ",".join(str(u + 1) for u in cfg.order)
         raise ValueError(f"--order {typed} is not a permutation of 1..{ch.n_users}")
-    ideal = encoder.IdealizedOverrides(cfg.ideal_xi, cfg.ideal_delta) \
-        if cfg.idealized else None
     rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    code = encoder.build_mac_code(
-        ch, dists, mode=cfg.mode, block_len=cfg.n, k=cfg.k, xi=cfg.xi,
-        beta=cfg.beta, target_r1=cfg.target_r1, eps_split=cfg.eps,
-        order=cfg.order, idealized=ideal, rng=rng,
+    return encoder.build_mac_code(
+        ch, dists, mode=cfg.mode, block_len=cfg.n, k=cfg.k,
+        xi=cfg.ideal_xi if cfg.idealized else cfg.xi, beta=cfg.beta,
+        target_r1=cfg.target_r1, eps_split=cfg.eps, order=cfg.order,
+        delta=cfg.ideal_delta if cfg.idealized else None, rng=rng,
     )
-    return code
 
 
 def cmd_build(cfg: ExperimentConfig) -> int:

@@ -20,8 +20,8 @@ All bit lengths are tolerant ceilings of the real-valued formulas; the codec
 input width is pinned to hash_len + rest-block fresh length so the chain
 concatenation ties out exactly in integers.  At desk-scale N the analysis
 epsilon makes some hash lengths negative; they clamp to zero and the plan is
-flagged ``asymptotic_only``.  Idealized overrides (xi', delta', possibly 0)
-let the recycling mechanism run at small N anyway.
+flagged ``asymptotic_only``.  An idealized delta' (with xi', possibly 0) in
+place of the analysis term lets the recycling mechanism run at small N anyway.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
 from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
 
 __all__ = [
-    "IdealizedOverrides",
     "StreamPlan",
     "LengthPlan",
     "MacCode",
@@ -90,14 +89,6 @@ def delta_concentration(sizes: Sequence[int], block_len: int) -> float:
     return math.log2(math.prod(sizes) + 3) * math.sqrt(
         (2.0 / block_len) * (len(sizes) + math.log2(block_len))
     )
-
-
-@dataclass(frozen=True)
-class IdealizedOverrides:
-    """User-supplied (xi', delta') replacing the loose analysis constants."""
-
-    xi: float = 0.0
-    delta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -189,45 +180,52 @@ def classify_two_user(ch: MacChannel, p_x: Dist, p_y: Dist) -> str:
     return "case1" if gap > CASE_TOL else "case2"
 
 
+Layout = tuple[JointDist, list[tuple[str, Dist, int, list[int]]],
+               tuple[int, ...], ChannelWords, SplitPoint | None]
+
+
 def _stream_specs(
     ch: MacChannel,
     inputs: Sequence[Dist],
     mode: str,
-    split: SplitPoint | None,
+    eps_split: float | None,
     order: Sequence[int] | None,
-) -> tuple[JointDist, list[tuple[str, Dist, int, list[int]]],
-           tuple[int, ...], ChannelWords]:
-    """The mode's joint law, chains, analysed alphabet sizes and channel words.
+) -> Layout:
+    """The mode's joint law, chains, analysed sizes, channel words and split.
 
-    Returns the joint law, one (name, source, axis, conditioning axes) per
-    chain in plan order, the alphabet sizes of the (possibly virtual) users
-    the mode's analysis is stated for, and each real user's channel word in
-    user order.  Both two-user modes are analysed as the 3-user virtual MAC
-    (X, U, V), sizes (|X|, |Y|, |Y|); case 1 sends Y = max(U, V).  Multi
-    mode chains user ``order[l]`` conditioned on Z and the users earlier in
-    ``order`` (0-based), and user l sends stream ``x{l+1}``.  Build and load
-    both pass through here, so this is where a split outside case 1 or an
-    order outside multi mode is refused.
+    A chain is (name, source, axis, conditioning axes), in plan order; the
+    sizes are those of the (possibly virtual) users the analysis is stated
+    for; the words give each real user's channel word in user order.  Both
+    two-user modes are analysed as the 3-user virtual MAC (X, U, V), sizes
+    (|X|, |Y|, |Y|); case 1 splits Y at ``eps_split`` (the one place a
+    split is made) and sends Y = max(U, V).  Multi mode chains user
+    ``order[l]`` conditioned on Z and the users earlier in ``order``
+    (0-based), and user l sends stream ``x{l+1}``.  Build and load both
+    pass through here, so this is where a split outside case 1 or an order
+    outside multi mode is refused.
     """
     sizes = tuple(a.size for a in ch.input_alphabets)
-    if split is not None and mode != "case1":
+    if eps_split is not None and mode != "case1":
         raise ValueError(f"a rate split applies to case 1 only, not {mode}")
     if order is not None and mode != "multi":
         raise ValueError(f"a user order applies to multi mode only, not {mode}")
     if mode == "case1":
-        if split is None:
+        if eps_split is None:
             raise ValueError("case 1 needs a rate-split point")
+        # Y is the last input; split_joint refuses all but two binary users
+        split = split_rates(ch, inputs[0], float(inputs[-1].pmf[1]), eps_split)
         j = split_joint(ch, inputs[0], split.p_u, split.p_v)
         u, v, x, y, z = range(5)
         specs = [("x", inputs[0], x, [u, z]), ("u", split.p_u, u, [z]),
                  ("v", split.p_v, v, [u, z, x])]
         words = (("x", ("x",)), ("y", ("u", "v")))
-        return j, specs, sizes + sizes[1:], words
+        return j, specs, sizes + sizes[1:], words, split
     if mode == "case2":
         x, y, z = range(3)
         specs = [("x", inputs[0], x, [z]), ("y", inputs[1], y, [z, x])]
         words = (("x", ("x",)), ("y", ("y",)))
-        return ch.joint_with_output(list(inputs)), specs, sizes + sizes[1:], words
+        return (ch.joint_with_output(list(inputs)), specs, sizes + sizes[1:],
+                words, None)
     if mode == "multi":
         if order is None or sorted(order) != list(range(ch.n_users)):
             raise ValueError(
@@ -237,7 +235,7 @@ def _stream_specs(
                  for pos, user in enumerate(order)]
         words = tuple((f"x{user + 1}", (f"x{user + 1}",))
                       for user in range(ch.n_users))
-        return ch.joint_with_output(list(inputs)), specs, sizes, words
+        return ch.joint_with_output(list(inputs)), specs, sizes, words, None
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -249,41 +247,47 @@ def make_plan(
     k: int,
     xi: float,
     *,
-    split: SplitPoint | None = None,
+    eps_split: float | None = None,
     order: Sequence[int] | None = None,
-    idealized: IdealizedOverrides | None = None,
-    min_codec_widths: dict[str, int] | None = None,
+    delta: float | None = None,
 ) -> LengthPlan:
     """Length plan of one chain per stream of ``_stream_specs``.
 
-    Case 1 needs ``split``, multi mode ``order``.  Stream S on its axis
+    Case 1 needs ``eps_split``, multi mode ``order``.  Stream S on its axis
     recycles at H(S | conditioning) and draws I(S; conditioning) + eps fresh
-    bits per rest block, computed exactly from the joint law.
-    ``min_codec_widths`` (per stream) raises rest-block fresh lengths when a
-    concrete codec needs a wider input than the formula provides, which can
-    only happen with idealized overrides.
+    bits per rest block, computed exactly from the joint law, with
+    eps = 2 (delta + xi).  ``delta`` None is the analysis term
+    ``delta_concentration``; a number replaces it (xi may then be 0) and
+    marks the plan ``idealized``.
     """
-    joint, specs, sizes, _ = _stream_specs(ch, inputs, mode, split, order)
+    return _plan(_stream_specs(ch, inputs, mode, eps_split, order), mode,
+                 block_len, k, xi, delta, {})
+
+
+def _plan(layout: Layout, mode: str, block_len: int, k: int, xi: float,
+          delta: float | None, min_widths: dict[str, int]) -> LengthPlan:
+    """``make_plan`` on a ``_stream_specs`` layout.
+
+    ``min_widths`` (per stream) raises rest-block fresh lengths to a codec's
+    wider input, which only an idealized delta can need.
+    """
+    joint, specs, sizes, _, _ = layout
     _block_exp(block_len)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if xi <= 0 and idealized is None:
-        raise ValueError("xi must be > 0 (or pass idealized overrides)")
-    delta = delta_concentration(sizes, block_len)
-    if idealized is not None:
-        delta = idealized.delta
-        xi = idealized.xi
-    eps = 2.0 * (delta + xi)
-    widths = min_codec_widths or {}
+    if xi <= 0 and delta is None:
+        raise ValueError("xi must be > 0 (or pass an idealized delta)")
+    plan_delta = delta_concentration(sizes, block_len) if delta is None else delta
+    eps = 2.0 * (plan_delta + xi)
     streams = tuple(
         _plan_stream(name, entropy(src),
                      conditional_entropy(joint, [axis], given),
                      mutual_information(joint, [axis], given),
-                     block_len, eps, widths.get(name))
+                     block_len, eps, min_widths.get(name))
         for name, src, axis, given in specs
     )
-    return LengthPlan(block_len, k, xi, eps, delta, mode, streams,
-                      idealized=idealized is not None)
+    return LengthPlan(block_len, k, xi, eps, plan_delta, mode, streams,
+                      idealized=delta is not None)
 
 
 @dataclass(frozen=True)
@@ -319,7 +323,7 @@ def build_mac_code(
     target_r1: float | None = None,
     eps_split: float | None = None,
     order: Sequence[int] | None = None,
-    idealized: IdealizedOverrides | None = None,
+    delta: float | None = None,
     rng: np.random.Generator,
 ) -> MacCode:
     """Compose plan, rate split, polar profiles, and hashes into a MacCode.
@@ -327,7 +331,9 @@ def build_mac_code(
     Mode ``auto`` resolves two-user channels to case1/case2 by the exact
     dichotomy; requesting the wrong case raises, and so do ``eps_split`` or
     ``target_r1`` outside case 1 (or both at once) and an ``order`` outside
-    multi mode.  This is the only place a code is profiled: beyond
+    multi mode.  Case 1 splits at ``eps_split``, at the eps ``solve_eps``
+    finds for ``target_r1``, or else at 0.5.  ``xi`` and ``delta`` are
+    ``make_plan``'s.  This is the only place a code is profiled: beyond
     ``EXACT_CAP_N`` each stream samples ``PROFILE_SAMPLES`` blocks from one
     seed drawn from ``rng``, with its plan position as spawn key.  Hash
     functions are sampled once here and stay fixed for all blocks and trials.
@@ -346,16 +352,12 @@ def build_mac_code(
         mode = "multi"
     if target_r1 is not None and eps_split is not None:
         raise ValueError("give a rate split's eps or its target r1, not both")
-    split = None
-    if mode == "case1":
-        q = float(inputs[1].pmf[1])
-        if target_r1 is not None:
-            split = solve_eps(ch, inputs[0], q, target_r1)
-        else:
-            split = split_rates(ch, inputs[0], q, 0.5 if eps_split is None else eps_split)
-    elif target_r1 is not None or eps_split is not None:
-        raise ValueError(f"a rate split's eps or target r1 applies to case 1 "
-                         f"only, not {mode}")
+    if mode == "case1" and eps_split is None:
+        eps_split = 0.5 if target_r1 is None else solve_eps(
+            ch, inputs[0], float(inputs[1].pmf[1]), target_r1).eps
+    elif target_r1 is not None:
+        raise ValueError(f"a rate split's target r1 applies to case 1 only, "
+                         f"not {mode}")
     if order is None and mode == "multi":
         order = range(ch.n_users)
     user_order = tuple(order) if order is not None else None
@@ -369,10 +371,10 @@ def build_mac_code(
         return compute_profile(src, n_exp, beta, mc_samples=PROFILE_SAMPLES,
                                rng=make_rng(child))
 
-    code = _assemble(ch, inputs, mode, block_len, k, xi, split, user_order,
-                     idealized, profile,
+    code = _assemble(ch, inputs, mode, block_len, k, xi, delta, eps_split,
+                     user_order, profile,
                      lambda s: sample_hash(rng, block_len, s.hash_len))
-    if code.plan.asymptotic_only and idealized is None:
+    if code.plan.asymptotic_only and not code.plan.idealized:
         warnings.warn(
             "plan is asymptotic-only: some hash lengths clamped to 0 at this N",
             stacklevel=2,
@@ -381,9 +383,8 @@ def build_mac_code(
 
 
 def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
-              block_len: int, k: int, xi: float, split: SplitPoint | None,
-              user_order: tuple[int, ...] | None,
-              idealized: IdealizedOverrides | None,
+              block_len: int, k: int, xi: float, delta: float | None,
+              eps_split: float | None, user_order: tuple[int, ...] | None,
               profile: Callable[[int, str, Dist, int], PolarProfile],
               hash_of: Callable[[StreamPlan], ToeplitzHash]) -> MacCode:
     """The code of ``make_plan``'s plan with the given codecs and hashes.
@@ -392,14 +393,13 @@ def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
     position idx, and ``hash_of(stream_plan)`` its hash; the profiles'
     seed lengths are the plan's minimum codec widths.
     """
-    _, specs, _, words = _stream_specs(ch, inputs, mode, split, user_order)
+    layout = _stream_specs(ch, inputs, mode, eps_split, user_order)
+    _, specs, _, words, split = layout
     n_exp = _block_exp(block_len)
     codecs = {name: ResolvabilityCode(profile(idx, name, src, n_exp))
               for idx, (name, src, _, _) in enumerate(specs)}
-    plan = make_plan(ch, inputs, mode, block_len, k, xi, split=split,
-                     order=user_order, idealized=idealized,
-                     min_codec_widths={name: codec.seed_len
-                                       for name, codec in codecs.items()})
+    plan = _plan(layout, mode, block_len, k, xi, delta,
+                 {name: codec.seed_len for name, codec in codecs.items()})
     hashes = {s.name: hash_of(s) for s in plan.streams}
     return MacCode(ch, tuple(inputs), plan, split, codecs, hashes, words,
                    user_order=user_order)
@@ -464,10 +464,6 @@ class BatchTranscript:
     fresh_seeds: dict[str, list[np.ndarray]]
     recycled: dict[str, list[np.ndarray]]
     channel_out: np.ndarray
-
-    @property
-    def n_trials(self) -> int:
-        return self.channel_out.shape[0]
 
     @property
     def k(self) -> int:
@@ -595,26 +591,22 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
 
     Only what build drew or chose is read back, through one typed reader
     that names a missing or mistyped field: channel, input laws, mode, N, k,
-    xi (and delta if idealized), the split's eps (case 1 only, so that the
-    mode gate refuses a split elsewhere), the user order, profile entropies
-    and hash bits.  The rebuilt code must serialize back to ``desc``, and a
-    field that differs is named; last, the ``config_hash`` stamp must be the
-    one ``build_hash`` gives this body.
+    xi (and delta if idealized), the split's eps (``_stream_specs`` makes
+    the split from it, or refuses it outside case 1), the user order,
+    profile entropies and hash bits.  The rebuilt code must serialize back
+    to ``desc``, and a field that differs is named; last, the
+    ``config_hash`` stamp must be the one ``build_hash`` gives this body.
     """
     read = json_reader(desc, "descriptor", "; rerun build")
     read(list, "input_dists")   # optional in a channel spec, not here
     ch, inputs = channel_from_json(desc, read, ("channel",))
     mode, split = read(str, "mode"), read((dict, type(None)), "split")
-    if split is not None and mode == "case1":   # else the mode gate refuses it
-        # Y is the last input; split_joint refuses all but two binary users
-        split = split_rates(ch, inputs[0], float(inputs[-1].pmf[1]),
-                            read(float, "split", "eps"))
+    eps_split = None if split is None else read(float, "split", "eps")
     order = read((list, type(None)), "user_order")
     if order is not None:
         order = tuple(read(int, "user_order", i) for i in range(len(order)))
     xi, block_len = read(float, "xi"), read(int, "block_len")
-    ideal = IdealizedOverrides(xi, read(float, "delta")) \
-        if read(bool, "idealized") else None
+    delta = read(float, "delta") if read(bool, "idealized") else None
 
     def profile(idx: int, name: str, src: Dist, n_exp: int) -> PolarProfile:
         return PolarProfile.from_entropies(
@@ -622,8 +614,8 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
             read_numbers(read, "profiles", name, "cond_entropies"),
             read(bool, "profiles", name, "exact"))
 
-    code = _assemble(ch, inputs, mode, block_len, read(int, "k"), xi,
-                     split, order, ideal, profile,
+    code = _assemble(ch, inputs, mode, block_len, read(int, "k"), xi, delta,
+                     eps_split, order, profile,
                      lambda s: ToeplitzHash.from_hex(
                          read(str, "hashes", s.name, "hex"), block_len,
                          s.hash_len))

@@ -136,9 +136,6 @@ class Dist:
         pmf[symbol] = 1.0
         return Dist(Alphabet(size), pmf)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.alphabet.size, size=n, p=self.pmf)
-
 
 @dataclass(frozen=True)
 class JointDist:

@@ -20,7 +20,7 @@ import numpy as np
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
     xor_mac
 from macresolve import cli
-from macresolve.encoder import IdealizedOverrides, achieved_rates, build_mac_code, \
+from macresolve.encoder import achieved_rates, build_mac_code, \
     make_plan, run_trials, tally_fresh_bits
 from macresolve.evaluator import assemble_mc_metrics, lhl_bound_check, \
     region_2user, region_multi, transcript_features, tv_exhaustive, _ExactEngine
@@ -30,7 +30,6 @@ from macresolve.probcore import Alphabet, Dist, JointDist, all_bit_rows, \
 from macresolve.ratesplit import solve_eps, split_rates
 
 UNIF = Dist.bernoulli(0.5)
-IDEAL = IdealizedOverrides()
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -129,7 +128,8 @@ def test_criterion_4_rate_bookkeeping():
 
     ch = adder_mac()
     sp = split_rates(ch, UNIF, 0.5, 0.5)
-    plan = make_plan(ch, [UNIF, UNIF], "case1", 1024, 20, 0.05, split=sp)
+    plan = make_plan(ch, [UNIF, UNIF], "case1", 1024, 20, 0.05,
+                     eps_split=sp.eps)
     rates = achieved_rates(plan)
     closed_ok = limits_ok = True
     for s in plan.streams:
@@ -154,8 +154,8 @@ def test_criterion_4_rate_bookkeeping():
         earlier.append(user)
 
     # transcript tally cross-check at a simulable size
-    code = build_mac_code(ch, [UNIF, UNIF], block_len=16, k=20, xi=0.05,
-                          idealized=IDEAL, eps_split=0.5, rng=make_rng(4))
+    code = build_mac_code(ch, [UNIF, UNIF], block_len=16, k=20, xi=0.0,
+                          delta=0.0, eps_split=0.5, rng=make_rng(4))
     bt = run_trials(code, 2, make_rng(5))
     tally = tally_fresh_bits(bt)
     tally_ok = all(
@@ -301,8 +301,8 @@ def test_criterion_5_exact_pipeline_agreement():
             n, k = 2, 2
         ch = random_mac(rng, z_size=int(rng.integers(2, 4)))
         inputs = [random_input(rng), random_input(rng)]
-        code = build_mac_code(ch, inputs, block_len=n, k=k, xi=0.05,
-                              idealized=IDEAL, rng=make_rng(600 + case))
+        code = build_mac_code(ch, inputs, block_len=n, k=k, xi=0.0,
+                              delta=0.0, rng=make_rng(600 + case))
         eng = _ExactEngine(code)
         got = eng.joint_z_pmf()
         expect = _oracle_joint_z(code)
@@ -326,7 +326,7 @@ def test_criterion_6_empirical_convergence():
     wtv, rec, zz = {}, {}, {}
     for n in (8, 16, 32):
         code = build_mac_code(adder_mac(), [UNIF, UNIF], block_len=n, k=5,
-                              xi=0.05, idealized=IDEAL, eps_split=0.5,
+                              xi=0.0, delta=0.0, eps_split=0.5,
                               rng=make_rng(100 + n))
         bt = run_trials(code, trials, make_rng(61))
         feats = transcript_features(code, bt, window=2)

@@ -144,6 +144,22 @@ class TestBuildCommand:
         desc = json.loads((tmp_path / "b" / "descriptor.json").read_text())
         assert desc["split"]["eps"] == 0.0
 
+    def test_beta_reaches_every_profile_and_the_build_hash(self, adder_spec,
+                                                           tmp_path):
+        descs, hashes = [], []
+        for flags in ([], ["--beta", "0.3"]):
+            argv = ["build", "--channel", adder_spec, "--out-dir",
+                    str(tmp_path / f"b{len(flags)}"), "--n", "8", "--k", "2",
+                    "--idealized", *flags]
+            assert main(argv) == 0
+            descs.append(json.loads(
+                (tmp_path / f"b{len(flags)}" / "descriptor.json").read_text()))
+            hashes.append(cli._config_from_args(
+                cli.build_parser().parse_args(argv)).build_hash())
+        assert [p["beta"] for p in descs[1]["profiles"].values()] == [0.3] * 3
+        assert [p["beta"] for p in descs[0]["profiles"].values()] == [0.25] * 3
+        assert hashes[0] != hashes[1]
+
 
 class TestSimulateCommand:
     def test_exhaustive_mode_no_ci(self, adder_spec, tmp_path):
@@ -196,6 +212,21 @@ class TestSimulateCommand:
         rows = {m[0]: m for m in rep["metrics"]}
         w = rows["windowed_tv_w2"]
         assert w[2] is not None and w[3] is not None and w[4] == 3000
+
+    def test_no_recycle_keeps_the_rows_under_another_hash(self, adder_spec,
+                                                          tmp_path):
+        reps = []
+        for flags in ([], ["--no-recycle"]):
+            out = tmp_path / f"s{len(flags)}"
+            rc = main(["simulate", "--channel", adder_spec, "--out-dir",
+                       str(out), "--n", "16", "--k", "2", "--idealized",
+                       "--trials", "1000", *flags])
+            assert rc == 0
+            reps.append(json.loads((out / "report.json").read_text()))
+        assert reps[1]["mode"] == "mc"
+        assert [m[0] for m in reps[1]["metrics"]] == \
+            [m[0] for m in reps[0]["metrics"]]
+        assert reps[1]["config_hash"] != reps[0]["config_hash"]
 
     def test_report_carries_region_verdicts(self, adder_spec, tmp_path):
         rc = main(["simulate", "--channel", adder_spec, "--out-dir",

@@ -9,7 +9,6 @@ import pytest
 from conftest import adder_mac, adder_mac3, parallel_mac
 from macresolve import encoder
 from macresolve.encoder import (
-    IdealizedOverrides,
     _chain_encode,
     achieved_rates,
     build_mac_code,
@@ -24,16 +23,15 @@ from macresolve.encoder import (
 )
 from macresolve.probcore import Dist, MacChannel, Alphabet, make_rng, \
     mutual_information
-from macresolve.ratesplit import split_rates
+from macresolve.ratesplit import solve_eps, split_rates
 
 UNIF = Dist.bernoulli(0.5)
-IDEAL = IdealizedOverrides()
 BUILD = "0123456789abcdef"   # stands in for a build config's hash
 
 
 def adder_code(n=8, k=3, seed=11, eps_split=0.5):
-    return build_mac_code(adder_mac(), [UNIF, UNIF], block_len=n, k=k, xi=0.05,
-                          idealized=IDEAL, eps_split=eps_split,
+    return build_mac_code(adder_mac(), [UNIF, UNIF], block_len=n, k=k, xi=0.0,
+                          delta=0.0, eps_split=eps_split,
                           rng=make_rng(seed))
 
 
@@ -45,36 +43,34 @@ class TestPlan:
         assert d == pytest.approx(expect, abs=1e-15)
         assert d == pytest.approx(0.5512409165428579, abs=1e-12)
         plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 1024, 10, 0.05,
-                         split=split_rates(adder_mac(), UNIF, 0.5, 0.5))
+                         eps_split=0.5)
         assert plan.eps == pytest.approx(2 * (d + 0.05), abs=1e-15)
 
     def test_desk_scale_plan_clamps(self):
         plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 4, 0.05,
-                         split=split_rates(adder_mac(), UNIF, 0.5, 0.5))
+                         eps_split=0.5)
         assert plan.asymptotic_only
         assert all(s.hash_len == 0 for s in plan.streams if s.clamped)
 
     def test_zero_conditional_entropy_is_exact_zero(self):
         # parallel identity channel: Z determines (X, Y), so H(X|Z) = 0 and
         # the hash length is an exact zero, not a clamp
-        plan = make_plan(parallel_mac(), [UNIF, UNIF], "case2", 8, 2, 0.05,
-                         idealized=IDEAL)
+        plan = make_plan(parallel_mac(), [UNIF, UNIF], "case2", 8, 2, 0.0,
+                         delta=0.0)
         sx = plan.stream("x")
         assert sx.hash_len == 0
         assert not sx.clamped
 
     def test_width_conservation(self):
-        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 3, 0.05,
-                         split=split_rates(adder_mac(), UNIF, 0.5, 0.3),
-                         idealized=IDEAL)
+        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 3, 0.0,
+                         eps_split=0.3, delta=0.0)
         for s in plan.streams:
             assert s.hash_len + s.seed_len_rest == s.codec_width
             assert s.seed_len_first >= s.codec_width
 
     def test_first_block_length_formula(self):
-        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 3, 0.05,
-                         split=split_rates(adder_mac(), UNIF, 0.5, 0.5),
-                         idealized=IDEAL)
+        plan = make_plan(adder_mac(), [UNIF, UNIF], "case1", 16, 3, 0.0,
+                         eps_split=0.5, delta=0.0)
         for s in plan.streams:
             assert s.seed_len_first >= math.ceil(
                 16 * (s.source_entropy + plan.eps) - 1e-9)
@@ -91,8 +87,8 @@ class TestPlan:
 
     def test_multi_plan_order(self):
         ch = adder_mac3()
-        plan = make_plan(ch, [UNIF] * 3, "multi", 8, 2, 0.05, order=(2, 0, 1),
-                         idealized=IDEAL)
+        plan = make_plan(ch, [UNIF] * 3, "multi", 8, 2, 0.0, order=(2, 0, 1),
+                         delta=0.0)
         assert [s.name for s in plan.streams] == ["x3", "x1", "x2"]
         j = ch.joint_with_output([UNIF] * 3)
         assert plan.streams[0].fresh_info == pytest.approx(
@@ -113,14 +109,14 @@ class TestChannelInputs:
 
     def test_case2_one_stream_per_user(self):
         code = build_mac_code(parallel_mac(), [UNIF, UNIF], mode="case2",
-                              block_len=8, k=2, xi=0.05, idealized=IDEAL,
+                              block_len=8, k=2, xi=0.0, delta=0.0,
                               rng=make_rng(0))
         assert code.channel_inputs == (("x", ("x",)), ("y", ("y",)))
 
     def test_multi_in_user_order_whatever_the_chain_order(self):
         code = build_mac_code(adder_mac3(), [UNIF] * 3, mode="multi",
-                              order=(2, 0, 1), block_len=8, k=2, xi=0.05,
-                              idealized=IDEAL, rng=make_rng(0))
+                              order=(2, 0, 1), block_len=8, k=2, xi=0.0,
+                              delta=0.0, rng=make_rng(0))
         assert [s.name for s in code.plan.streams] == ["x3", "x1", "x2"]
         assert code.channel_inputs == (
             ("x1", ("x1",)), ("x2", ("x2",)), ("x3", ("x3",)))
@@ -144,11 +140,11 @@ class TestCaseClassification:
     def test_wrong_case_refused(self):
         with pytest.raises(ValueError, match="case1"):
             build_mac_code(adder_mac(), [UNIF, UNIF], mode="case2",
-                           block_len=4, k=1, xi=0.05, idealized=IDEAL,
+                           block_len=4, k=1, xi=0.0, delta=0.0,
                            rng=make_rng(0))
         with pytest.raises(ValueError, match="case2"):
             build_mac_code(parallel_mac(), [UNIF, UNIF], mode="case1",
-                           block_len=4, k=1, xi=0.05, idealized=IDEAL,
+                           block_len=4, k=1, xi=0.0, delta=0.0,
                            rng=make_rng(0))
 
 
@@ -234,7 +230,7 @@ class TestCase2AndMulti:
     def test_case2_runs_two_streams(self):
         code = build_mac_code(parallel_mac(), [Dist.bernoulli(0.3),
                                                Dist.bernoulli(0.6)],
-                              block_len=8, k=2, xi=0.05, idealized=IDEAL,
+                              block_len=8, k=2, xi=0.0, delta=0.0,
                               rng=make_rng(9))
         assert code.plan.mode == "case2"
         bt = run_trials(code, 100, make_rng(10))
@@ -243,7 +239,7 @@ class TestCase2AndMulti:
     def test_case2_hash_lengths_from_substitution(self):
         p_x, p_y = Dist.bernoulli(0.3), Dist.bernoulli(0.6)
         ch = parallel_mac()
-        plan = make_plan(ch, [p_x, p_y], "case2", 8, 2, 0.05, idealized=IDEAL)
+        plan = make_plan(ch, [p_x, p_y], "case2", 8, 2, 0.0, delta=0.0)
         j = ch.joint_with_output([p_x, p_y])
         from macresolve.probcore import conditional_entropy
 
@@ -255,7 +251,7 @@ class TestCase2AndMulti:
     def test_deterministic_source_emits_constants(self):
         ch = parallel_mac()
         code = build_mac_code(ch, [Dist.bernoulli(0.3), Dist.bernoulli(0.0)],
-                              block_len=4, k=2, xi=0.05, idealized=IDEAL,
+                              block_len=4, k=2, xi=0.0, delta=0.0,
                               rng=make_rng(11))
         bt = run_trials(code, 64, make_rng(12))
         assert not bt.streams["y"].any()
@@ -264,7 +260,7 @@ class TestCase2AndMulti:
         ch = MacChannel((Alphabet(2),), Alphabet(2),
                         np.array([[0.9, 0.1], [0.2, 0.8]]))
         code = build_mac_code(ch, [Dist.bernoulli(0.4)], mode="multi",
-                              block_len=8, k=2, xi=0.05, idealized=IDEAL,
+                              block_len=8, k=2, xi=0.0, delta=0.0,
                               rng=make_rng(13))
         bt = run_trials(code, 50, make_rng(14))
         assert set(bt.streams) == {"x1"}
@@ -277,8 +273,8 @@ class TestCase2AndMulti:
         j = ch.joint_with_output([UNIF, UNIF])
         lims = {}
         for order in ((0, 1), (1, 0)):
-            plan = make_plan(ch, [UNIF, UNIF], "multi", 8, 2, 0.05,
-                             order=order, idealized=IDEAL)
+            plan = make_plan(ch, [UNIF, UNIF], "multi", 8, 2, 0.0,
+                             order=order, delta=0.0)
             lims[order] = tuple(s.fresh_info for s in plan.streams)
         assert lims[(0, 1)] == pytest.approx(
             (mutual_information(j, [0], [2]),
@@ -289,16 +285,52 @@ class TestCase2AndMulti:
 
     def test_three_user_corner_sums_to_output_entropy(self):
         ch = adder_mac3()
-        plan = make_plan(ch, [UNIF] * 3, "multi", 8, 2, 0.05, order=(0, 1, 2),
-                         idealized=IDEAL)
+        plan = make_plan(ch, [UNIF] * 3, "multi", 8, 2, 0.0, order=(0, 1, 2),
+                         delta=0.0)
         total = sum(s.fresh_info for s in plan.streams)
         # H(Z) for Z = X1+X2+X3 with uniform inputs: H(1/8, 3/8, 3/8, 1/8)
         h_z = -(0.125 * math.log2(0.125) * 2 + 0.375 * math.log2(0.375) * 2)
         assert total == pytest.approx(h_z, abs=1e-12)
         code = build_mac_code(ch, [UNIF] * 3, mode="multi", block_len=4, k=2,
-                              xi=0.05, idealized=IDEAL, rng=make_rng(15))
+                              xi=0.0, delta=0.0, rng=make_rng(15))
         bt = run_trials(code, 64, make_rng(16))
         assert bt.channel_out.max() <= 3
+
+
+class TestConstructionInputs:
+    def test_one_layout_per_build_and_per_load(self, monkeypatch):
+        calls = []
+        stream_specs = encoder._stream_specs
+
+        def counted(*args):
+            calls.append(args)
+            return stream_specs(*args)
+
+        monkeypatch.setattr(encoder, "_stream_specs", counted)
+        code = adder_code(n=8, k=2)
+        assert len(calls) == 1
+        calls.clear()
+        code_from_descriptor(code_to_descriptor(code, BUILD), BUILD)
+        assert len(calls) == 1
+
+    def test_idealized_xi_is_the_plans(self):
+        plan = make_plan(parallel_mac(), [UNIF, UNIF], "case2", 8, 2, 0.3,
+                         delta=0.0)
+        assert plan.xi == 0.3 and plan.delta == 0.0 and plan.eps == 0.6
+        assert plan.idealized
+
+    @pytest.mark.parametrize("kw", [{"eps_split": 0.3}, {"target_r1": 0.75}, {}])
+    def test_case1_code_carries_the_split_of_its_eps(self, kw):
+        code = build_mac_code(adder_mac(), [UNIF, UNIF], block_len=8, k=2,
+                              xi=0.0, delta=0.0, rng=make_rng(0), **kw)
+        if "target_r1" in kw:
+            expect = solve_eps(adder_mac(), UNIF, 0.5, kw["target_r1"])
+        else:
+            expect = split_rates(adder_mac(), UNIF, 0.5, kw.get("eps_split", 0.5))
+        assert code.split.to_dict() == expect.to_dict()
+        for got, want in ((code.split.p_u, expect.p_u),
+                          (code.split.p_v, expect.p_v)):
+            assert got.pmf.tobytes() == want.pmf.tobytes()
 
 
 class TestAchievedRates:
@@ -322,7 +354,8 @@ class TestAchievedRates:
     def test_limits_equal_formula(self):
         ch = adder_mac()
         sp = split_rates(ch, UNIF, 0.5, 0.5)
-        plan = make_plan(ch, [UNIF, UNIF], "case1", 1024, 20, 0.05, split=sp)
+        plan = make_plan(ch, [UNIF, UNIF], "case1", 1024, 20, 0.05,
+                         eps_split=sp.eps)
         rates = achieved_rates(plan)
         j_stream = {"x": sp.rates[0], "u": sp.rates[1], "v": sp.rates[2]}
         for name, r in j_stream.items():
@@ -351,9 +384,9 @@ class TestDescriptor:
         bern = [Dist.bernoulli(0.2), Dist.bernoulli(0.3), Dist.bernoulli(0.4)]
         codes = [
             build_mac_code(adder_mac(), [UNIF, UNIF], block_len=32, k=2,
-                           xi=0.05, idealized=IDEAL, rng=make_rng(12)),
+                           xi=0.0, delta=0.0, rng=make_rng(12)),
             build_mac_code(adder_mac3(), bern, mode="multi", order=(2, 0, 1),
-                           block_len=32, k=2, xi=0.05, idealized=IDEAL,
+                           block_len=32, k=2, xi=0.0, delta=0.0,
                            rng=make_rng(13)),
             adder_code(n=8, k=2),
         ]
@@ -409,16 +442,16 @@ class TestRngConsumption:
     def _codes(self):
         return {
             "case1": build_mac_code(adder_mac(), [UNIF, UNIF], block_len=8, k=3,
-                                    xi=0.05, idealized=IDEAL, rng=make_rng(70)),
+                                    xi=0.0, delta=0.0, rng=make_rng(70)),
             "case2": build_mac_code(parallel_mac(), [Dist.bernoulli(0.3),
                                                      Dist.bernoulli(0.6)],
-                                    block_len=8, k=2, xi=0.05, idealized=IDEAL,
+                                    block_len=8, k=2, xi=0.0, delta=0.0,
                                     rng=make_rng(71)),
             "multi": build_mac_code(adder_mac3(), [Dist.bernoulli(0.2),
                                                    Dist.bernoulli(0.3),
                                                    Dist.bernoulli(0.4)],
                                     mode="multi", order=(2, 0, 1), block_len=8,
-                                    k=2, xi=0.05, idealized=IDEAL,
+                                    k=2, xi=0.0, delta=0.0,
                                     rng=make_rng(72)),
         }
 

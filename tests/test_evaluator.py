@@ -6,8 +6,7 @@ import pytest
 
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
     xor_mac
-from macresolve.encoder import BatchTranscript, IdealizedOverrides, build_mac_code, \
-    run_trials
+from macresolve.encoder import BatchTranscript, build_mac_code, run_trials
 from macresolve import evaluator
 from macresolve.evaluator import (
     RegionSpec,
@@ -48,7 +47,6 @@ from macresolve.probcore import (
 )
 
 UNIF = Dist.bernoulli(0.5)
-IDEAL = IdealizedOverrides()
 
 
 class TestRegionTwoUser:
@@ -135,8 +133,8 @@ class TestRegionMulti:
 
 
 def small_code(ch, inputs, n, k, seed, **kw):
-    return build_mac_code(ch, inputs, block_len=n, k=k, xi=0.05,
-                          idealized=IDEAL, rng=make_rng(seed), **kw)
+    return build_mac_code(ch, inputs, block_len=n, k=k, xi=0.0,
+                          delta=0.0, rng=make_rng(seed), **kw)
 
 
 # -- the joint-state engine, kept as the reference for the key-space engine ------
@@ -540,7 +538,8 @@ class TestMonteCarlo:
         code = small_code(adder_mac(), [UNIF, UNIF], 8, 3, 28)
         trials, n_sym, rng = 30_000, code.plan.block_len, make_rng(29)
         z = np.stack([transmit(code.channel,
-                               [d.sample(trials * n_sym, rng).reshape(trials, n_sym)
+                               [rng.choice(d.alphabet.size, size=(trials, n_sym),
+                                           p=d.pmf)
                                 for d in code.input_dists], rng)
                       for _ in range(code.plan.k)], axis=1)
         rows = dependence_rows(code, BatchTranscript({}, {}, {}, z), rng,

@@ -251,7 +251,7 @@ class TestTransmit:
         ch = random_mac(rng, z_size=4)
         ins = [random_input(rng), random_input(rng)]
         n = 1_000_000
-        words = [d.sample(n, rng) for d in ins]
+        words = [rng.choice(d.alphabet.size, size=n, p=d.pmf) for d in ins]
         z = transmit(ch, words, rng)
         emp = np.bincount(z, minlength=4) / n
         target = target_output_dist(ch, ins).pmf

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import adder_mac, adder_mac3, parallel_mac
 from macresolve.cli import main
-from macresolve.encoder import IdealizedOverrides, build_mac_code, \
-    code_from_descriptor, code_to_descriptor
+from macresolve.encoder import build_mac_code, code_from_descriptor, \
+    code_to_descriptor
 from macresolve.probcore import Dist, channel_to_json, make_rng
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -27,7 +27,7 @@ BUILD = "0123456789abcdef"   # stands in for a build config's hash
 def small_codes(draw):
     """A case-1, case-2 or multi code at N in {2, 4, 8} and k in 1..3."""
     mode = draw(st.sampled_from(["case1", "case2", "multi"]))
-    kw = {}
+    kw = {"xi": 0.05}
     if mode == "case1":
         ch, inputs = adder_mac(), [Dist.bernoulli(0.5)] * 2
         kw["eps_split"] = draw(st.floats(0.0, 1.0))
@@ -38,13 +38,13 @@ def small_codes(draw):
         inputs = [Dist.bernoulli(p) for p in (0.2, 0.3, 0.4)]
         kw["order"] = tuple(draw(st.permutations(range(3))))
     if draw(st.booleans()):
-        kw["idealized"] = IdealizedOverrides(
-            *draw(st.tuples(*[st.sampled_from([0.0, 0.05, 0.5])] * 2)))
+        kw["xi"], kw["delta"] = draw(
+            st.tuples(*[st.sampled_from([0.0, 0.05, 0.5])] * 2))
     with warnings.catch_warnings():   # non-idealized plans clamp at this N
         warnings.simplefilter("ignore")
         return build_mac_code(
             ch, inputs, mode=mode, block_len=draw(st.sampled_from([2, 4, 8])),
-            k=draw(st.integers(1, 3)), xi=0.05, rng=make_rng(
+            k=draw(st.integers(1, 3)), rng=make_rng(
                 draw(st.integers(0, 2 ** 32 - 1))), **kw)
 
 
