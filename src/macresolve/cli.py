@@ -3,9 +3,9 @@
 Every output is a pure function of (config, seed): reports embed the config
 and descriptor hashes, JSON is written with sorted keys, Monte-Carlo trials
 are chunked by fixed trial index with one child generator per chunk, and
-each chunk returns fixed-size integer-valued count tables that the parent
+each chunk returns fixed-size integer-valued count tables that the caller
 only adds up, so byte-identical results hold across reruns and across worker
-counts.
+counts.  The ``--workers`` are threads of this one process.
 
 Exit codes: 0 success, 2 infeasible rate target, 3 asymptotic-only plan
 (clamped hash lengths at this N), 4 enumeration/trials budget exceeded.
@@ -20,9 +20,9 @@ import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -190,8 +190,21 @@ def _build_code(cfg: ExperimentConfig):
     )
 
 
+def _check_fresh_bits(plan: encoder.LengthPlan) -> None:
+    for s in plan.streams:
+        if s.seed_len_rest > plan.block_len:
+            # a block of N binary codec symbols cannot use more than N fresh bits
+            hint = "lower --ideal-xi / --ideal-delta" if plan.idealized \
+                else "rerun with --idealized"
+            raise ValueError(
+                f"stream {s.name} draws {s.seed_len_rest} fresh bits per block "
+                f"after the first, more than N = {plan.block_len} "
+                f"(eps = {plan.eps:.6g}); {hint} or raise --n")
+
+
 def cmd_build(cfg: ExperimentConfig) -> int:
     code = _build_code(cfg)
+    _check_fresh_bits(code.plan)   # write no descriptor simulate would refuse
     desc = encoder.code_to_descriptor(code, cfg.build_hash())
     out = Path(cfg.out_dir)
     _write_json(out / "descriptor.json", desc)
@@ -215,45 +228,25 @@ def _check_window(cfg: ExperimentConfig) -> None:
                          f"(--n {cfg.n}): no window of that length fits")
 
 
-def _check_fresh_bits(plan: encoder.LengthPlan) -> None:
-    for s in plan.streams:
-        if s.seed_len_rest > plan.block_len:
-            # a block of N binary codec symbols cannot use more than N fresh bits
-            hint = "lower --ideal-xi / --ideal-delta" if plan.idealized \
-                else "rerun with --idealized"
-            raise ValueError(
-                f"stream {s.name} draws {s.seed_len_rest} fresh bits per block "
-                f"after the first, more than N = {plan.block_len} "
-                f"(eps = {plan.eps:.6g}); {hint} or raise --n")
-
-
-_WORKER_JOB = None   # (code, cfg) of the running evaluation; forks inherit it
-
-
-def _run_chunk(args: tuple[int, int]) -> dict:
-    chunk_idx, n_trials = args
-    code, cfg = _WORKER_JOB
-    rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, chunk_idx)))
-    return evaluator.mc_chunk_features(code, n_trials, rng, window=cfg.window,
-                                       rec_bits=cfg.rec_bits,
-                                       recycle=cfg.recycle)
-
-
 def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
     """Count tables of all trials of ``code``: each chunk's, added key by key.
 
-    Forked workers inherit the code, not rebuild it.
+    Up to ``cfg.workers`` threads share ``code`` and only read it, but for
+    its deterministic cached ``_tiers`` and ``_packed_rows`` (equal if racing).
     """
-    global _WORKER_JOB
-    _WORKER_JOB = (code, cfg)
-    chunks = [(i, min(CHUNK_TRIALS, cfg.trials - lo))
-              for i, lo in enumerate(range(0, cfg.trials, CHUNK_TRIALS))]
+    def run_chunk(i: int) -> dict:
+        rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
+        return evaluator.mc_chunk_features(
+            code, min(CHUNK_TRIALS, cfg.trials - i * CHUNK_TRIALS), rng,
+            window=cfg.window, rec_bits=cfg.rec_bits, recycle=cfg.recycle)
+
+    chunks = range(-(-cfg.trials // CHUNK_TRIALS))
     workers = min(cfg.workers, len(chunks))
-    if workers == 1:
-        results = [_run_chunk(c) for c in chunks]
+    if workers == 1:   # on the calling thread, as a single-threaded tracer needs
+        results = [run_chunk(i) for i in chunks]
     else:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_run_chunk, chunks)
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(run_chunk, chunks))
     return {key: sum(r[key] for r in results) for key in results[0]}
 
 

@@ -564,8 +564,22 @@ def _window_tv(counts: np.ndarray, boot: np.ndarray,
     """
     tv = float(np.abs(counts / counts.sum() - target).sum())
     tvs = np.abs(boot / boot.sum(axis=1, keepdims=True) - target).sum(axis=1)
-    lo, hi = np.percentile(tvs, [2.5, 97.5])
-    return tv, float(lo), float(hi)
+    return (tv, *_percentile_ci(tvs))
+
+
+def _percentile_ci(x: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(x, [2.5, 97.5])`` bit for bit, from one sort: numpy's
+    ``linear`` index (n - 1) q and both branches of its lerp, without the
+    ``numpy.ma`` import that numpy's own call makes through ``np.unique``.
+    """
+    s = np.sort(x, axis=None)
+    ends = []
+    for q in (2.5 / 100, 97.5 / 100):
+        v = (s.size - 1) * q
+        i = math.floor(v)
+        a, b, t = float(s[i]), float(s[min(i + 1, s.size - 1)]), v - i
+        ends.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return (float(s[-1]),) * 2 if np.isnan(s[-1]) else tuple(ends)
 
 
 def _recycled_cells(bt: BatchTranscript, code: MacCode,
@@ -720,8 +734,7 @@ def _pair_tv(counts: np.ndarray, na: int, nb: int, n_boot: int,
     stat = lambda c: _dependence_tv((c / c.sum(axis=-1, keepdims=True))
                                     .reshape(*c.shape[:-1], na, nb))
     tv = float(stat(counts.astype(np.float64)))
-    lo, hi = np.percentile(stat(_replicates(counts, n_boot, rng)), [2.5, 97.5])
-    return tv, float(lo), float(hi)
+    return (tv, *_percentile_ci(stat(_replicates(counts, n_boot, rng))))
 
 
 # -- leftover-hash bound check ----------------------------------------------------

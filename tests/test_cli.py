@@ -1,10 +1,14 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import adder_mac, adder_mac3, parallel_mac
@@ -107,25 +111,40 @@ class TestBuildCommand:
         assert rc == 2
         assert "[0.5, 1.0]" in capsys.readouterr().err
 
-    def test_asymptotic_only_exit_3(self, adder_spec, tmp_path):
+    def test_clamped_analysis_plan_refused(self, adder_spec, tmp_path, capsys):
+        # at desk-scale N the analysis constants that clamp the hashes also
+        # ask for more fresh bits than a block holds (75 > 8 here)
         with pytest.warns(UserWarning, match="asymptotic"):
             rc = main(["build", "--channel", adder_spec, "--out-dir",
                        str(tmp_path / "b"), "--n", "8", "--k", "2",
                        "--xi", "0.05"])
-        assert rc == 3
-        desc = json.loads((tmp_path / "b" / "descriptor.json").read_text())
-        assert desc["asymptotic_only"]
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "draws 75 fresh bits" in err and "rerun with --idealized" in err
+        assert not (tmp_path / "b" / "descriptor.json").exists()
 
     def test_idealized_clamp_names_the_constants(self, parallel_spec, tmp_path,
                                                  capsys):
-        # eps = 2 (5 + 5) clamps every hash at N=4 although --idealized is set
+        # eps = 2 (0.005 + 0.005) clamps every hash at N=4 although --idealized
+        # is set (Z = (X, Y) leaves nothing to recycle), yet the fresh bits fit
+        rc = main(["build", "--channel", parallel_spec, "--out-dir",
+                   str(tmp_path / "b"), "--mode", "case2", "--n", "4", "--k", "2",
+                   "--idealized", "--ideal-xi", "0.005", "--ideal-delta", "0.005"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "--ideal-xi 0.005" in err and "--ideal-delta 0.005" in err
+        assert "rerun with --idealized" not in err
+
+    def test_plan_simulate_refuses_writes_no_descriptor(self, parallel_spec,
+                                                        tmp_path, capsys):
+        # eps = 2 (5 + 5) asks for 84 fresh bits per 4-symbol block
         rc = main(["build", "--channel", parallel_spec, "--out-dir",
                    str(tmp_path / "b"), "--mode", "case2", "--n", "4", "--k", "2",
                    "--idealized", "--ideal-xi", "5", "--ideal-delta", "5"])
-        assert rc == 3
+        assert rc == 1
         err = capsys.readouterr().err
-        assert "--ideal-xi 5.0" in err and "--ideal-delta 5.0" in err
-        assert "rerun with --idealized" not in err
+        assert "error: stream x draws 84 fresh bits" in err and "N = 4" in err
+        assert not (tmp_path / "b" / "descriptor.json").exists()
 
     def test_rebuild_byte_identical(self, adder_spec, tmp_path):
         args = ["build", "--channel", adder_spec, "--n", "8", "--k", "2",
@@ -261,15 +280,16 @@ class TestSimulateCommand:
             for names in user_streams]
 
     def test_deterministic_across_runs_and_workers(self, adder_spec, tmp_path):
+        # three chunks, the last one short
         base = ["simulate", "--channel", adder_spec, "--n", "16", "--k", "2",
-                "--idealized", "--seed", "9", "--trials", "12000"]
+                "--idealized", "--seed", "9",
+                "--trials", str(2 * cli.CHUNK_TRIALS + 1000)]
         outs = []
-        for tag, extra in (("a", ["--workers", "1"]), ("b", ["--workers", "1"]),
-                           ("c", ["--workers", "2"])):
+        for tag, workers in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")):
             out = tmp_path / tag
-            assert main(base + extra + ["--out-dir", str(out)]) == 0
+            assert main(base + ["--workers", workers, "--out-dir", str(out)]) == 0
             outs.append((out / "report.json").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1] == outs[2] == outs[3]
 
     def test_oversized_plan_writes_no_rates(self, parallel_spec, tmp_path,
                                             capsys):
@@ -283,6 +303,7 @@ class TestSimulateCommand:
         assert "error: stream x draws 84 fresh bits" in err
         assert "N = 4" in err and "eps = 20" in err
         assert not (out / "report.json").exists()
+        assert not (out / "descriptor.json").exists()
 
     def test_window_wider_than_block_rejected(self, adder_spec, tmp_path,
                                               capsys, monkeypatch):
@@ -606,8 +627,8 @@ class TestSimulateRefusesBeforeWork:
         sizes = []
 
         class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -618,14 +639,64 @@ class TestSimulateRefusesBeforeWork:
             def map(self, fn, items):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(cli.multiprocessing, "get_context",
-                            lambda method: SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.evaluator, "mc_chunk_features",
                             lambda code, n_trials, rng, **kw: {"trials": n_trials})
         cfg = cli.ExperimentConfig(channel=adder_spec, workers=8,
                                    trials=2 * cli.CHUNK_TRIALS)
         assert cli._mc_features_parallel(None, cfg) == {"trials": cfg.trials}
         assert sizes == [2]
+
+
+class TestChunkThreads:
+    def test_chunks_run_in_this_process(self, adder_spec, monkeypatch):
+        pids = []
+
+        def record(code, n_trials, rng, **kw):
+            pids.append(os.getpid())
+            return {"trials": n_trials}
+
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features", record)
+        cfg = cli.ExperimentConfig(channel=adder_spec, workers=2,
+                                   trials=2 * cli.CHUNK_TRIALS)
+        assert cli._mc_features_parallel(None, cfg) == {"trials": cfg.trials}
+        assert pids == [os.getpid()] * 2
+
+    def test_racing_threads_fill_the_cached_members_alike(self, adder_spec):
+        # a fresh code has computed neither cached member; four threads that
+        # switch every microsecond may compute each at once
+        cfg = cli.ExperimentConfig(channel=adder_spec, n=16, k=2, idealized=True,
+                                   trials=3 * cli.CHUNK_TRIALS + 1000)
+        code = cli._build_code(cfg)
+        assert not any("_tiers" in vars(c) for c in code.codecs.values())
+        assert not any("_packed_rows" in vars(h) for h in code.hashes.values())
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = cli._mc_features_parallel(code, replace(cfg, workers=4))
+        finally:
+            sys.setswitchinterval(old)
+        serial = cli._mc_features_parallel(cli._build_code(cfg), cfg)
+        assert threaded.keys() == serial.keys()
+        for key in serial:
+            np.testing.assert_array_equal(threaded[key], serial[key])
+
+    def test_simulate_imports_no_numpy_ma(self, adder_spec, tmp_path):
+        # numpy's np.percentile imports numpy.ma through np.unique
+        args = ["--channel", adder_spec, "--out-dir", str(tmp_path / "s"),
+                "--n", "16", "--k", "2", "--idealized", "--trials", "3000"]
+        assert main(["build"] + args[:-2]) == 0
+        src = Path(cli.__file__).resolve().parents[1]
+        script = ("import sys; from macresolve.cli import main; "
+                  f"assert main(['simulate'] + {args!r}) == 0; "
+                  "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
+        rep = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert rep["mode"] == "mc"
 
 
 class TestTrialsFloor:

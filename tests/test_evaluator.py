@@ -13,6 +13,7 @@ from macresolve.evaluator import (
     _ExactEngine,
     _count_rows,
     _pair_tv,
+    _percentile_ci,
     _recycled_cells,
     _replicates,
     _window_cells,
@@ -675,6 +676,17 @@ class TestBootstrapKernels:
             got = _count_rows(cells, n_cells)
             assert got.dtype == ref.dtype
             np.testing.assert_array_equal(got, ref)
+
+    def test_percentile_ci_is_numpys_bit_for_bit(self, rng):
+        # 1,200 vectors: spread magnitudes, ties and constants; at these
+        # lengths both branches of numpy's lerp occur
+        for n in (1, 2, 3, 39, 40, 41, 200, 999, 1000, 1001):
+            for _ in range(40):
+                for x in (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8),
+                          rng.integers(0, 4, n) / 7,
+                          np.full(n, rng.random())):
+                    want = np.percentile(x, [2.5, 97.5])
+                    assert np.array(_percentile_ci(x)).tobytes() == want.tobytes()
 
     def test_pair_point_estimate_equals_one_hot(self, rng):
         for na, nb, trials in ((8, 9, 1000), (2, 16, 3000), (1, 4, 500)):
