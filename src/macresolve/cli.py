@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -177,17 +178,28 @@ def cmd_region(cfg: ExperimentConfig) -> int:
 
 
 def _build_code(cfg: ExperimentConfig):
+    """The code of ``cfg``; one whose plan overdraws a block is refused first.
+
+    ``build_mac_code``'s warning of an asymptotic-only plan is held back until
+    the plan passes that check: a refused plan gets one error line.
+    """
     ch, dists = _load_inputs(cfg)
     if cfg.order is not None and sorted(cfg.order) != list(range(ch.n_users)):
         typed = ",".join(str(u + 1) for u in cfg.order)
         raise ValueError(f"--order {typed} is not a permutation of 1..{ch.n_users}")
     rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    return encoder.build_mac_code(
-        ch, dists, mode=cfg.mode, block_len=cfg.n, k=cfg.k,
-        xi=cfg.ideal_xi if cfg.idealized else cfg.xi, beta=cfg.beta,
-        target_r1=cfg.target_r1, eps_split=cfg.eps, order=cfg.order,
-        delta=cfg.ideal_delta if cfg.idealized else None, rng=rng,
-    )
+    with warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")
+        code = encoder.build_mac_code(
+            ch, dists, mode=cfg.mode, block_len=cfg.n, k=cfg.k,
+            xi=cfg.ideal_xi if cfg.idealized else cfg.xi, beta=cfg.beta,
+            target_r1=cfg.target_r1, eps_split=cfg.eps, order=cfg.order,
+            delta=cfg.ideal_delta if cfg.idealized else None, rng=rng,
+        )
+    _check_fresh_bits(code.plan)
+    for w in held:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 def _check_fresh_bits(plan: encoder.LengthPlan) -> None:
@@ -196,15 +208,18 @@ def _check_fresh_bits(plan: encoder.LengthPlan) -> None:
             # a block of N binary codec symbols cannot use more than N fresh bits
             hint = "lower --ideal-xi / --ideal-delta" if plan.idealized \
                 else "rerun with --idealized"
+            constants = "idealized" if plan.idealized else "analysis"
+            clamped = (f"; the {constants} constants also clamp hash lengths "
+                       "at this N (asymptotic-only plan)"
+                       ) if plan.asymptotic_only else ""
             raise ValueError(
                 f"stream {s.name} draws {s.seed_len_rest} fresh bits per block "
                 f"after the first, more than N = {plan.block_len} "
-                f"(eps = {plan.eps:.6g}); {hint} or raise --n")
+                f"(eps = {plan.eps:.6g}){clamped}; {hint} or raise --n")
 
 
 def cmd_build(cfg: ExperimentConfig) -> int:
-    code = _build_code(cfg)
-    _check_fresh_bits(code.plan)   # write no descriptor simulate would refuse
+    code = _build_code(cfg)   # writes no descriptor simulate would refuse
     desc = encoder.code_to_descriptor(code, cfg.build_hash())
     out = Path(cfg.out_dir)
     _write_json(out / "descriptor.json", desc)
@@ -359,7 +374,6 @@ def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
         sub.validate()
         _check_window(sub)
         codes.append(_build_code(sub))
-        _check_fresh_bits(codes[-1].plan)
     rows = [[sub.n, sub.k, "" if sub.eps is None else sub.eps, *m.to_list()]
             for sub, code in zip(grid, codes) for m in _mc_metrics(code, sub)]
     out = Path(cfg.out_dir)

@@ -415,13 +415,14 @@ def _chain_encode(
     fresh: Sequence[np.ndarray],
     rng: np.random.Generator,
     recycle: bool,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run one stream's hash chain over k blocks.
 
     ``fresh[i]`` is the block-(i+1) fresh seed batch; block 1 feeds the codec
     its first ``codec_width`` bits, later blocks feed hash(previous block)
     concatenated with the fresh bits.  With ``recycle=False`` the hash output
-    is replaced by fresh uniform bits (ablation baseline).
+    is replaced by fresh uniform bits (ablation baseline).  Returns the
+    (trials, k, N) blocks, each encoded into its place, and the recycled bits.
     """
     k = len(fresh)
     if fresh[0].shape[1] != stream.seed_len_first:
@@ -429,7 +430,7 @@ def _chain_encode(
             f"stream {stream.name}: block-1 seed width {fresh[0].shape[1]}, "
             f"plan says {stream.seed_len_first}"
         )
-    seqs: list[np.ndarray] = []
+    seqs = np.empty((len(fresh[0]), k, codec.block_len), dtype=np.uint8)
     recycled: list[np.ndarray] = []
     for i in range(k):
         if i == 0:
@@ -441,13 +442,13 @@ def _chain_encode(
                     f"{fresh[i].shape[1]}, plan says {stream.seed_len_rest}"
                 )
             if recycle:
-                rec = h.apply_batch(seqs[i - 1])
+                rec = h.apply_batch(seqs[:, i - 1])
             else:
                 rec = rng.integers(0, 2, size=(fresh[i].shape[0], stream.hash_len),
                                    dtype=np.uint8)
             recycled.append(rec)
             codec_in = np.concatenate([rec, fresh[i]], axis=1)
-        seqs.append(encode_batch(codec, codec_in[:, :codec.seed_len], rng))
+        seqs[:, i] = encode_batch(codec, codec_in[:, :codec.seed_len], rng)
     return seqs, recycled
 
 
@@ -494,10 +495,9 @@ def run_trials(
     streams: dict[str, np.ndarray] = {}
     recycled: dict[str, list[np.ndarray]] = {}
     for s in plan.streams:
-        seqs, recycled[s.name] = _chain_encode(
+        streams[s.name], recycled[s.name] = _chain_encode(
             code.codecs[s.name], code.hashes[s.name], s, fresh[s.name], rng,
             recycle)
-        streams[s.name] = np.stack(seqs, axis=1)
     words = []
     for word, parts in code.channel_inputs:
         if word not in streams:
@@ -506,7 +506,7 @@ def run_trials(
     small = code.channel.output_alphabet.size <= 256
     channel_out = np.empty(words[0].shape, dtype=np.uint8 if small else np.int64)
     for i in range(plan.k):
-        channel_out[:, i] = transmit(code.channel, [w[:, i, :] for w in words], rng)
+        transmit(code.channel, [w[:, i] for w in words], rng, out=channel_out[:, i])
     return BatchTranscript(streams, fresh, recycled, channel_out)
 
 

@@ -38,6 +38,7 @@ from .probcore import (
     bits_to_index,
     min_entropy_conditional,
     mutual_information,
+    row_slices,
     target_output_dist,
 )
 
@@ -66,7 +67,6 @@ EXACT_STATE_BUDGET = 1 << 24
 # (and of the recycled-row products) at once
 EXACT_CHUNK_ENTRIES = 1 << 15
 GEOM_TOL = 1e-9
-COUNT_ROWS = 1024   # rows per histogram pass in _count_rows
 
 
 # -- region geometry -----------------------------------------------------------
@@ -531,29 +531,25 @@ class MetricRow:
 def _window_cells(z: np.ndarray, z_size: int, w: int) -> np.ndarray:
     """Pack sliding windows of each block into cell indices.
 
-    ``z`` has shape (trials, k, N); returns (trials, k, N - w + 1).
+    ``z`` has shape (trials, k, N); returns (trials, k, N - w + 1) in the
+    narrowest unsigned dtype that holds z_size^w (every cell, and z_size).
     """
     trials, k, n_sym = z.shape
-    cells = np.zeros((trials, k, n_sym - w + 1), dtype=np.int32)
+    cells = np.zeros((trials, k, n_sym - w + 1),
+                     dtype=np.min_scalar_type(z_size ** w))
     for off in range(w):
         cells *= z_size
-        cells += z[:, :, off:n_sym - w + 1 + off]
+        # symbols are < z_size, so casting a wider z into the cells is exact
+        np.add(cells, z[:, :, off:n_sym - w + 1 + off], out=cells,
+               casting="unsafe")
     return cells
 
 
 def _count_rows(cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """Per-row histogram of cell indices: (rows, n) -> (rows, n_cells).
-
-    Counted ``COUNT_ROWS`` rows at a time, so that the offset copy of the
-    cells stays small beside them.
-    """
-    out = np.empty((cells.shape[0], n_cells), dtype=np.int32)
-    for lo in range(0, len(out), COUNT_ROWS):
-        block = out[lo:lo + COUNT_ROWS]
-        flat = cells[lo:lo + len(block)] + np.arange(len(block))[:, None] * n_cells
-        block[:] = np.bincount(flat.reshape(-1), minlength=block.size).reshape(
-            block.shape)
-    return out
+    """Per-row histogram of cell indices: (rows, n) -> (rows, n_cells), int32."""
+    flat = cells + np.arange(len(cells))[:, None] * n_cells
+    return np.bincount(flat.reshape(-1), minlength=len(cells) * n_cells).reshape(
+        len(cells), n_cells).astype(np.int32)
 
 
 def _window_tv(counts: np.ndarray, boot: np.ndarray,
@@ -586,7 +582,10 @@ def _recycled_cells(bt: BatchTranscript, code: MacCode,
                     rec_bits: int) -> tuple[np.ndarray, int]:
     """First recycled bits of blocks 2..k as cells (k-1, trials), and their count."""
     names = [s.name for s in code.plan.streams]
-    recs = [np.concatenate([bt.recycled[name][i] for name in names], axis=1)
+    # the first rec_bits of the streams' bits side by side lie in the first
+    # rec_bits of each
+    recs = [np.concatenate([bt.recycled[name][i][:, :rec_bits] for name in names],
+                           axis=1)
             for i in range(bt.k - 1)]
     b = min(rec_bits, recs[0].shape[1])
     return np.stack([bits_to_index(rec[:, :b]) for rec in recs]), 1 << b
@@ -615,20 +614,26 @@ def transcript_features(
         raise ValueError(f"window {window} is longer than the block "
                          f"length {n_sym}")
     feats: dict = {"trials": trials}
-    hists = []
-    for w in sorted({1, window}):
-        cells = _window_cells(bt.channel_out, z_size, w)
-        hists.append(_count_rows(cells.reshape(trials, -1), z_size ** w))
-        feats[f"win{w}"] = hists[-1].sum(axis=0)
-        if w == window:   # first and last windows, intp: pair cells reach zc^2
-            z_first, z_last = (cells[:, :, j].T.astype(np.intp) for j in (0, -1))
-        del cells   # the next w's windows are packed without these
+    widths = sorted({1, window})
+    sizes = [z_size ** w for w in widths]
+    # each trial's counts of both widths side by side; a row slice of trials
+    # at a time is packed into cells and counted
+    per_trial = np.empty((trials, sum(sizes)), dtype=np.int64)
+    for w, hist in zip(widths, np.split(per_trial, np.cumsum(sizes)[:-1], axis=1)):
+        for sl in row_slices(trials, k * n_sym):
+            cells = _window_cells(bt.channel_out[sl], z_size, w)
+            hist[sl] = _count_rows(cells.reshape(len(cells), -1), z_size ** w)
+        feats[f"win{w}"] = hist.sum(axis=0)
     if k >= 2 and bt.recycled:
+        # first and last windows of each block, intp: pair cells reach zc^2
+        z_first, z_last = (
+            _window_cells(bt.channel_out[:, :, j:j + window], z_size,
+                          window)[:, :, 0].T.astype(np.intp)
+            for j in (0, n_sym - window))
         rec_e, ec = _recycled_cells(bt, code, rec_bits)
         zc = z_size ** window
         feats["rec_pairs"] = _count_rows(rec_e * zc + z_last[:-1], ec * zc)
         feats["out_pairs"] = _count_rows(z_last[:-1] * zc + z_first[1:], zc * zc)
-    per_trial = np.hstack(hists).astype(np.int64)
     feats["mom"] = per_trial.T @ per_trial   # integer matmul: exact, no BLAS
     return feats
 

@@ -21,7 +21,7 @@ each block by its probability.
 
 The source is i.i.d., so at every node of the pass all positions share one
 prior function of a small integer context.  While that function's table has at
-most ``TABLE_MAX`` entries the pass carries the table and an int32 context per
+most ``TABLE_MAX`` entries the pass carries the table and a uint16 context per
 position instead of a dense float prior per position; past that size, and at
 the leaves, it gathers the dense priors and goes on with the dense laws.  Both
 modes evaluate the same float expressions on the same operands, so every
@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .probcore import Dist, all_bit_rows, entropy
+from .probcore import Dist, all_bit_rows, entropy, row_slices
 
 __all__ = [
     "EXACT_CAP_N",
@@ -59,7 +59,8 @@ EXACT_CAP_N = 20  # 2^N enumeration above this is refused
 # conditional-argmax ties (exact 0.5 arises from parity symmetries) resolve
 # to 0; the tolerance keeps the choice stable against last-ulp noise
 TIE_TOL = 1e-12
-# largest shared-prior table the SC pass carries before it goes dense
+# largest shared-prior table the SC pass carries before it goes dense; its
+# uint16 contexts index it, so it stays <= 2^16 entries
 TABLE_MAX = 4096
 
 
@@ -199,9 +200,13 @@ def compute_profile(
     elif rng is None:
         raise ValueError("approximate profiling needs an explicit rng")
     else:
-        x = (rng.random((int(mc_samples), n_sym)) < p1).T
+        # coordinate-major blocks, drawn a row slice of (samples, N) at a time
+        # in the order of one (samples, N) draw
+        x = np.empty((n_sym, int(mc_samples)), dtype=np.uint8)
+        for sl in row_slices(x.shape[1], n_sym):
+            x[:, sl] = (rng.random((sl.stop - sl.start, n_sym)) < p1).T
         reduce = np.mean
-    a = _transform_cm(np.array(x, dtype=np.uint8, order="C"))
+    a = _transform_cm(np.ascontiguousarray(x, dtype=np.uint8))
     ce = np.empty(n_sym)
 
     def surprisal(j, pj):
@@ -308,9 +313,11 @@ def _sc(prior: np.ndarray, leaf, start: int = 0, ctx: np.ndarray | None = None,
 
 
 def _sc_iid(p1: float, shape: tuple[int, int], leaf, known=None) -> np.ndarray:
-    """The pass over (N, batch) i.i.d. Bern(p1) bits: one table entry, one context."""
-    return _sc(np.array([p1]), leaf, ctx=np.zeros(shape, dtype=np.int32),
-               known=known)
+    """The pass over (N, batch) i.i.d. Bern(p1) bits: one table entry, one
+    context, a broadcast zero that holds no (N, batch) array.  The children's
+    contexts keep its uint16 dtype: they index tables of at most TABLE_MAX."""
+    return _sc(np.array([p1]), leaf,
+               ctx=np.broadcast_to(np.uint16(0), shape), known=known)
 
 
 def encode_batch(

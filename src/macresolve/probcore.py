@@ -35,6 +35,7 @@ __all__ = [
     "min_entropy_conditional",
     "target_output_dist",
     "transmit",
+    "row_slices",
     "bits_to_index",
     "index_to_bits",
     "all_bit_rows",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 PMF_ATOL = 1e-12  # normalization tolerance on construction
+SLICE_ENTRIES = 1 << 16  # entries per slice of work over a batch of trials
 
 
 class BudgetError(RuntimeError):
@@ -341,42 +343,69 @@ def target_output_dist(ch: MacChannel, inputs: Sequence[Dist]) -> Dist:
     return Dist(ch.output_alphabet, out, renormalize=True)
 
 
+def row_slices(n_rows: int, row_size: int):
+    """Consecutive slices over ``n_rows`` rows of ``row_size`` entries each,
+    of about ``SLICE_ENTRIES`` entries (at least one row) per slice."""
+    step = max(1, SLICE_ENTRIES // max(row_size, 1))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 def transmit(
-    ch: MacChannel, codewords: Sequence[np.ndarray], rng: np.random.Generator
+    ch: MacChannel, codewords: Sequence[np.ndarray], rng: np.random.Generator,
+    *, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Send L parallel length-N input sequences through the memoryless channel.
 
     Position i of the output depends only on position i of the inputs; each
-    position is an independent draw from the matching conditional row.
+    position is an independent draw from the matching conditional row.  The
+    output goes into ``out`` (the words' shape, any integer dtype that holds
+    |Z| - 1) if given, else into a new int64 array, and is returned.  The
+    work runs ``row_slices`` of the words' first axis at a time; ``rng.random``
+    fills C order one value after another, so the slices draw the same
+    stream, and leave the same generator state, as one draw of the whole shape.
     """
     # integer words index the tables as they are, without an int64 copy
     words = [np.asarray(c) for c in codewords]
     words = [w if w.dtype.kind in "iu" else w.astype(np.int64) for w in words]
     if len(words) != ch.n_users:
         raise ValueError(f"{len(words)} codewords for {ch.n_users}-user channel")
+    shape = words[0].shape
     for i, w in enumerate(words):
-        if w.shape != words[0].shape:
+        if w.shape != shape:
             raise ValueError("codeword length mismatch")
         if w.size and ((w.dtype.kind == "i" and w.min() < 0)
                        or w.max() >= ch.input_alphabets[i].size):
             raise ValueError(f"codeword {i} has symbols outside its alphabet")
+    if out is None:
+        out = np.empty(shape, dtype=np.int64)
+    elif out.shape != shape:
+        raise ValueError(f"output shape {out.shape}, words have {shape}")
     if words[0].size == 0:
-        return np.zeros(words[0].shape, dtype=np.int64)
-    u = rng.random(size=words[0].shape)
+        return out
     # inverse CDF per position: the output counts the entries of the joint
     # input's cumulative row that the draw reaches.  A draw in [0, 1) always
     # reaches an entry <= 0 and never one >= 1, so the columns of only such
-    # entries are counted per joint input, not compared per position.
-    joint = words[0].astype(np.intp)
-    for w, a in zip(words[1:], ch.input_alphabets[1:]):
-        joint *= a.size
-        joint += w
-    cum = np.cumsum(ch.transition, axis=-1).reshape(-1, ch.output_alphabet.size)
+    # entries are counted per joint input, not compared per position.  The
+    # last column is not counted: rows are nondecreasing, so reaching it
+    # means reaching every other one, and the count stops at |Z| - 1.
+    cum = np.cumsum(ch.transition, axis=-1).reshape(
+        -1, ch.output_alphabet.size)[:, :-1]
     sure = np.all((cum <= 0) | (cum >= 1), axis=0)
-    out = (cum[:, sure] <= 0).sum(axis=1, dtype=np.int64)[joint]
-    for col in cum[:, ~sure].T:
-        out += u >= col[joint]
-    return np.minimum(out, ch.output_alphabet.size - 1, out=out)
+    base = (cum[:, sure] <= 0).sum(axis=1).astype(out.dtype)
+    cols = cum[:, ~sure].T
+    joint_type = np.min_scalar_type(len(cum))   # holds every alphabet size
+    rows = len(words[0])
+    for sl in row_slices(rows, words[0].size // rows):
+        u = rng.random(size=words[0][sl].shape)
+        joint = words[0][sl].astype(joint_type)
+        for w, a in zip(words[1:], ch.input_alphabets[1:]):
+            joint *= a.size
+            np.add(joint, w[sl], out=joint, casting="unsafe")  # w < a.size
+        block = out[sl]
+        block[...] = base[joint]
+        for col in cols:
+            block += u >= col[joint]
+    return out
 
 
 # -- bit-sequence <-> integer index conventions ------------------------------

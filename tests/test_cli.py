@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,14 +114,18 @@ class TestBuildCommand:
 
     def test_clamped_analysis_plan_refused(self, adder_spec, tmp_path, capsys):
         # at desk-scale N the analysis constants that clamp the hashes also
-        # ask for more fresh bits than a block holds (75 > 8 here)
-        with pytest.warns(UserWarning, match="asymptotic"):
+        # ask for more fresh bits than a block holds (75 > 8 here): one error
+        # line says both, and no asymptotic-only warning comes before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["build", "--channel", adder_spec, "--out-dir",
                        str(tmp_path / "b"), "--n", "8", "--k", "2",
                        "--xi", "0.05"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "draws 75 fresh bits" in err and "rerun with --idealized" in err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: stream x draws 75 fresh bits")
+        assert "analysis constants also clamp hash lengths" in line
+        assert "rerun with --idealized" in line
         assert not (tmp_path / "b" / "descriptor.json").exists()
 
     def test_idealized_clamp_names_the_constants(self, parallel_spec, tmp_path,

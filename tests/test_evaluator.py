@@ -623,6 +623,26 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="1000"):
             dependence_rows(code, bt, make_rng(42))
 
+    def test_mc_chunk_holds_little_more_than_its_transcript(self):
+        # seeds, blocks, recycled bits and channel outputs are uint8; full-chunk
+        # int64 / float64 temporaries put the peak at 2.4 times these bytes,
+        # without them it is 1.24 times
+        code = small_code(adder_mac3(), BERN_234, 64, 3, 81, mode="multi")
+        bt = run_trials(code, 8192, make_rng(82))
+        arrays = [*bt.streams.values(), bt.channel_out,
+                  *(a for blocks in bt.fresh_seeds.values() for a in blocks),
+                  *(a for blocks in bt.recycled.values() for a in blocks)]
+        assert {a.dtype for a in arrays} == {np.dtype(np.uint8)}
+        transcript = sum(a.nbytes for a in arrays)
+        del bt, arrays
+        tracemalloc.start()
+        try:
+            mc_chunk_features(code, 8192, make_rng(82))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * transcript
+
 
 def one_hot_pair_tv(a_idx, b_idx, na, nb, n_boot, rng):
     """Reference pair TV: one-hot trial counts under per-trial Poisson(1) weights."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from macresolve.polar import (
     profile_to_csv,
 )
 from macresolve.probcore import (
+    SLICE_ENTRIES,
     Dist,
     all_bit_rows,
     bits_to_index,
@@ -261,6 +263,19 @@ class TestProfile:
         assert not approx.exact
         assert np.max(np.abs(approx.cond_entropies - exact.cond_entropies)) < 0.04
 
+    def test_sampled_profile_holds_no_float_draw(self):
+        # the (samples, N) float64 uniforms alone were 8 bytes per block bit
+        # (14.2 in all); the pass over the uint8 blocks takes 6.9
+        samples, n = 4096, 10
+        tracemalloc.start()
+        try:
+            compute_profile(Dist.bernoulli(0.3), n, mc_samples=samples,
+                            rng=make_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * (samples << n)
+
     def test_rate_law_near_entropy(self):
         prof = compute_profile(Dist.bernoulli(0.3), 4)
         assert abs(len(prof.v_set) / 16 - h2(0.3)) < 0.15
@@ -330,6 +345,17 @@ class TestScConditional:
             assert np.array_equal(got, ref_encode_batch(code, seeds,
                                                         make_rng(n + 20)))
 
+    def test_sampled_blocks_span_row_slices(self):
+        # at N = 128 the blocks are drawn 512 at a time: 520 is one slice
+        # and a part, with the bits and generator state of one draw
+        n, samples = 7, 520
+        assert samples % (SLICE_ENTRIES >> n)
+        got_rng, want_rng = make_rng(31), make_rng(31)
+        prof = compute_profile(Dist.bernoulli(0.3), n, mc_samples=samples,
+                               rng=got_rng)
+        assert np.array_equal(prof.cond_entropies,
+                              ref_sampled_entropies(0.3, n, samples, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("p", [0.11, 0.3, 0.5])

@@ -284,6 +284,72 @@ class TestTransmit:
         assert got_rng.random() == want_rng.random()
         assert len(np.unique(got)) == 4
 
+    @staticmethod
+    def whole_array_reference(ch, codewords, rng):
+        """``transmit`` as one vectorised pass over the whole words: a uniform
+        per position, an int64 joint index and an int64 output."""
+        words = [np.asarray(c) for c in codewords]
+        words = [w if w.dtype.kind in "iu" else w.astype(np.int64) for w in words]
+        if words[0].size == 0:
+            return np.zeros(words[0].shape, dtype=np.int64)
+        u = rng.random(size=words[0].shape)
+        joint = words[0].astype(np.intp)
+        for w, a in zip(words[1:], ch.input_alphabets[1:]):
+            joint *= a.size
+            joint += w
+        cum = np.cumsum(ch.transition, axis=-1).reshape(-1, ch.output_alphabet.size)
+        sure = np.all((cum <= 0) | (cum >= 1), axis=0)
+        out = (cum[:, sure] <= 0).sum(axis=1, dtype=np.int64)[joint]
+        for col in cum[:, ~sure].T:
+            out += u >= col[joint]
+        return np.minimum(out, ch.output_alphabet.size - 1, out=out)
+
+    @staticmethod
+    def partly_noisy_mac() -> MacChannel:
+        """|Z| = 4: columns 0, 1 and 3 of every cumulative row are 0 or 1,
+        column 2 is not."""
+        t = np.array([[[1, 0, 0, 0], [0, 1, 0, 0]],
+                      [[0, 0, 0.3, 0.7], [0, 0, 0.6, 0.4]]])
+        return MacChannel((Alphabet(2), Alphabet(2)), Alphabet(4), t)
+
+    @staticmethod
+    def wide_output_mac() -> MacChannel:
+        """One binary input, |Z| = 300, every row spread over all outputs."""
+        t = make_rng(4).random((2, 300)) + 0.01
+        return MacChannel((Alphabet(2),), Alphabet(300), t / t.sum(-1, keepdims=True))
+
+    @pytest.mark.parametrize("make_ch", ["partly_noisy_mac", "wide_output_mac"])
+    @pytest.mark.parametrize("shape", [(3 * 2 ** 16 + 5,), (10_000, 16),
+                                       (3000, 3, 17)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_matches_the_whole_array_reference(self, make_ch, shape, dtype):
+        # row counts that are no multiple of a row slice; |Z| = 300 stays int64
+        ch = getattr(self, make_ch)()
+        gen = make_rng(12)
+        words = [gen.integers(0, 2, size=shape).astype(dtype)
+                 for _ in range(ch.n_users)]
+        got_rng, want_rng = make_rng(8), make_rng(8)
+        got = transmit(ch, words, got_rng)
+        want = self.whole_array_reference(ch, words, want_rng)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert len(np.unique(got)) > 3
+
+    def test_writes_into_a_strided_block_view(self):
+        ch = self.partly_noisy_mac()
+        gen = make_rng(13)
+        words = [gen.integers(0, 2, size=(5000, 3, 24), dtype=np.uint8)
+                 for _ in range(2)]
+        channel_out = np.full((5000, 3, 24), 9, dtype=np.uint8)
+        got_rng, want_rng = make_rng(9), make_rng(9)
+        block = channel_out[:, 1]
+        assert transmit(ch, [w[:, 1] for w in words], got_rng, out=block) is block
+        want = self.whole_array_reference(ch, [w[:, 1] for w in words], want_rng)
+        assert np.array_equal(channel_out[:, 1], want)
+        assert np.all(channel_out[:, [0, 2]] == 9)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestBitPacking:
     def test_roundtrip(self, rng):
