@@ -246,8 +246,8 @@ def _check_window(cfg: ExperimentConfig) -> None:
 def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
     """Count tables of all trials of ``code``: each chunk's, added key by key.
 
-    Up to ``cfg.workers`` threads share ``code`` and only read it, but for
-    its deterministic cached ``_tiers`` and ``_packed_rows`` (equal if racing).
+    Up to ``cfg.workers`` threads share ``code``, whose arrays are all fixed
+    when it is built, and only read it.
     """
     def run_chunk(i: int) -> dict:
         rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
@@ -484,12 +484,14 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("RESOLVE_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("RESOLVE_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ValueError(f"RESOLVE_LOG={level!r} is not a log level; use one "
+                             "of DEBUG, INFO, WARNING, ERROR, CRITICAL")
+        logging.basicConfig(level=level.upper(),
+                            format="%(levelname)s %(name)s: %(message)s")
         cfg = _config_from_args(args)
         if args.command == "region":
             return cmd_region(cfg)

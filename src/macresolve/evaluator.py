@@ -615,15 +615,20 @@ def transcript_features(
                          f"length {n_sym}")
     feats: dict = {"trials": trials}
     widths = sorted({1, window})
-    sizes = [z_size ** w for w in widths]
-    # each trial's counts of both widths side by side; a row slice of trials
-    # at a time is packed into cells and counted
-    per_trial = np.empty((trials, sum(sizes)), dtype=np.int64)
-    for w, hist in zip(widths, np.split(per_trial, np.cumsum(sizes)[:-1], axis=1)):
-        for sl in row_slices(trials, k * n_sym):
+    bounds = np.cumsum([0] + [z_size ** w for w in widths])
+    counts = np.zeros(bounds[-1], dtype=np.int64)
+    mom = np.zeros((bounds[-1], bounds[-1]), dtype=np.int64)
+    # a row slice of trials at a time: each trial's counts of both widths
+    # side by side, added into the pooled counts and their second moments
+    for sl in row_slices(trials, k * n_sym):
+        h = np.empty((sl.stop - sl.start, bounds[-1]), dtype=np.int64)
+        for w, lo, hi in zip(widths, bounds, bounds[1:]):
             cells = _window_cells(bt.channel_out[sl], z_size, w)
-            hist[sl] = _count_rows(cells.reshape(len(cells), -1), z_size ** w)
-        feats[f"win{w}"] = hist.sum(axis=0)
+            h[:, lo:hi] = _count_rows(cells.reshape(len(cells), -1), hi - lo)
+        counts += h.sum(axis=0)
+        mom += h.T @ h   # integer matmul: exact, no BLAS
+    for w, lo, hi in zip(widths, bounds, bounds[1:]):
+        feats[f"win{w}"] = counts[lo:hi]
     if k >= 2 and bt.recycled:
         # first and last windows of each block, intp: pair cells reach zc^2
         z_first, z_last = (
@@ -634,7 +639,7 @@ def transcript_features(
         zc = z_size ** window
         feats["rec_pairs"] = _count_rows(rec_e * zc + z_last[:-1], ec * zc)
         feats["out_pairs"] = _count_rows(z_last[:-1] * zc + z_first[1:], zc * zc)
-    feats["mom"] = per_trial.T @ per_trial   # integer matmul: exact, no BLAS
+    feats["mom"] = mom
     return feats
 
 

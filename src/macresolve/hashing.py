@@ -13,7 +13,6 @@ randomness and is never charged against any rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +36,6 @@ def bits_to_hex(bits: np.ndarray) -> str:
     pad = (-bits.size) % 4
     nibbles = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)]).reshape(-1, 4)
     return "".join(f"{v:x}" for v in (nibbles * [8, 4, 2, 1]).sum(axis=1))
-
-
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Bit rows (rows, n) packed into (rows, ceil(n / 64)) uint64 words."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    padded = np.zeros((len(bits), -(-bits.shape[-1] // 64) * 8), dtype=np.uint8)
-    padded[:, :packed.shape[-1]] = packed
-    return padded.view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -76,32 +67,30 @@ class ToeplitzHash:
         return self.diagonal_bits[i - j + self.in_len - 1]
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
-        """Hash a batch (..., in_len) -> (..., out_len); linear over GF(2)."""
-        x = np.asarray(x, dtype=np.uint8)
-        if x.shape[-1] != self.in_len:
-            raise ValueError(f"input shape {x.shape}, expected "
-                             f"(..., {self.in_len})")
-        if self.out_len == 0:
-            return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
-        # parity of each row AND x, on 64-bit words: XOR the words together,
-        # fold each word onto its low byte by XORing its halves, then shift
-        xw = _pack_words(x.reshape(-1, self.in_len))
-        rows = self._packed_rows
-        acc = xw[:, :1] & rows[:, 0]
-        for w in range(1, rows.shape[1]):
-            acc ^= xw[:, w:w + 1] & rows[:, w]
-        for half in (np.uint32, np.uint16, np.uint8):
-            pair = acc.view(half).reshape(acc.shape + (2,))
-            acc = pair[..., 0] ^ pair[..., 1]
-        for shift in (4, 2, 1):
-            acc ^= acc >> shift
-        acc &= 1
-        return acc.reshape(x.shape[:-1] + (self.out_len,))
+        """Hash a batch (..., in_len) -> (..., out_len); linear over GF(2).
 
-    @cached_property
-    def _packed_rows(self) -> np.ndarray:
-        """The matrix rows as 64-bit words, (out_len, words)."""
-        return _pack_words(self.matrix())
+        Bit-sliced over the batch: row j of the packed input holds coordinate
+        j of eight trials per byte, and y_i is the XOR of x_{i + N - 1 - t}
+        over the set diagonal bits t, one shifted slice of rows per bit.
+        """
+        x = np.asarray(x, dtype=np.uint8)
+        n, r = self.in_len, self.out_len
+        if x.shape[-1] != n:
+            raise ValueError(f"input shape {x.shape}, expected (..., {n})")
+        if r == 0:   # also in_len = 0, which reshape(-1, 0) cannot take
+            return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
+        flat = x.reshape(-1, n)
+        packed = np.zeros((-(-len(flat) // 8), n), dtype=np.uint8)
+        for b in range(8):   # trial 8q + b goes to bit 7 - b of byte q
+            part = flat[b::8]
+            packed[:len(part)] |= (part & 1) << (7 - b)
+        packed = np.ascontiguousarray(packed.T)
+        out = np.zeros((r, packed.shape[1]), dtype=np.uint8)
+        for t in np.flatnonzero(self.diagonal_bits):
+            lo, hi = max(0, t - n + 1), min(r, t + 1)
+            out[lo:hi] ^= packed[lo + n - 1 - t:hi + n - 1 - t]
+        y = np.unpackbits(out, axis=1, count=len(flat)).T
+        return np.ascontiguousarray(y).reshape(x.shape[:-1] + (r,))
 
     def to_hex(self) -> str:
         """Diagonal bits as a hex string (first bit in the high nibble)."""

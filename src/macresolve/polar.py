@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -231,9 +230,16 @@ class ResolvabilityCode:
 
     profile: PolarProfile
     seed_len: int = field(init=False)
+    # per-coordinate tier: 0 seed, 1 sampled middle, 2 argmax
+    _tiers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "seed_len", len(self.profile.v_set))
+        t = np.full(self.block_len, 2, dtype=np.int8)
+        t[sorted(self.profile.mid_set)] = 1
+        t[sorted(self.profile.v_set)] = 0
+        t.setflags(write=False)
+        object.__setattr__(self, "_tiers", t)
 
     @property
     def block_len(self) -> int:
@@ -242,14 +248,6 @@ class ResolvabilityCode:
     @property
     def local_randomness_bits(self) -> int:
         return len(self.profile.mid_set)
-
-    @cached_property
-    def _tiers(self) -> np.ndarray:
-        """Per-coordinate tier: 0 seed, 1 sampled middle, 2 argmax."""
-        t = np.full(self.block_len, 2, dtype=np.int8)
-        t[sorted(self.profile.mid_set)] = 1
-        t[sorted(self.profile.v_set)] = 0
-        return t
 
 
 def _left_law(p_l, p_r):

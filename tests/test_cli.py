@@ -83,6 +83,18 @@ class TestRegionCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
+    def test_unknown_log_level_named(self, adder_spec, tmp_path, capsys,
+                                     monkeypatch):
+        monkeypatch.setenv("RESOLVE_LOG", "verbose")
+        rc = main(["region", "--channel", adder_spec,
+                   "--out-dir", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [
+            "error: RESOLVE_LOG='verbose' is not a log level; use one of "
+            "DEBUG, INFO, WARNING, ERROR, CRITICAL"]
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", ["region", "simulate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["input_dists", "transition"])
@@ -667,20 +679,23 @@ class TestChunkThreads:
         assert cli._mc_features_parallel(None, cfg) == {"trials": cfg.trials}
         assert pids == [os.getpid()] * 2
 
-    def test_racing_threads_fill_the_cached_members_alike(self, adder_spec):
-        # a fresh code has computed neither cached member; four threads that
-        # switch every microsecond may compute each at once
+    def test_racing_threads_leave_the_code_unchanged(self, adder_spec):
+        # four threads that switch every microsecond share one code: none of
+        # its codecs or hashes gains, loses or replaces a member
         cfg = cli.ExperimentConfig(channel=adder_spec, n=16, k=2, idealized=True,
                                    trials=3 * cli.CHUNK_TRIALS + 1000)
         code = cli._build_code(cfg)
-        assert not any("_tiers" in vars(c) for c in code.codecs.values())
-        assert not any("_packed_rows" in vars(h) for h in code.hashes.values())
+        parts = [*code.codecs.values(), *code.hashes.values()]
+        before = [dict(vars(p)) for p in parts]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = cli._mc_features_parallel(code, replace(cfg, workers=4))
         finally:
             sys.setswitchinterval(old)
+        for p, members in zip(parts, before):
+            assert vars(p).keys() == members.keys()
+            assert all(vars(p)[name] is v for name, v in members.items())
         serial = cli._mc_features_parallel(cli._build_code(cfg), cfg)
         assert threaded.keys() == serial.keys()
         for key in serial:

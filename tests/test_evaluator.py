@@ -643,6 +643,42 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.4 * transcript
 
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_sliced_tables_equal_whole_chunk_counts(self, window):
+        # 2,000 trials of 3 x 64 symbols span six row slices
+        code = small_code(adder_mac3(), BERN_234, 64, 3, 81, mode="multi")
+        bt = run_trials(code, 2000, make_rng(83))
+        feats = transcript_features(code, bt, window=window)
+        z = bt.channel_out.astype(np.int64)
+        trials, _, n_sym = z.shape
+        z_size = code.channel.output_alphabet.size
+        hists = []
+        for w in sorted({1, window}):
+            cells = sum(z[:, :, off:n_sym - w + 1 + off] * z_size ** (w - 1 - off)
+                        for off in range(w))
+            hist = np.zeros((trials, z_size ** w), dtype=np.int64)
+            np.add.at(hist, (np.arange(trials)[:, None],
+                             cells.reshape(trials, -1)), 1)
+            np.testing.assert_array_equal(feats[f"win{w}"], hist.sum(axis=0))
+            hists.append(hist)
+        per_trial = np.concatenate(hists, axis=1)
+        assert feats["mom"].dtype == np.int64
+        np.testing.assert_array_equal(feats["mom"], per_trial.T @ per_trial)
+
+    def test_window_tables_hold_one_slice_of_trials(self):
+        # with --window 3 the 3-user adder counts 4 + 64 cells per trial: a
+        # whole-chunk int64 table of them would peak 5.2 MiB above the
+        # transcript
+        code = small_code(adder_mac3(), BERN_234, 64, 3, 81, mode="multi")
+        bt = run_trials(code, 8192, make_rng(82))
+        tracemalloc.start()
+        try:
+            transcript_features(code, bt, window=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
 
 def one_hot_pair_tv(a_idx, b_idx, na, nb, n_boot, rng):
     """Reference pair TV: one-hot trial counts under per-trial Poisson(1) weights."""

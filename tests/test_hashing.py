@@ -24,6 +24,8 @@ class TestSampling:
     def test_zero_output(self):
         h = sample_hash(make_rng(0), 8, 0)
         assert h.apply_batch(np.ones(8, dtype=np.uint8)).shape == (0,)
+        empty = sample_hash(make_rng(0), 0, 0)
+        assert empty.apply_batch(np.zeros((5, 0), dtype=np.uint8)).shape == (5, 0)
 
     def test_out_len_bound(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -72,11 +74,28 @@ class TestApply:
         for i in range(20):
             assert np.array_equal(batch[i], h.apply_batch(xs[i]))
 
+    @pytest.mark.parametrize("in_len,out_len", [
+        (n, r) for n in (1, 2, 4, 32, 64, 256)
+        for r in sorted({0, 1, -(-44 * n // 100), n})])
+    def test_bit_sliced_hash_matches_the_matrix_product(self, in_len, out_len):
+        # trials are packed eight to a byte: these batches fill one byte
+        # partly, fill or miss whole bytes by one, and make a full chunk;
+        # the inputs are single rows, batches, (trials, k, N) stacks and the
+        # strided block views of such a stack
+        rng = make_rng(1000 * in_len + out_len)
+        h = sample_hash(rng, in_len, out_len)
+        m = h.matrix().T.astype(np.float64)   # exact: sums stay below 2^53
+        for batch in (1, 7, 63, 65, 8192):
+            x3 = rng.integers(0, 2, size=(batch, 3, in_len), dtype=np.uint8)
+            for x in (x3[0, 0], x3[:, 0].copy(), x3, x3[:, 1]):
+                got = h.apply_batch(x)
+                assert got.dtype == np.uint8
+                assert got.shape == x.shape[:-1] + (out_len,)
+                np.testing.assert_array_equal(got, (x @ m) % 2)
 
     @pytest.mark.parametrize("in_len", [1, 7, 63, 64, 65, 130])
     def test_packed_parities_match_the_matrix_product(self, in_len):
-        # the words are 64 bits wide: these lengths fill none, one exactly
-        # and spill over into a second and a third
+        # odd and long input lengths that the oracle test above does not take
         rng = make_rng(in_len)
         xs = rng.integers(0, 2, size=(3, 40, in_len), dtype=np.uint8)
         for out_len in (0, in_len):
