@@ -8,7 +8,8 @@ only adds up, so byte-identical results hold across reruns and across worker
 counts.  The ``--workers`` are threads of this one process.
 
 Exit codes: 0 success, 2 infeasible rate target, 3 asymptotic-only plan
-(clamped hash lengths at this N), 4 enumeration/trials budget exceeded.
+(clamped hash lengths at this N); a code over the exhaustive budget runs
+Monte Carlo instead.
 Set RESOLVE_LOG=DEBUG|INFO|WARNING for verbosity.
 """
 
@@ -39,9 +40,9 @@ log = logging.getLogger("macresolve")
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_ASYMPTOTIC_ONLY = 3
-EXIT_BUDGET = 4
 
 CHUNK_TRIALS = 8192
+ROW_HEADER = ["name", "value", "ci_lo", "ci_hi", "samples", "mode"]
 
 
 @dataclass
@@ -132,6 +133,12 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
 def _load_inputs(cfg: ExperimentConfig, *, quiet: bool = False):
     ch, dists = cfg._spec
     if not dists:
@@ -160,16 +167,14 @@ def cmd_region(cfg: ExperimentConfig) -> int:
     obj["case"] = tag
     obj["config_hash"] = cfg.hash()
     _write_json(out / "region.json", obj)
-    with open(out / "region.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "key", "value"])
-        for key, v in obj["constraints"].items():
-            w.writerow(["constraint", key, f"{v:.12g}"])
-        for key, rates in obj["corner_points"].items():
-            w.writerow(["corner", key, ";".join(f"{r:.12g}" for r in rates)])
-        if obj["dominant_r1"]:
-            w.writerow(["dominant_r1", "interval",
-                        ";".join(f"{r:.12g}" for r in obj["dominant_r1"])])
+    rows = [["constraint", key, f"{v:.12g}"]
+            for key, v in obj["constraints"].items()]
+    rows += [["corner", key, ";".join(f"{r:.12g}" for r in rates)]
+             for key, rates in obj["corner_points"].items()]
+    if obj["dominant_r1"]:
+        rows.append(["dominant_r1", "interval",
+                     ";".join(f"{r:.12g}" for r in obj["dominant_r1"])])
+    _write_csv(out / "region.csv", ["kind", "key", "value"], rows)
     print(f"case: {tag}; wrote {out / 'region.json'} and region.csv")
     return EXIT_OK
 
@@ -279,6 +284,38 @@ def _mc_metrics(code: encoder.MacCode,
                                          boot_rng, window=cfg.window)
 
 
+def _evaluate(code: encoder.MacCode, cfg: ExperimentConfig
+              ) -> tuple[str, list[evaluator.MetricRow], list[str]]:
+    """The mode, metric rows and notes of ``code``'s report under ``cfg``.
+
+    The exhaustive engine runs when its budget allows.  Otherwise, and for the
+    fresh-seed ablation, which only the trials model, Monte Carlo runs and the
+    hash-uniformity floor of the whole-run bound joins its rows.
+    """
+    bound = evaluator.joint_tv_bound(code.plan.k, 0.0,
+                                     *evaluator.analysis_delta0(code))
+    vacuous = [f"the finite-N analysis bound is vacuous here ({bound:.3g} > 2)"
+               ] if bound > 2.0 else []
+    reason = "--no-recycle: the exhaustive engine models recycled seeds only"
+    if cfg.recycle:
+        try:
+            return "exhaustive", evaluator.exact_report(code), [
+                "exhaustive mode: all randomness enumerated exactly", *vacuous]
+        except BudgetError as e:
+            reason = str(e)
+    log.info("exact mode unavailable (%s); falling back to Monte Carlo", reason)
+    # with the codec distance unknown at scale, the floor is for reference
+    metrics = _mc_metrics(code, cfg)
+    metrics.append(evaluator.MetricRow("bound_joint_tv_floor", bound))
+    return "mc", metrics, [
+        "mc mode: windowed/marginal TVs are lower-bound proxies for the "
+        "full-block variational distance",
+        "plug-in TV estimates carry positive bias of order "
+        "sqrt(cells / samples); bootstrap CIs are percentile CIs of the "
+        "biased statistic",
+        *vacuous]
+
+
 def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     out = Path(cfg.out_dir)
     # only the implicit out-dir descriptor may be built; a missing explicit
@@ -294,35 +331,7 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     _check_fresh_bits(code.plan)
     rates = encoder.achieved_rates(code.plan)
     region = _region_verdicts(code, rates)   # refuses L > 4 before any trial
-    notes = []
-    metrics: list[evaluator.MetricRow] = []
-    mode_used = "mc"
-    try:
-        metrics.extend(evaluator.exact_report(code))
-        mode_used = "exhaustive"
-        notes.append("exhaustive mode: all randomness enumerated exactly")
-    except BudgetError as e:
-        log.info("exact mode unavailable (%s); falling back to Monte Carlo", e)
-        metrics.extend(_mc_metrics(code, cfg))
-        notes.append(
-            "mc mode: windowed/marginal TVs are lower-bound proxies for the "
-            "full-block variational distance"
-        )
-        notes.append(
-            "plug-in TV estimates carry positive bias of order "
-            "sqrt(cells / samples); bootstrap CIs are percentile CIs of the "
-            "biased statistic"
-        )
-    bound = evaluator.joint_tv_bound(code.plan.k, 0.0,
-                                     *evaluator.analysis_delta0(code))
-    if mode_used == "mc":
-        # with the codec distance unknown at scale, report the hash-uniformity
-        # floor of the whole-run bound for reference
-        metrics.append(evaluator.MetricRow("bound_joint_tv_floor", bound))
-    if bound > 2.0:
-        notes.append(
-            f"the finite-N analysis bound is vacuous here ({bound:.3g} > 2)"
-        )
+    mode_used, metrics, notes = _evaluate(code, cfg)
     obj = {
         "mode": mode_used,
         "metrics": [m.to_list() for m in metrics],
@@ -337,11 +346,7 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
         "notes": notes,
     }
     _write_json(out / "report.json", obj)
-    with open(out / "report.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["name", "value", "ci_lo", "ci_hi", "samples", "mode"])
-        for m in metrics:
-            w.writerow(m.to_list())
+    _write_csv(out / "report.csv", ROW_HEADER, [m.to_list() for m in metrics])
     print(f"wrote {out / 'report.json'} and report.csv ({mode_used} mode)")
     return EXIT_OK
 
@@ -367,6 +372,11 @@ def _region_verdicts(code, rates) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
+    """One CSV over the grid: each point's rows are those ``simulate`` writes.
+
+    Every point is validated, window-checked and built, its fresh bits
+    checked, before any point is evaluated.
+    """
     grid = [ExperimentConfig(**{**asdict(cfg), "n": n, "k": k, "eps": eps})
             for n in n_list for k in k_list for eps in eps_list]
     codes = []
@@ -375,14 +385,9 @@ def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
         _check_window(sub)
         codes.append(_build_code(sub))
     rows = [[sub.n, sub.k, "" if sub.eps is None else sub.eps, *m.to_list()]
-            for sub, code in zip(grid, codes) for m in _mc_metrics(code, sub)]
+            for sub, code in zip(grid, codes) for m in _evaluate(code, sub)[1]]
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "k", "eps", "name", "value", "ci_lo", "ci_hi",
-                    "samples", "mode"])
-        w.writerows(rows)
+    _write_csv(out / "sweep.csv", ["n", "k", "eps", *ROW_HEADER], rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -499,20 +504,11 @@ def main(argv=None) -> int:
             return cmd_build(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.descriptor)
-        if args.command == "sweep":
-            return cmd_sweep(
-                cfg,
-                args.n_list or [cfg.n],
-                args.k_list or [cfg.k],
-                args.eps_list or [cfg.eps],
-            )
-        raise AssertionError(f"unhandled command {args.command}")
+        return cmd_sweep(cfg, args.n_list or [cfg.n], args.k_list or [cfg.k],
+                         args.eps_list or [cfg.eps])
     except InfeasibleTargetError as e:
         print(f"infeasible target: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except BudgetError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, OSError) as e:   # OSError: a file that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return 1

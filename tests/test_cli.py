@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -263,6 +264,27 @@ class TestSimulateCommand:
         assert [m[0] for m in reps[1]["metrics"]] == \
             [m[0] for m in reps[0]["metrics"]]
         assert reps[1]["config_hash"] != reps[0]["config_hash"]
+
+    def test_no_recycle_runs_the_trials_in_exhaustive_reach(self, adder_spec,
+                                                            tmp_path, caplog):
+        # the exhaustive engine models recycled seeds only: its rows under
+        # --no-recycle were the recycled code's
+        caplog.set_level(logging.INFO, logger="macresolve")
+        reps = []
+        for flags in ([], ["--no-recycle"]):
+            out = tmp_path / f"s{len(flags)}"
+            rc = main(["simulate", "--channel", adder_spec, "--out-dir",
+                       str(out), "--n", "4", "--k", "2", "--idealized",
+                       "--eps", "0.3", "--trials", "2000", *flags])
+            assert rc == 0
+            reps.append(json.loads((out / "report.json").read_text()))
+        assert [r["mode"] for r in reps] == ["exhaustive", "mc"]
+        rows = {m[0]: m for m in reps[1]["metrics"]}
+        assert rows["windowed_tv_w2"][4] == 2000
+        assert "bound_joint_tv_floor" in rows
+        reason = [r.getMessage() for r in caplog.records
+                  if "exact mode unavailable" in r.getMessage()]
+        assert len(reason) == 1 and "--no-recycle" in reason[0]
 
     def test_report_carries_region_verdicts(self, adder_spec, tmp_path):
         rc = main(["simulate", "--channel", adder_spec, "--out-dir",
@@ -795,6 +817,36 @@ class TestSweepCommand:
         assert header[:4] == ["n", "k", "eps", "name"]
         # 2 N values x 2 eps values, several metrics each
         assert len(lines) > 8
+
+    def test_point_rows_are_simulates(self, adder_spec, tmp_path):
+        # N = 4 is in exhaustive reach, N = 8 runs Monte Carlo
+        flags = ["--channel", adder_spec, "--k", "2", "--idealized",
+                 "--eps", "0.3", "--seed", "5", "--trials", "2000"]
+        assert main(["sweep", *flags, "--n-list", "4,8",
+                     "--out-dir", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "sw" / "sweep.csv", newline="") as f:
+            swept = list(csv.reader(f))[1:]
+        modes = []
+        for n in ("4", "8"):
+            out = tmp_path / f"s{n}"
+            assert main(["simulate", *flags, "--n", n,
+                         "--out-dir", str(out)]) == 0
+            with open(out / "report.csv", newline="") as f:
+                report = list(csv.reader(f))[1:]
+            assert [r[3:] for r in swept if r[0] == n] == report
+            modes.append(json.loads((out / "report.json").read_text())["mode"])
+        assert modes == ["exhaustive", "mc"]
+
+    def test_deterministic_across_workers(self, adder_spec, tmp_path):
+        # an exhaustive point and a Monte-Carlo point of two chunks, one short
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", "--channel", adder_spec, "--n-list", "4,8",
+                         "--k", "2", "--idealized", "--trials", "9000",
+                         "--workers", workers, "--out-dir", str(out)]) == 0
+            outs.append((out / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("n_list,message", [("8,2", "--window 3"),
                                                 ("8,6", "power of two")])

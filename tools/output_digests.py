@@ -1,0 +1,65 @@
+"""Sha256 digests of every output of the benchmark workloads and of one sweep.
+
+Usage: ``python tools/output_digests.py --src TREE``
+
+With ``TREE/src`` on ``PYTHONPATH``, runs each workload of
+``perfbench/workloads.py`` (``build``, then ``simulate``) at seeds 0 and 1
+with ``--workers 1`` and ``--workers 2``, and ``sweep --n-list 4,8 --k 2
+--idealized --trials 9000`` on the workloads' uniform adder with both worker
+counts, each in its own directory of one temporary directory.  Prints one
+``sha256  path`` line per output file, sorted by path, so that the digests of
+two trees compare with ``diff``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+SWEEP = ["sweep", "--channel", "channel.json", "--out-dir", "out",
+         "--n-list", "4,8", "--k", "2", "--idealized", "--trials", "9000"]
+
+
+def _run(src: Path, cwd: Path, argv: list[str]) -> None:
+    proc = subprocess.run([sys.executable, "-m", "macresolve.cli", *argv],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{cwd.name}: {' '.join(argv)} exited "
+                         f"{proc.returncode}\n{proc.stderr}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", type=Path, required=True,
+                   help="root of the tree to run, the one holding src/macresolve")
+    src = p.parse_args(argv).src.resolve() / "src"
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(f"{name}_seed{seed}_w{workers}", wl,
+                 [wl.build_argv(seed), wl.simulate_argv(seed, workers)])
+                for name, wl in WORKLOADS.items()
+                for seed in (0, 1) for workers in (1, 2)]
+        runs += [(f"sweep_w{workers}", WORKLOADS["mc_bootstrap"],
+                  [SWEEP + ["--workers", str(workers)]]) for workers in (1, 2)]
+        for tag, wl, argvs in runs:
+            cwd = Path(tmp, tag)
+            cwd.mkdir()
+            wl.write_spec(cwd / "channel.json")
+            for cmd in argvs:
+                _run(src, cwd, cmd)
+        for path in sorted(Path(tmp).glob("*/out/*")):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(tmp)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
