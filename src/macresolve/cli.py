@@ -25,14 +25,14 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import encoder, evaluator
-from .probcore import (BudgetError, InfeasibleTargetError, channel_to_json,
+from .probcore import (Dist, InfeasibleTargetError, channel_to_json,
                         load_channel_file, make_rng, read_json_file)
 
 log = logging.getLogger("macresolve")
@@ -92,6 +92,10 @@ class ExperimentConfig:
             raise ValueError("--window must be in 1..3")
         if self.rec_bits < 0:
             raise ValueError(f"--rec-bits must be >= 0, got {self.rec_bits}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+        if self.target_r1 is not None and not math.isfinite(self.target_r1):
+            raise ValueError(f"--target-r1 must be finite, got {self.target_r1}")
 
     _BUILD_FIELDS = ("channel", "mode", "n", "k", "xi", "beta", "target_r1",
                      "eps", "seed", "idealized", "ideal_xi", "ideal_delta",
@@ -100,14 +104,18 @@ class ExperimentConfig:
 
     @cached_property
     def _spec(self):
-        """The channel and input laws the channel path names, read once."""
-        return load_channel_file(self.channel)
+        """The channel and input laws the path names (else uniform), read once."""
+        ch, dists = load_channel_file(self.channel)
+        if not dists:
+            log.warning("channel spec has no input_dists; defaulting to uniform")
+            dists = [Dist.uniform(a.size) for a in ch.input_alphabets]
+        return ch, dists
 
     def _hash_fields(self, fields) -> str:
         d = asdict(self)
         # the spec the path names, as loaded: a rewritten file changes the
         # hash, and one spec at two paths has one
-        d["channel"] = channel_to_json(*_load_inputs(self, quiet=True))
+        d["channel"] = channel_to_json(*self._spec)
         blob = json.dumps({f: d[f] for f in fields}, sort_keys=True,
                           default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -139,17 +147,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         csv.writer(f).writerows([header, *rows])
 
 
-def _load_inputs(cfg: ExperimentConfig, *, quiet: bool = False):
-    ch, dists = cfg._spec
-    if not dists:
-        from .probcore import Dist
-
-        if not quiet:
-            log.warning("channel spec has no input_dists; defaulting to uniform")
-        dists = [Dist.uniform(a.size) for a in ch.input_alphabets]
-    return ch, dists
-
-
 # -- region ---------------------------------------------------------------------
 
 
@@ -161,7 +158,7 @@ def _region(ch, dists) -> tuple[evaluator.RegionSpec, str]:
 
 
 def cmd_region(cfg: ExperimentConfig) -> int:
-    spec, tag = _region(*_load_inputs(cfg))
+    spec, tag = _region(*cfg._spec)
     out = Path(cfg.out_dir)
     obj = spec.to_dict()
     obj["case"] = tag
@@ -188,7 +185,7 @@ def _build_code(cfg: ExperimentConfig):
     ``build_mac_code``'s warning of an asymptotic-only plan is held back until
     the plan passes that check: a refused plan gets one error line.
     """
-    ch, dists = _load_inputs(cfg)
+    ch, dists = cfg._spec
     if cfg.order is not None and sorted(cfg.order) != list(range(ch.n_users)):
         typed = ",".join(str(u + 1) for u in cfg.order)
         raise ValueError(f"--order {typed} is not a permutation of 1..{ch.n_users}")
@@ -242,12 +239,6 @@ def cmd_build(cfg: ExperimentConfig) -> int:
 
 # -- simulate -------------------------------------------------------------------
 
-def _check_window(cfg: ExperimentConfig) -> None:
-    if cfg.window > cfg.n:
-        raise ValueError(f"--window {cfg.window} is longer than a block "
-                         f"(--n {cfg.n}): no window of that length fits")
-
-
 def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
     """Count tables of all trials of ``code``: each chunk's, added key by key.
 
@@ -278,32 +269,39 @@ def _mc_metrics(code: encoder.MacCode,
     the seed; every bootstrap replicate is drawn once from the summed tables and
     child (2,): the window counts' first, then each dependence check's.
     """
-    _check_window(cfg)
     boot_rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
     return evaluator.assemble_mc_metrics(code, _mc_features_parallel(code, cfg),
                                          boot_rng, window=cfg.window)
 
 
-def _evaluate(code: encoder.MacCode, cfg: ExperimentConfig
-              ) -> tuple[str, list[evaluator.MetricRow], list[str]]:
-    """The mode, metric rows and notes of ``code``'s report under ``cfg``.
+def _admit(code: encoder.MacCode, cfg: ExperimentConfig
+           ) -> tuple[dict, dict, str | None]:
+    """Rates, region verdicts and route of a ``simulate`` or ``sweep`` point,
+    or its refusal before any evaluation.  The route is None for the exhaustive
+    engine, else why Monte Carlo runs; only then must the window fit a block."""
+    _check_fresh_bits(code.plan)
+    rates = encoder.achieved_rates(code.plan)
+    region = _region_verdicts(code, rates)   # refuses L > 4
+    route = evaluator.exact_budget(code) if cfg.recycle else \
+        "--no-recycle: the exhaustive engine models recycled seeds only"
+    if route is not None and cfg.window > cfg.n:
+        raise ValueError(f"--window {cfg.window} is longer than a block "
+                         f"(--n {cfg.n}): no window of that length fits")
+    return rates, region, route
 
-    The exhaustive engine runs when its budget allows.  Otherwise, and for the
-    fresh-seed ablation, which only the trials model, Monte Carlo runs and the
-    hash-uniformity floor of the whole-run bound joins its rows.
-    """
+
+def _evaluate(code: encoder.MacCode, cfg: ExperimentConfig, route: str | None
+              ) -> tuple[str, list[evaluator.MetricRow], list[str]]:
+    """Mode, metric rows and notes of ``code``'s report on ``_admit``'s route;
+    Monte-Carlo rows gain the hash-uniformity floor of the whole-run bound."""
     bound = evaluator.joint_tv_bound(code.plan.k, 0.0,
                                      *evaluator.analysis_delta0(code))
     vacuous = [f"the finite-N analysis bound is vacuous here ({bound:.3g} > 2)"
                ] if bound > 2.0 else []
-    reason = "--no-recycle: the exhaustive engine models recycled seeds only"
-    if cfg.recycle:
-        try:
-            return "exhaustive", evaluator.exact_report(code), [
-                "exhaustive mode: all randomness enumerated exactly", *vacuous]
-        except BudgetError as e:
-            reason = str(e)
-    log.info("exact mode unavailable (%s); falling back to Monte Carlo", reason)
+    if route is None:
+        return "exhaustive", evaluator.exact_report(code), [
+            "exhaustive mode: all randomness enumerated exactly", *vacuous]
+    log.info("exact mode unavailable (%s); falling back to Monte Carlo", route)
     # with the codec distance unknown at scale, the floor is for reference
     metrics = _mc_metrics(code, cfg)
     metrics.append(evaluator.MetricRow("bound_joint_tv_floor", bound))
@@ -323,15 +321,11 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     desc_file = out / "descriptor.json" if descriptor_path is None \
         else Path(descriptor_path)
     if descriptor_path is None and not desc_file.exists():
-        rc = cmd_build(cfg)
-        if rc not in (EXIT_OK, EXIT_ASYMPTOTIC_ONLY):
-            return rc
+        cmd_build(cfg)
     desc = read_json_file(desc_file, "descriptor")
     code = encoder.code_from_descriptor(desc, cfg.build_hash())
-    _check_fresh_bits(code.plan)
-    rates = encoder.achieved_rates(code.plan)
-    region = _region_verdicts(code, rates)   # refuses L > 4 before any trial
-    mode_used, metrics, notes = _evaluate(code, cfg)
+    rates, region, route = _admit(code, cfg)
+    mode_used, metrics, notes = _evaluate(code, cfg, route)
     obj = {
         "mode": mode_used,
         "metrics": [m.to_list() for m in metrics],
@@ -374,18 +368,21 @@ def _region_verdicts(code, rates) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
     """One CSV over the grid: each point's rows are those ``simulate`` writes.
 
-    Every point is validated, window-checked and built, its fresh bits
-    checked, before any point is evaluated.
+    Every point is validated, built and passed through ``simulate``'s
+    ``_admit`` before any point is evaluated, so the sweep refuses exactly
+    what ``simulate`` refuses.  The points share one read of the spec.
     """
-    grid = [ExperimentConfig(**{**asdict(cfg), "n": n, "k": k, "eps": eps})
+    grid = [replace(cfg, n=n, k=k, eps=eps)
             for n in n_list for k in k_list for eps in eps_list]
-    codes = []
+    routed = []
     for sub in grid:   # a bad grid point exits before any trial runs
+        sub._spec = cfg._spec
         sub.validate()
-        _check_window(sub)
-        codes.append(_build_code(sub))
+        code = _build_code(sub)
+        routed.append((code, _admit(code, sub)[2]))
     rows = [[sub.n, sub.k, "" if sub.eps is None else sub.eps, *m.to_list()]
-            for sub, code in zip(grid, codes) for m in _evaluate(code, sub)[1]]
+            for sub, (code, route) in zip(grid, routed)
+            for m in _evaluate(code, sub, route)[1]]
     out = Path(cfg.out_dir)
     _write_csv(out / "sweep.csv", ["n", "k", "eps", *ROW_HEADER], rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")

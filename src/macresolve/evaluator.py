@@ -49,6 +49,7 @@ __all__ = [
     "region_multi",
     "tv_exhaustive",
     "exact_report",
+    "exact_budget",
     "transcript_features",
     "mc_chunk_features",
     "assemble_mc_metrics",
@@ -220,6 +221,35 @@ def joint_tv_bound(k: int, codec_tv: float, d0: float, n_users: int) -> float:
 # -- exact (exhaustive) evaluation ----------------------------------------------
 
 
+def _engine_sizes(code: MacCode) -> tuple[int, int, int, list[int]]:
+    """Joint stream states 2^{S N}, |Z|^N, joint keys 2^R and each c_s."""
+    n_sym = code.plan.block_len
+    key_lens = [min(code.hashes[s.name].out_len, code.codecs[s.name].seed_len)
+                for s in code.plan.streams]
+    zn = code.channel.output_alphabet.size ** n_sym
+    return 1 << (len(key_lens) * n_sym), zn, 1 << sum(key_lens), key_lens
+
+
+def exact_budget(code: MacCode) -> str | None:
+    """Why the exhaustive engine refuses ``code``, or None if it admits it."""
+    n_sym, k = code.plan.block_len, code.plan.k
+    if n_sym > EXACT_CAP_N:
+        return f"N={n_sym} beyond the exact codec cap {EXACT_CAP_N}"
+    n_states, zn, n_keys, _ = _engine_sizes(code)
+    # every table the engine allocates, by the block counts that need it
+    tables = {"emission table": n_states * zn, "output law": zn ** k}
+    if k >= 2:
+        tables["codec law C"] = n_keys * n_states
+        tables["carry"] = n_keys * zn ** (k - 1)
+    if k >= 3:
+        tables["key transition A"] = n_keys ** 2 * zn
+    table, size = max(tables.items(), key=lambda kv: kv[1])
+    if size <= EXACT_STATE_BUDGET:
+        return None
+    return (f"exhaustive evaluation needs {size} entries for the {table}, "
+            f"budget is {EXACT_STATE_BUDGET}")
+
+
 class _ExactEngine:
     """Exhaustive evaluation of one code, with the block-Markov law in key space.
 
@@ -245,40 +275,21 @@ class _ExactEngine:
     """
 
     def __init__(self, code: MacCode):
-        plan = code.plan
-        n_sym, k = plan.block_len, plan.k
-        if n_sym > EXACT_CAP_N:
-            raise BudgetError(f"N={n_sym} beyond the exact codec cap {EXACT_CAP_N}")
+        reason = exact_budget(code)
+        if reason is not None:
+            raise BudgetError(reason)
         self.code = code
-        self.names = [s.name for s in plan.streams]
-        self.n_sym = n_sym
-        self.stream_dim = 1 << n_sym
-        self.n_states = 1 << (len(self.names) * n_sym)
-        self.zn = code.channel.output_alphabet.size ** n_sym
+        self.names = [s.name for s in code.plan.streams]
+        self.n_sym = code.plan.block_len
+        self.stream_dim = 1 << self.n_sym
+        self.n_states, self.zn, self.n_keys, key_lens = _engine_sizes(code)
         self.qz = target_output_dist(code.channel, list(code.input_dists)).pmf
-        key_lens = [min(code.hashes[name].out_len, code.codecs[name].seed_len)
-                    for name in self.names]
-        self.n_keys = 1 << sum(key_lens)
-        # every table the engine allocates, by the block counts that need it
-        tables = {"emission table": self.n_states * self.zn,
-                  "output law": self.zn ** k}
-        if k >= 2:
-            tables["codec law C"] = self.n_keys * self.n_states
-            tables["carry"] = self.n_keys * self.zn ** (k - 1)
-        if k >= 3:
-            tables["key transition A"] = self.n_keys ** 2 * self.zn
-        table, size = max(tables.items(), key=lambda kv: kv[1])
-        if size > EXACT_STATE_BUDGET:
-            raise BudgetError(
-                f"exhaustive evaluation needs {size} entries for the {table}, "
-                f"budget is {EXACT_STATE_BUDGET}"
-            )
         self.p1 = {name: output_pmf_exact(code.codecs[name])
                    for name in self.names}
         self.emission = self._emission_table()
-        if k >= 2:
+        if code.plan.k >= 2:
             self._init_keys(key_lens)
-        if k >= 3:
+        if code.plan.k >= 3:
             self.a_table = self._keyed(self.c_table).reshape(self.n_keys, -1)
 
     def _stream_grids(self) -> np.ndarray:

@@ -16,8 +16,12 @@ import pytest
 from conftest import adder_mac, adder_mac3, parallel_mac
 from macresolve import cli
 from macresolve.cli import main
-from macresolve.probcore import channel_to_json
+from macresolve.probcore import channel_to_json, load_channel_file
 from macresolve.probcore import Dist
+
+
+# a file each command writes only after it has evaluated every point
+OUTPUT = {"simulate": "report.json", "sweep": "sweep.csv"}
 
 
 @pytest.fixture
@@ -344,20 +348,21 @@ class TestSimulateCommand:
         assert not (out / "report.json").exists()
         assert not (out / "descriptor.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_window_wider_than_block_rejected(self, adder_spec, tmp_path,
-                                              capsys, monkeypatch):
+                                              capsys, monkeypatch, command):
         # k = 8 is over the exhaustive budget at N = 2, so this runs Monte Carlo
         def no_trials(*args, **kwargs):
             raise AssertionError("trials ran")
 
         monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_trials)
-        rc = main(["simulate", "--channel", adder_spec, "--out-dir",
+        rc = main([command, "--channel", adder_spec, "--out-dir",
                    str(tmp_path / "s"), "--n", "2", "--k", "8", "--idealized",
                    "--window", "3", "--trials", "1000"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "--window 3" in err and "--n 2" in err
-        assert not (tmp_path / "s" / "report.json").exists()
+        assert not (tmp_path / "s" / OUTPUT[command]).exists()
 
 
 class TestStrictJson:
@@ -642,8 +647,9 @@ class TestBuildInputsTheModeUses:
 
 
 class TestSimulateRefusesBeforeWork:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_five_users_refused_before_any_trial(self, tmp_path, capsys,
-                                                 monkeypatch):
+                                                 monkeypatch, command):
         def no_work(*args, **kwargs):
             raise AssertionError("evaluation ran")
 
@@ -654,12 +660,12 @@ class TestSimulateRefusesBeforeWork:
             "inputs": [2] * 5, "output": 6,
             "transition": [[1 if z == bin(x).count("1") else 0
                             for z in range(6)] for x in range(32)]}))
-        rc = main(["simulate", "--channel", str(spec), "--out-dir",
+        rc = main([command, "--channel", str(spec), "--out-dir",
                    str(tmp_path / "s"), "--n", "4", "--k", "2", "--idealized",
                    "--trials", "20000"])
         assert rc == 1
         assert "supports L <= 4" in capsys.readouterr().err
-        assert not (tmp_path / "s" / "report.json").exists()
+        assert not (tmp_path / "s" / OUTPUT[command]).exists()
 
     def test_pool_has_no_more_workers_than_chunks(self, adder_spec,
                                                   monkeypatch):
@@ -769,6 +775,8 @@ class TestAnalysisConstants:
         (["--idealized", "--ideal-xi", "inf"], "--ideal-xi must be finite"),
         (["--idealized", "--ideal-xi", "-0.3"], "--ideal-xi must be finite and >= 0"),
         (["--idealized", "--ideal-delta", "nan"], "--ideal-delta must be finite"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+        (["--target-r1", "nan"], "--target-r1 must be finite"),
     ])
     def test_bad_constant_rejected_up_front(self, parallel_spec, tmp_path,
                                             capsys, flags, message):
@@ -837,6 +845,45 @@ class TestSweepCommand:
             modes.append(json.loads((out / "report.json").read_text())["mode"])
         assert modes == ["exhaustive", "mc"]
 
+    def test_window_wider_than_an_exhaustive_block_admitted(self, adder_spec,
+                                                            tmp_path):
+        # no window is counted in exhaustive mode, so neither command refuses
+        flags = ["--channel", adder_spec, "--k", "1", "--idealized",
+                 "--window", "3", "--trials", "1000"]
+        assert main(["simulate", *flags, "--n", "2",
+                     "--out-dir", str(tmp_path / "s")]) == 0
+        assert main(["sweep", *flags, "--n-list", "2",
+                     "--out-dir", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "s" / "report.csv", newline="") as f:
+            report = list(csv.reader(f))[1:]
+        with open(tmp_path / "sw" / "sweep.csv", newline="") as f:
+            swept = list(csv.reader(f))[1:]
+        assert report and [r[3:] for r in swept] == report
+        assert {r[-1] for r in report} == {"exact"}
+
+    def test_points_share_one_read_of_the_spec(self, tmp_path, caplog,
+                                               monkeypatch):
+        # a spec without input laws: one read, one warning for the grid
+        spec = tmp_path / "adder.json"
+        spec.write_text(json.dumps({
+            "inputs": [2, 2], "output": 3,
+            "transition": [[1 if z == bin(x).count("1") else 0
+                            for z in range(3)] for x in range(4)]}))
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load_channel_file(path)
+
+        monkeypatch.setattr(cli, "load_channel_file", counted)
+        caplog.set_level(logging.WARNING, logger="macresolve")
+        assert main(["sweep", "--channel", str(spec), "--n-list", "2,4,8",
+                     "--k", "2", "--idealized", "--trials", "1000",
+                     "--out-dir", str(tmp_path / "sw")]) == 0
+        assert len(reads) == 1
+        assert [r.getMessage() for r in caplog.records].count(
+            "channel spec has no input_dists; defaulting to uniform") == 1
+
     def test_deterministic_across_workers(self, adder_spec, tmp_path):
         # an exhaustive point and a Monte-Carlo point of two chunks, one short
         outs = []
@@ -853,13 +900,14 @@ class TestSweepCommand:
     def test_bad_grid_point_rejected_before_trials(self, adder_spec, tmp_path,
                                                    capsys, monkeypatch,
                                                    n_list, message):
-        # the bad point comes second: the N = 8 point must not run first
+        # the bad point comes second: the N = 8 point must not run first;
+        # k = 8 puts N = 2 over the exhaustive budget, where the window counts
         def no_trials(*args, **kwargs):
             raise AssertionError("trials ran")
 
         monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_trials)
         rc = main(["sweep", "--channel", adder_spec, "--out-dir",
-                   str(tmp_path / "sw"), "--n-list", n_list, "--k", "2",
+                   str(tmp_path / "sw"), "--n-list", n_list, "--k", "8",
                    "--idealized", "--window", "3", "--trials", "8000"])
         assert rc == 1
         assert message in capsys.readouterr().err

@@ -325,6 +325,24 @@ class TestExactEngine:
         with pytest.raises(BudgetError):
             tv_exhaustive(code)
 
+    @pytest.mark.parametrize("n,k,reason", [
+        (2, 2, None),
+        (2, 8, "entries for the"),
+        (32, 1, "beyond the exact codec cap"),
+    ])
+    def test_exact_budget_is_the_engines_verdict(self, n, k, reason):
+        # the route is decided before any work from this reason alone
+        code = small_code(adder_mac(), [UNIF, UNIF], n, k, 28)
+        said = evaluator.exact_budget(code)
+        if reason is None:
+            assert said is None
+            _ExactEngine(code)
+        else:
+            assert reason in said
+            with pytest.raises(BudgetError) as refused:
+                _ExactEngine(code)
+            assert str(refused.value) == said
+
     def test_exact_independence_diagnostics_below_bounds(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 2, 2, 27)
         rows = {m.name: m.value for m in exact_report(code)}

@@ -4,11 +4,11 @@ Usage: ``python tools/output_digests.py --src TREE``
 
 With ``TREE/src`` on ``PYTHONPATH``, runs each workload of
 ``perfbench/workloads.py`` (``build``, then ``simulate``) at seeds 0 and 1
-with ``--workers 1`` and ``--workers 2``, and ``sweep --n-list 4,8 --k 2
---idealized --trials 9000`` on the workloads' uniform adder with both worker
-counts, each in its own directory of one temporary directory.  Prints one
-``sha256  path`` line per output file, sorted by path, so that the digests of
-two trees compare with ``diff``.
+with ``--workers 1`` and ``--workers 2``, ``region`` on each workload's spec,
+and ``sweep --n-list 4,8 --k 2 --idealized --trials 9000`` on the workloads'
+uniform adder with both worker counts, each in its own directory of one
+temporary directory.  Prints one ``sha256  path`` line per output file,
+sorted by path, so that the digests of two trees compare with ``diff``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 SWEEP = ["sweep", "--channel", "channel.json", "--out-dir", "out",
          "--n-list", "4,8", "--k", "2", "--idealized", "--trials", "9000"]
+REGION = ["region", "--channel", "channel.json", "--out-dir", "out"]
 
 
 def _run(src: Path, cwd: Path, argv: list[str]) -> None:
@@ -47,6 +48,7 @@ def main(argv=None) -> int:
                  [wl.build_argv(seed), wl.simulate_argv(seed, workers)])
                 for name, wl in WORKLOADS.items()
                 for seed in (0, 1) for workers in (1, 2)]
+        runs += [(f"{name}_region", wl, [REGION]) for name, wl in WORKLOADS.items()]
         runs += [(f"sweep_w{workers}", WORKLOADS["mc_bootstrap"],
                   [SWEEP + ["--workers", str(workers)]]) for workers in (1, 2)]
         for tag, wl, argvs in runs:
