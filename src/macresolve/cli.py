@@ -278,7 +278,8 @@ def _admit(code: encoder.MacCode, cfg: ExperimentConfig
            ) -> tuple[dict, dict, str | None]:
     """Rates, region verdicts and route of a ``simulate`` or ``sweep`` point,
     or its refusal before any evaluation.  The route is None for the exhaustive
-    engine, else why Monte Carlo runs; only then must the window fit a block."""
+    engine, else why Monte Carlo runs; only then must the window fit a block,
+    and the recycled-bit pair table have no more cells than there are trials."""
     _check_fresh_bits(code.plan)
     rates = encoder.achieved_rates(code.plan)
     region = _region_verdicts(code, rates)   # refuses L > 4
@@ -287,6 +288,13 @@ def _admit(code: encoder.MacCode, cfg: ExperimentConfig
     if route is not None and cfg.window > cfg.n:
         raise ValueError(f"--window {cfg.window} is longer than a block "
                          f"(--n {cfg.n}): no window of that length fits")
+    # the pair table crosses the first b recycled bits with an output window
+    b = min(cfg.rec_bits, sum(s.hash_len for s in code.plan.streams))
+    zc = code.channel.output_alphabet.size ** cfg.window
+    if route is not None and code.plan.k >= 2 and 2 ** b * zc > cfg.trials:
+        raise ValueError(f"--rec-bits {cfg.rec_bits} with --window {cfg.window}"
+                         f": the pair table has 2^{b} x {zc} = {2 ** b * zc} "
+                         f"cells, more than --trials {cfg.trials}")
     return rates, region, route
 
 

@@ -41,7 +41,7 @@ from .polar import EXACT_CAP_N, PolarProfile, ResolvabilityCode, \
     compute_profile, encode_batch
 from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
     conditional_entropy, channel_from_json, channel_to_json, json_reader, \
-    mutual_information, read_numbers, transmit
+    mutual_information, pack_bits, read_numbers, transmit, unpack_bits
 from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
 
 __all__ = [
@@ -413,62 +413,75 @@ def _chain_encode(
     h: ToeplitzHash,
     stream: StreamPlan,
     fresh: Sequence[np.ndarray],
+    fresh_lens: Sequence[int],
     rng: np.random.Generator,
     recycle: bool,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run one stream's hash chain over k blocks.
+    """Run one stream's hash chain over k blocks, one unpacked block at a time.
 
-    ``fresh[i]`` is the block-(i+1) fresh seed batch; block 1 feeds the codec
-    its first ``codec_width`` bits, later blocks feed hash(previous block)
-    concatenated with the fresh bits.  With ``recycle=False`` the hash output
-    is replaced by fresh uniform bits (ablation baseline).  Returns the
-    (trials, k, N) blocks, each encoded into its place, and the recycled bits.
+    ``fresh[i]`` is the block-(i+1) fresh seed batch, ``fresh_lens[i]`` bits
+    packed as in ``BatchTranscript``.  Block 1 feeds the codec its fresh bits,
+    later blocks hash(previous block) and then the fresh bits; the codec reads
+    the first ``seed_len`` of them.  With ``recycle=False`` the hash output is
+    replaced by fresh uniform bits (ablation baseline).  Returns the packed
+    (trials, k, N) blocks and recycled bits.
     """
-    k = len(fresh)
-    if fresh[0].shape[1] != stream.seed_len_first:
-        raise ValueError(
-            f"stream {stream.name}: block-1 seed width {fresh[0].shape[1]}, "
-            f"plan says {stream.seed_len_first}"
-        )
-    seqs = np.empty((len(fresh[0]), k, codec.block_len), dtype=np.uint8)
+    plan_lens = [stream.seed_len_first] + [stream.seed_len_rest] * (len(fresh) - 1)
+    if list(fresh_lens) != plan_lens:
+        raise ValueError(f"stream {stream.name}: seed widths {list(fresh_lens)}"
+                         f" per block, plan says {plan_lens}")
+    trials, n = len(fresh[0]), codec.block_len
+    seqs = np.empty((trials, len(fresh), -(-n // 8)), dtype=np.uint8)
     recycled: list[np.ndarray] = []
-    for i in range(k):
-        if i == 0:
-            codec_in = fresh[0][:, :stream.codec_width]
-        else:
-            if fresh[i].shape[1] != stream.seed_len_rest:
-                raise ValueError(
-                    f"stream {stream.name}: block-{i + 1} seed width "
-                    f"{fresh[i].shape[1]}, plan says {stream.seed_len_rest}"
-                )
+    for i, (packed, width) in enumerate(zip(fresh, fresh_lens)):
+        codec_in = unpack_bits(packed, width)
+        if i > 0:
             if recycle:
-                rec = h.apply_batch(seqs[:, i - 1])
+                rec = h.apply_batch(unpack_bits(seqs[:, i - 1], n))
             else:
-                rec = rng.integers(0, 2, size=(fresh[i].shape[0], stream.hash_len),
+                rec = rng.integers(0, 2, size=(trials, stream.hash_len),
                                    dtype=np.uint8)
-            recycled.append(rec)
-            codec_in = np.concatenate([rec, fresh[i]], axis=1)
-        seqs[:, i] = encode_batch(codec, codec_in[:, :codec.seed_len], rng)
+            recycled.append(pack_bits(rec))
+            codec_in = np.concatenate([rec, codec_in], axis=1)
+        seqs[:, i] = pack_bits(
+            encode_batch(codec, codec_in[:, :codec.seed_len], rng))
     return seqs, recycled
 
 
 @dataclass
 class BatchTranscript:
-    """Arrays for a batch of independent trials of one code.
+    """Arrays for a batch of independent trials of one code, a row per trial.
 
-    ``streams[name]`` has shape (trials, k, N); ``fresh_seeds[name]`` is a
-    list of k arrays (trials, len_i); ``recycled[name]`` a list of k-1 arrays
-    (trials, r); ``channel_out`` (trials, k, N) is uint8 if |Z| <= 256.
+    Bits are packed eight to a byte along the last axis (``np.packbits``,
+    first bit in the MSB, pad bits 0): ``streams[name]`` (trials, k, N)
+    blocks, ``fresh_seeds[name]`` k arrays of ``fresh_lens[name][i]`` bits
+    and ``recycled[name]`` k-1 arrays of ``rec_lens[name][i]`` bits, which
+    ``unpacked`` gives back one bit per uint8.  ``channel_out`` (trials, k, N)
+    holds output symbols, uint8 if |Z| <= 256.
     """
 
     streams: dict[str, np.ndarray]
     fresh_seeds: dict[str, list[np.ndarray]]
     recycled: dict[str, list[np.ndarray]]
     channel_out: np.ndarray
+    fresh_lens: dict[str, list[int]]
+    rec_lens: dict[str, list[int]]
 
     @property
     def k(self) -> int:
         return self.channel_out.shape[1]
+
+    def unpacked(self, part: str, first: float = math.inf) -> dict:
+        """``streams`` as (trials, k, N) arrays, or the blocks of
+        ``fresh_seeds`` or ``recycled`` as (trials, len) arrays, one bit per
+        uint8; at most the ``first`` bits of each."""
+        if part == "streams":
+            n = min(self.channel_out.shape[-1], first)
+            return {name: unpack_bits(a, n) for name, a in self.streams.items()}
+        lens = self.fresh_lens if part == "fresh_seeds" else self.rec_lens
+        return {name: [unpack_bits(a, min(w, first))
+                       for a, w in zip(blocks, lens[name])]
+                for name, blocks in getattr(self, part).items()}
 
 
 def run_trials(
@@ -480,34 +493,42 @@ def run_trials(
     """Draw seeds, run every chain, and transmit each block through the channel.
 
     Each user's channel word is the bitwise max of the streams
-    ``code.channel_inputs`` names for it; a word that is not itself a stream
-    (case 1's Y) joins ``streams`` after the chains.  Deterministic given the
-    generator state: seeds are drawn stream-major in plan order, chains
-    encode in plan order, channel noise is drawn block by block.
+    ``code.channel_inputs`` names for it, the OR of their packed bytes; a word
+    that is not itself a stream (case 1's Y) joins ``streams`` after the
+    chains.  Deterministic given the generator state: seeds are drawn
+    stream-major in plan order, chains encode in plan order, channel noise is
+    drawn block by block.
     """
     plan = code.plan
     fresh: dict[str, list[np.ndarray]] = {}
+    fresh_lens: dict[str, list[int]] = {}
     for s in plan.streams:
-        widths = [s.seed_len_first] + [s.seed_len_rest] * (plan.k - 1)
-        fresh[s.name] = [
-            rng.integers(0, 2, size=(n_trials, w), dtype=np.uint8) for w in widths
-        ]
+        fresh[s.name], fresh_lens[s.name] = [], []
+        for w in [s.seed_len_first] + [s.seed_len_rest] * (plan.k - 1):
+            bits = rng.integers(0, 2, size=(n_trials, w), dtype=np.uint8)
+            fresh[s.name].append(pack_bits(bits))
+            fresh_lens[s.name].append(bits.shape[1])
     streams: dict[str, np.ndarray] = {}
     recycled: dict[str, list[np.ndarray]] = {}
     for s in plan.streams:
         streams[s.name], recycled[s.name] = _chain_encode(
-            code.codecs[s.name], code.hashes[s.name], s, fresh[s.name], rng,
-            recycle)
+            code.codecs[s.name], code.hashes[s.name], s, fresh[s.name],
+            fresh_lens[s.name], rng, recycle)
     words = []
     for word, parts in code.channel_inputs:
-        if word not in streams:
-            streams[word] = np.maximum.reduce([streams[p] for p in parts])
+        if word not in streams:   # exact on packed bytes: pad bits are 0
+            streams[word] = np.bitwise_or.reduce([streams[p] for p in parts])
         words.append(streams[word])
+    n = plan.block_len
     small = code.channel.output_alphabet.size <= 256
-    channel_out = np.empty(words[0].shape, dtype=np.uint8 if small else np.int64)
+    channel_out = np.empty((n_trials, plan.k, n),
+                           dtype=np.uint8 if small else np.int64)
     for i in range(plan.k):
-        transmit(code.channel, [w[:, i] for w in words], rng, out=channel_out[:, i])
-    return BatchTranscript(streams, fresh, recycled, channel_out)
+        transmit(code.channel, [unpack_bits(w[:, i], n) for w in words], rng,
+                 out=channel_out[:, i])
+    return BatchTranscript(streams, fresh, recycled, channel_out, fresh_lens,
+                           {s.name: [s.hash_len] * (plan.k - 1)
+                            for s in plan.streams})
 
 
 def achieved_rates(plan: LengthPlan) -> dict:
@@ -532,10 +553,7 @@ def achieved_rates(plan: LengthPlan) -> dict:
 
 def tally_fresh_bits(bt: BatchTranscript) -> dict[str, int]:
     """Fresh-seed bits actually drawn per stream in one trial (replay check)."""
-    return {
-        name: sum(arr.shape[1] for arr in blocks)
-        for name, blocks in bt.fresh_seeds.items()
-    }
+    return {name: sum(lens) for name, lens in bt.fresh_lens.items()}
 
 
 # -- descriptor (de)serialization ----------------------------------------------

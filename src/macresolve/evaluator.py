@@ -592,10 +592,10 @@ def _percentile_ci(x: np.ndarray) -> tuple[float, float]:
 def _recycled_cells(bt: BatchTranscript, code: MacCode,
                     rec_bits: int) -> tuple[np.ndarray, int]:
     """First recycled bits of blocks 2..k as cells (k-1, trials), and their count."""
-    names = [s.name for s in code.plan.streams]
     # the first rec_bits of the streams' bits side by side lie in the first
-    # rec_bits of each
-    recs = [np.concatenate([bt.recycled[name][i][:, :rec_bits] for name in names],
+    # rec_bits of each, and only those are unpacked
+    recycled = bt.unpacked("recycled", first=rec_bits)
+    recs = [np.concatenate([recycled[s.name][i] for s in code.plan.streams],
                            axis=1)
             for i in range(bt.k - 1)]
     b = min(rec_bits, recs[0].shape[1])

@@ -432,6 +432,25 @@ def index_to_bits(idx: np.ndarray | int, n: int) -> np.ndarray:
     return ((idx[..., None] >> shifts) & 1).astype(np.uint8)
 
 
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """``np.packbits(bits, axis=-1)``: bit rows (..., n) eight to a byte, first
+    bit most significant, pad bits 0.  Padded to whole bytes, the rows pack in
+    one flat pass, several times faster than numpy's pass along an axis."""
+    n_bytes = -(-bits.shape[-1] // 8)
+    padded = np.zeros(bits.shape[:-1] + (8 * n_bytes,), dtype=np.uint8)
+    padded[..., :bits.shape[-1]] = bits
+    return np.packbits(padded.reshape(-1)).reshape(bits.shape[:-1] + (n_bytes,))
+
+
+def unpack_bits(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of each row of ``pack_bits`` output, (..., n), as
+    a new array; only the bytes that hold them are unpacked."""
+    packed = packed[..., :-(-n // 8)]
+    bits = np.unpackbits(packed.reshape(-1)).reshape(
+        packed.shape[:-1] + (8 * packed.shape[-1],))
+    return bits if n % 8 == 0 else np.ascontiguousarray(bits[..., :n])
+
+
 def all_bit_rows(n: int) -> np.ndarray:
     """All 2^n bit rows in index order, shape (2^n, n)."""
     return index_to_bits(np.arange(1 << n), n)

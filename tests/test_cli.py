@@ -768,6 +768,23 @@ class TestRecBits:
         assert "--rec-bits must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_pair_table_over_the_trials_rejected_before_trials(
+            self, adder_spec, tmp_path, capsys, monkeypatch, command):
+        # 2^40 x 9 cells of recycled bits by output windows for 2,000 trials;
+        # counting them once drew a (1000, cells) float64 bootstrap
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_trials)
+        rc = main([command, "--channel", adder_spec, "--out-dir",
+                   str(tmp_path / "s"), "--n", "64", "--k", "2", "--idealized",
+                   "--trials", "2000", "--rec-bits", "40"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--rec-bits 40" in err and "2^40 x 9" in err
+        assert not (tmp_path / "s" / OUTPUT[command]).exists()
+
 
 class TestAnalysisConstants:
     @pytest.mark.parametrize("flags,message", [

@@ -152,37 +152,38 @@ class TestChainEncoding:
     def test_hash_chain_replay(self):
         code = adder_code()
         bt = run_trials(code, 300, make_rng(2))
+        seqs, recycled = bt.unpacked("streams"), bt.unpacked("recycled")
         for name in ("x", "u", "v"):
             h = code.hashes[name]
             for i in range(1, code.plan.k):
-                rec = h.apply_batch(bt.streams[name][:, i - 1, :])
-                assert np.array_equal(rec, bt.recycled[name][i - 1])
+                rec = h.apply_batch(seqs[name][:, i - 1, :])
+                assert np.array_equal(rec, recycled[name][i - 1])
 
     def test_transcript_deterministic(self):
         code = adder_code()
         a = run_trials(code, 200, make_rng(3))
         b = run_trials(code, 200, make_rng(3))
         assert np.array_equal(a.channel_out, b.channel_out)
-        for name in a.streams:
-            assert np.array_equal(a.streams[name], b.streams[name])
+        seqs_a, seqs_b = a.unpacked("streams"), b.unpacked("streams")
+        for name in seqs_a:
+            assert np.array_equal(seqs_a[name], seqs_b[name])
 
     def test_y_is_componentwise_max(self):
         code = adder_code()
-        bt = run_trials(code, 100, make_rng(4))
-        assert np.array_equal(bt.streams["y"],
-                              np.maximum(bt.streams["u"], bt.streams["v"]))
+        seqs = run_trials(code, 100, make_rng(4)).unpacked("streams")
+        assert np.array_equal(seqs["y"], np.maximum(seqs["u"], seqs["v"]))
 
     def test_eps_zero_split_silences_u(self):
         code = adder_code(eps_split=0.0)
-        bt = run_trials(code, 50, make_rng(5))
-        assert not bt.streams["u"].any()
-        assert np.array_equal(bt.streams["y"], bt.streams["v"])
+        seqs = run_trials(code, 50, make_rng(5)).unpacked("streams")
+        assert not seqs["u"].any()
+        assert np.array_equal(seqs["y"], seqs["v"])
 
     def test_eps_one_split_silences_v(self):
         code = adder_code(eps_split=1.0)
-        bt = run_trials(code, 50, make_rng(6))
-        assert not bt.streams["v"].any()
-        assert np.array_equal(bt.streams["y"], bt.streams["u"])
+        seqs = run_trials(code, 50, make_rng(6)).unpacked("streams")
+        assert not seqs["v"].any()
+        assert np.array_equal(seqs["y"], seqs["u"])
 
     def test_max_law_monte_carlo(self):
         # Composition check against the exact codec laws: with U and V
@@ -201,8 +202,8 @@ class TestChainEncoding:
             per_pos[name] = (px[:, None] * bits).sum(axis=0)
         expect = 1 - (1 - per_pos["u"]) * (1 - per_pos["v"])
         trials = 100_000
-        bt = run_trials(code, trials, make_rng(7))
-        emp = bt.streams["y"][:, 0, :].mean(axis=0)  # block 1: exact-law match
+        seqs = run_trials(code, trials, make_rng(7)).unpacked("streams")
+        emp = seqs["y"][:, 0, :].mean(axis=0)  # block 1: exact-law match
         sigma = 0.5 / math.sqrt(trials)
         assert np.all(np.abs(emp - expect) < 4 * sigma)
 
@@ -210,20 +211,53 @@ class TestChainEncoding:
         code = adder_code(n=4, k=2)
         widths = [code.plan.stream("x").seed_len_first + 1,
                   code.plan.stream("x").seed_len_rest]
-        seeds = [np.zeros((5, w), dtype=np.uint8) for w in widths]
+        seeds = [np.packbits(np.zeros((5, w), dtype=np.uint8), axis=1)
+                 for w in widths]
         with pytest.raises(ValueError, match="width"):
             _chain_encode(code.codecs["x"], code.hashes["x"],
-                          code.plan.stream("x"), seeds, make_rng(0), True)
+                          code.plan.stream("x"), seeds, widths, make_rng(0),
+                          True)
 
     def test_recycling_ablation_draws_fresh(self):
         code = adder_code(n=4, k=3)
         bt = run_trials(code, 400, make_rng(8), recycle=False)
+        seqs, recycled = bt.unpacked("streams"), bt.unpacked("recycled")
         for name in ("x", "u", "v"):
             h = code.hashes[name]
             if h.out_len == 0:
                 continue
-            rec = h.apply_batch(bt.streams[name][:, 0, :])
-            assert not np.array_equal(rec, bt.recycled[name][0])
+            rec = h.apply_batch(seqs[name][:, 0, :])
+            assert not np.array_equal(rec, recycled[name][0])
+
+
+class TestPackedTranscript:
+    @pytest.mark.parametrize("recycle", [True, False])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_round_trip(self, n, recycle):
+        code = adder_code(n=n, k=3)
+        bt = run_trials(code, 37, make_rng(90), recycle=recycle)
+        seqs = bt.unpacked("streams")
+        assert list(seqs) == ["x", "u", "v", "y"]
+        for name, packed in bt.streams.items():
+            assert packed.shape == (37, 3, 1) and seqs[name].shape == (37, 3, n)
+            assert seqs[name].max() <= 1
+            # first bit in the MSB, pad bits 0
+            assert np.array_equal(np.packbits(seqs[name], axis=-1), packed)
+        assert np.array_equal(seqs["y"], np.maximum(seqs["u"], seqs["v"]))
+        assert bt.rec_lens == {s.name: [s.hash_len] * 2
+                               for s in code.plan.streams}
+        widths = []
+        for part, lens in (("fresh_seeds", bt.fresh_lens),
+                           ("recycled", bt.rec_lens)):
+            for name, blocks in bt.unpacked(part).items():
+                assert [b.shape for b in blocks] == [(37, w) for w in lens[name]]
+                for bits, packed in zip(blocks, getattr(bt, part)[name]):
+                    assert np.array_equal(np.packbits(bits, axis=1), packed)
+                widths += lens[name]
+        assert any(w % 8 for w in widths)
+        assert tally_fresh_bits(bt) == {
+            s.name: s.seed_len_first + 2 * s.seed_len_rest
+            for s in code.plan.streams}
 
 
 class TestCase2AndMulti:
@@ -254,7 +288,7 @@ class TestCase2AndMulti:
                               block_len=4, k=2, xi=0.0, delta=0.0,
                               rng=make_rng(11))
         bt = run_trials(code, 64, make_rng(12))
-        assert not bt.streams["y"].any()
+        assert not bt.unpacked("streams")["y"].any()
 
     def test_single_user_reduces_to_point_to_point(self):
         ch = MacChannel((Alphabet(2),), Alphabet(2),
@@ -412,13 +446,14 @@ class TestDescriptor:
 
 
 def _transcript_digest(bt) -> str:
-    """sha256 over channel outputs (as int64), then every stream and recycled array."""
+    """sha256 over channel outputs (as int64), then every stream and recycled
+    array, unpacked one bit per byte."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(bt.channel_out.astype(np.int64)).tobytes())
-    for name, arr in bt.streams.items():
+    for name, arr in bt.unpacked("streams").items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
-    for name, blocks in bt.recycled.items():
+    for name, blocks in bt.unpacked("recycled").items():
         h.update(name.encode())
         for arr in blocks:
             h.update(np.ascontiguousarray(arr).tobytes())

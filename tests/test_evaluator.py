@@ -561,8 +561,8 @@ class TestMonteCarlo:
                                            p=d.pmf)
                                 for d in code.input_dists], rng)
                       for _ in range(code.plan.k)], axis=1)
-        rows = dependence_rows(code, BatchTranscript({}, {}, {}, z), rng,
-                               n_boot=200)
+        rows = dependence_rows(code, BatchTranscript({}, {}, {}, z, {}, {}),
+                               rng, n_boot=200)
         for m in rows:
             assert m.value < 0.02
 
@@ -642,14 +642,17 @@ class TestMonteCarlo:
             dependence_rows(code, bt, make_rng(42))
 
     def test_mc_chunk_holds_little_more_than_its_transcript(self):
-        # seeds, blocks, recycled bits and channel outputs are uint8; full-chunk
-        # int64 / float64 temporaries put the peak at 2.4 times these bytes,
-        # without them it is 1.24 times
+        # seeds, blocks, recycled bits and channel outputs, one per uint8:
+        # full-chunk int64 / float64 temporaries put the peak at 2.4 times
+        # these bytes, without them it was 1.24 times, and with the bits
+        # packed eight to a byte it is 0.57 times
         code = small_code(adder_mac3(), BERN_234, 64, 3, 81, mode="multi")
         bt = run_trials(code, 8192, make_rng(82))
-        arrays = [*bt.streams.values(), bt.channel_out,
-                  *(a for blocks in bt.fresh_seeds.values() for a in blocks),
-                  *(a for blocks in bt.recycled.values() for a in blocks)]
+        arrays = [*bt.unpacked("streams").values(), bt.channel_out,
+                  *(a for blocks in bt.unpacked("fresh_seeds").values()
+                    for a in blocks),
+                  *(a for blocks in bt.unpacked("recycled").values()
+                    for a in blocks)]
         assert {a.dtype for a in arrays} == {np.dtype(np.uint8)}
         transcript = sum(a.nbytes for a in arrays)
         del bt, arrays
@@ -660,6 +663,33 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * transcript
+
+    def test_packed_chunk_peak(self):
+        # the mc_bootstrap code: 2-user adder, case 1, N = 32, k = 5; with one
+        # bit per uint8 an 8,192-trial chunk peaked at 11.5 MiB, packed at 4.25
+        code = small_code(adder_mac(), [UNIF, UNIF], 32, 5, 84)
+        mc_chunk_features(code, 64, make_rng(85))
+        tracemalloc.start()
+        try:
+            mc_chunk_features(code, 8192, make_rng(85))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 << 20
+
+    @pytest.mark.parametrize("rec_bits", [0, 1, 3, 40])
+    def test_recycled_cells_read_the_first_bits(self, rec_bits):
+        # the streams' recycled bits side by side, unpacked in full
+        code = small_code(adder_mac(), [UNIF, UNIF], 8, 3, 43)
+        bt = run_trials(code, 500, make_rng(86))
+        recycled = bt.unpacked("recycled")
+        whole = [np.concatenate([recycled[s.name][i] for s in code.plan.streams],
+                                axis=1) for i in range(2)]
+        b = min(rec_bits, whole[0].shape[1])
+        cells, n_cells = _recycled_cells(bt, code, rec_bits)
+        assert n_cells == 1 << b
+        np.testing.assert_array_equal(
+            cells, np.stack([bits_to_index(w[:, :b]) for w in whole]))
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_sliced_tables_equal_whole_chunk_counts(self, window):
@@ -732,7 +762,8 @@ def concat_transcripts(a, b):
     return BatchTranscript({n: cat(a.streams[n], b.streams[n]) for n in a.streams},
                            per_block(a.fresh_seeds, b.fresh_seeds),
                            per_block(a.recycled, b.recycled),
-                           cat(a.channel_out, b.channel_out))
+                           cat(a.channel_out, b.channel_out),
+                           a.fresh_lens, a.rec_lens)
 
 
 class TestBootstrapKernels:

@@ -21,8 +21,10 @@ from macresolve.probcore import (
     make_rng,
     min_entropy_conditional,
     mutual_information,
+    pack_bits,
     target_output_dist,
     transmit,
+    unpack_bits,
     variational_distance,
 )
 
@@ -358,6 +360,18 @@ class TestBitPacking:
 
     def test_first_bit_most_significant(self):
         assert bits_to_index(np.array([1, 0, 0])) == 4
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 7), (7, 1), (7, 8), (7, 27),
+                                       (3, 4, 2), (3, 4, 32)])
+    def test_pack_bits_is_numpys_along_the_last_axis(self, rng, shape):
+        bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        packed = pack_bits(bits)
+        np.testing.assert_array_equal(packed, np.packbits(bits, axis=-1))
+        for n in range(shape[-1] + 1):
+            np.testing.assert_array_equal(unpack_bits(packed, n), bits[..., :n])
+        if len(shape) == 3:   # a strided block of a (rows, k, bytes) array
+            np.testing.assert_array_equal(unpack_bits(packed[:, 1], shape[-1]),
+                                          bits[:, 1])
 
 
 class TestChannelJson:

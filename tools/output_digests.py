@@ -1,14 +1,17 @@
-"""Sha256 digests of every output of the benchmark workloads and of one sweep.
+"""Sha256 digests of every output of the benchmark workloads and of corner runs.
 
 Usage: ``python tools/output_digests.py --src TREE``
 
 With ``TREE/src`` on ``PYTHONPATH``, runs each workload of
 ``perfbench/workloads.py`` (``build``, then ``simulate``) at seeds 0 and 1
-with ``--workers 1`` and ``--workers 2``, ``region`` on each workload's spec,
-and ``sweep --n-list 4,8 --k 2 --idealized --trials 9000`` on the workloads'
-uniform adder with both worker counts, each in its own directory of one
-temporary directory.  Prints one ``sha256  path`` line per output file,
-sorted by path, so that the digests of two trees compare with ``diff``.
+with ``--workers 1`` and ``--workers 2``, and ``region`` on each workload's
+spec.  On the workloads' uniform adder, with both worker counts, it runs
+``sweep --n-list 4,8 --k 2 --idealized --trials 9000`` and the Monte-Carlo
+corners of ``simulate --n 4 --k 8 --idealized --trials 9000``: as it is, at
+``--n 2``, and with ``--no-recycle``, ``--rec-bits 0`` or ``--window 3``.
+Each run has its own directory of one temporary directory.  Prints one
+``sha256  path`` line per output file, sorted by path, so that the digests of
+two trees compare with ``diff``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from workloads import WORKLOADS  # noqa: E402
 SWEEP = ["sweep", "--channel", "channel.json", "--out-dir", "out",
          "--n-list", "4,8", "--k", "2", "--idealized", "--trials", "9000"]
 REGION = ["region", "--channel", "channel.json", "--out-dir", "out"]
+CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
+          "--n", "4", "--k", "8", "--idealized", "--trials", "9000"]
+CORNERS = {"mc": [], "mc_n2": ["--n", "2"], "mc_norecycle": ["--no-recycle"],
+           "mc_recbits0": ["--rec-bits", "0"], "mc_window3": ["--window", "3"]}
 
 
 def _run(src: Path, cwd: Path, argv: list[str]) -> None:
@@ -51,6 +58,9 @@ def main(argv=None) -> int:
         runs += [(f"{name}_region", wl, [REGION]) for name, wl in WORKLOADS.items()]
         runs += [(f"sweep_w{workers}", WORKLOADS["mc_bootstrap"],
                   [SWEEP + ["--workers", str(workers)]]) for workers in (1, 2)]
+        runs += [(f"{tag}_w{workers}", WORKLOADS["mc_bootstrap"],
+                  [CORNER + flags + ["--workers", str(workers)]])
+                 for tag, flags in CORNERS.items() for workers in (1, 2)]
         for tag, wl, argvs in runs:
             cwd = Path(tmp, tag)
             cwd.mkdir()
