@@ -279,7 +279,8 @@ def _admit(code: encoder.MacCode, cfg: ExperimentConfig
     """Rates, region verdicts and route of a ``simulate`` or ``sweep`` point,
     or its refusal before any evaluation.  The route is None for the exhaustive
     engine, else why Monte Carlo runs; only then must the window fit a block,
-    and the recycled-bit pair table have no more cells than there are trials."""
+    and the recycled-bit and output pair tables have no more cells than there
+    are trials."""
     _check_fresh_bits(code.plan)
     rates = encoder.achieved_rates(code.plan)
     region = _region_verdicts(code, rates)   # refuses L > 4
@@ -295,6 +296,10 @@ def _admit(code: encoder.MacCode, cfg: ExperimentConfig
         raise ValueError(f"--rec-bits {cfg.rec_bits} with --window {cfg.window}"
                          f": the pair table has 2^{b} x {zc} = {2 ** b * zc} "
                          f"cells, more than --trials {cfg.trials}")
+    if route is not None and code.plan.k >= 2 and zc * zc > cfg.trials:
+        raise ValueError(f"--window {cfg.window}: the output pair table has "
+                         f"{zc} x {zc} = {zc * zc} cells, more than --trials "
+                         f"{cfg.trials}")
     return rates, region, route
 
 

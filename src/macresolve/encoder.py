@@ -41,7 +41,8 @@ from .polar import EXACT_CAP_N, PolarProfile, ResolvabilityCode, \
     compute_profile, encode_batch
 from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
     conditional_entropy, channel_from_json, channel_to_json, json_reader, \
-    mutual_information, pack_bits, read_numbers, transmit, unpack_bits
+    mutual_information, pack_bits, read_numbers, row_slices, transmit, \
+    unpack_bits
 from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
 
 __all__ = [
@@ -497,7 +498,9 @@ def run_trials(
     that is not itself a stream (case 1's Y) joins ``streams`` after the
     chains.  Deterministic given the generator state: seeds are drawn
     stream-major in plan order, chains encode in plan order, channel noise is
-    drawn block by block.
+    drawn block by block.  Each block goes through ``transmit`` one
+    ``row_slices`` slice of trials at a time, so only a slice of the words is
+    unpacked; the slices draw the noise in the order of one call per block.
     """
     plan = code.plan
     fresh: dict[str, list[np.ndarray]] = {}
@@ -505,9 +508,9 @@ def run_trials(
     for s in plan.streams:
         fresh[s.name], fresh_lens[s.name] = [], []
         for w in [s.seed_len_first] + [s.seed_len_rest] * (plan.k - 1):
-            bits = rng.integers(0, 2, size=(n_trials, w), dtype=np.uint8)
-            fresh[s.name].append(pack_bits(bits))
-            fresh_lens[s.name].append(bits.shape[1])
+            fresh[s.name].append(pack_bits(
+                rng.integers(0, 2, size=(n_trials, w), dtype=np.uint8)))
+            fresh_lens[s.name].append(w)
     streams: dict[str, np.ndarray] = {}
     recycled: dict[str, list[np.ndarray]] = {}
     for s in plan.streams:
@@ -524,8 +527,9 @@ def run_trials(
     channel_out = np.empty((n_trials, plan.k, n),
                            dtype=np.uint8 if small else np.int64)
     for i in range(plan.k):
-        transmit(code.channel, [unpack_bits(w[:, i], n) for w in words], rng,
-                 out=channel_out[:, i])
+        for sl in row_slices(n_trials, n * len(words)):
+            transmit(code.channel, [unpack_bits(w[sl, i], n) for w in words],
+                     rng, out=channel_out[sl, i])
     return BatchTranscript(streams, fresh, recycled, channel_out, fresh_lens,
                            {s.name: [s.hash_len] * (plan.k - 1)
                             for s in plan.streams})

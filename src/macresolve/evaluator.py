@@ -750,12 +750,17 @@ def _pair_tv(counts: np.ndarray, na: int, nb: int, n_boot: int,
     its marginals, with bootstrap CI.
 
     Each trial adds one count to one cell, so a replicate's cells are
-    independent N(n_c, n_c), drawn per cell, not per trial.
+    independent N(n_c, n_c), drawn per cell, not per trial.  The replicates
+    are drawn and reduced one ``row_slices`` slice at a time: the draws fill
+    C order one value after another and every reduction is per replicate, so
+    the TVs, and the generator state, are those of one (n_boot, cells) draw.
     """
     stat = lambda c: _dependence_tv((c / c.sum(axis=-1, keepdims=True))
                                     .reshape(*c.shape[:-1], na, nb))
     tv = float(stat(counts.astype(np.float64)))
-    return (tv, *_percentile_ci(stat(_replicates(counts, n_boot, rng))))
+    boot = [stat(_replicates(counts, sl.stop - sl.start, rng))
+            for sl in row_slices(n_boot, counts.size)]
+    return (tv, *_percentile_ci(np.concatenate(boot)))
 
 
 # -- leftover-hash bound check ----------------------------------------------------

@@ -785,6 +785,33 @@ class TestRecBits:
         assert "--rec-bits 40" in err and "2^40 x 9" in err
         assert not (tmp_path / "s" / OUTPUT[command]).exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_output_pair_table_over_the_trials_rejected_before_trials(
+            self, tmp_path, capsys, monkeypatch, command):
+        # 5 output symbols at --window 3: adjacent blocks' windows cross in
+        # 125 x 125 = 15,625 cells for 1,000 trials, whose bootstrap once
+        # drew (1000, 15625) float64 and peaked at 639 MB
+        spec = tmp_path / "noisy5.json"
+        spec.write_text(json.dumps({
+            "inputs": [2, 2], "output": 5,
+            "transition": [[0.6, 0.1, 0.1, 0.1, 0.1], [0.1, 0.6, 0.1, 0.1, 0.1],
+                           [0.1, 0.1, 0.6, 0.1, 0.1], [0.1, 0.1, 0.1, 0.1, 0.6]],
+            "input_dists": [[0.5, 0.5], [0.5, 0.5]]}))
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(cli.evaluator, "mc_chunk_features", no_trials)
+        rc = main([command, "--channel", str(spec), "--out-dir",
+                   str(tmp_path / "s"), "--mode", "multi", "--n", "8", "--k",
+                   "8", "--idealized", "--trials", "1000", "--rec-bits", "0",
+                   "--window", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--window 3" in err and "--trials 1000" in err
+        assert "125 x 125 = 15625" in err
+        assert not (tmp_path / "s" / OUTPUT[command]).exists()
+
 
 class TestAnalysisConstants:
     @pytest.mark.parametrize("flags,message", [

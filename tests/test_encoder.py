@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import adder_mac, adder_mac3, parallel_mac
+from conftest import adder_mac, adder_mac3, parallel_mac, random_mac
 from macresolve import encoder
 from macresolve.encoder import (
     _chain_encode,
@@ -22,7 +22,7 @@ from macresolve.encoder import (
     tally_fresh_bits,
 )
 from macresolve.probcore import Dist, MacChannel, Alphabet, make_rng, \
-    mutual_information
+    mutual_information, transmit
 from macresolve.ratesplit import solve_eps, split_rates
 
 UNIF = Dist.bernoulli(0.5)
@@ -465,14 +465,19 @@ class TestRngConsumption:
 
     The digests were recorded before the per-mode encode wrappers were folded
     into one loop; any change to the draw order of seeds, SC sampling or
-    channel noise changes them.
+    channel noise changes them.  The other channels are deterministic, so
+    only "noisy" lets the channel noise reach a digest; it was recorded while
+    each block was still sent in one ``transmit`` call, and its 4,500 trials
+    of 2 x 8 symbols now span two row slices of trials.
     """
 
     DIGESTS = {
         "case1": "b4a2c7506fcf8d8575edd00b2748e3c19e5a0a41db01b17c23f9a5d0e4c08745",
         "case2": "fc20247f629e0da4bb13d818356cf5276138c161de2048fd5830ca5789d00e10",
         "multi": "12d4134e8ca263c582c66b4b56810f5839ea54c2343d810b9b48cd9686ba1fc0",
+        "noisy": "d6471b72f3160d270379781d82bcc4564d262c3e5475a7a792d0d24ab674160d",
     }
+    TRIALS = {"noisy": 4500}
 
     def _codes(self):
         return {
@@ -488,10 +493,40 @@ class TestRngConsumption:
                                     mode="multi", order=(2, 0, 1), block_len=8,
                                     k=2, xi=0.0, delta=0.0,
                                     rng=make_rng(72)),
+            "noisy": self._noisy_code(k=2),
         }
 
+    @staticmethod
+    def _noisy_code(k):
+        return build_mac_code(random_mac(make_rng(73), n_users=2, z_size=4),
+                              [Dist.bernoulli(0.3), Dist.bernoulli(0.6)],
+                              mode="multi", block_len=8, k=k, xi=0.0, delta=0.0,
+                              rng=make_rng(74))
+
     def test_run_trials_digests(self):
-        got = {mode: _transcript_digest(run_trials(code, 64, make_rng(80)))
-               for mode, code in self._codes().items()}
+        got = {mode: _transcript_digest(run_trials(
+            code, self.TRIALS.get(mode, 64), make_rng(80)))
+            for mode, code in self._codes().items()}
         assert got == self.DIGESTS
+
+    def test_sliced_transmit_equals_one_call_per_block(self, monkeypatch):
+        # 9,000 trials of 2 x 8 symbols: row slices of 4,096, 4,096 and 808
+        code = self._noisy_code(k=3)
+        states = []
+
+        def first_state(ch, words, rng, **kw):
+            if not states:
+                states.append(rng.bit_generator.state)
+            return transmit(ch, words, rng, **kw)
+
+        monkeypatch.setattr(encoder, "transmit", first_state)
+        rng = make_rng(81)
+        bt = run_trials(code, 9000, rng)
+        ref_rng = make_rng(0)
+        ref_rng.bit_generator.state = states[0]
+        words = [bt.unpacked("streams")[word] for word, _ in code.channel_inputs]
+        for i in range(code.plan.k):
+            ref = transmit(code.channel, [w[:, i] for w in words], ref_rng)
+            np.testing.assert_array_equal(bt.channel_out[:, i], ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -645,7 +645,9 @@ class TestMonteCarlo:
         # seeds, blocks, recycled bits and channel outputs, one per uint8:
         # full-chunk int64 / float64 temporaries put the peak at 2.4 times
         # these bytes, without them it was 1.24 times, and with the bits
-        # packed eight to a byte it is 0.57 times
+        # packed eight to a byte it is 0.57 times.  This is the mc_longblock
+        # code; unpacking each block's channel words for all 8,192 trials at
+        # once put the peak at 5.66 MiB, a row slice at a time it is 4.95
         code = small_code(adder_mac3(), BERN_234, 64, 3, 81, mode="multi")
         bt = run_trials(code, 8192, make_rng(82))
         arrays = [*bt.unpacked("streams").values(), bt.channel_out,
@@ -663,6 +665,7 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * transcript
+        assert peak < 5.2 * (1 << 20)
 
     def test_packed_chunk_peak(self):
         # the mc_bootstrap code: 2-user adder, case 1, N = 32, k = 5; with one
@@ -676,6 +679,23 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 7 << 20
+
+    def test_assembly_holds_one_slice_of_pair_replicates(self):
+        # the mc_longblock code's tables summed over two chunks: with each
+        # pair table's (1000, cells) replicates drawn at once the peak was
+        # 9.92 MiB, a row slice at a time it is 2.66
+        code = small_code(adder_mac3(), BERN_234, 64, 3, 81, mode="multi")
+        parts = [mc_chunk_features(code, 8192, make_rng(seed))
+                 for seed in (86, 87)]
+        feats = {key: parts[0][key] + parts[1][key] for key in parts[0]}
+        assemble_mc_metrics(code, feats, make_rng(88))
+        tracemalloc.start()
+        try:
+            assemble_mc_metrics(code, feats, make_rng(88))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("rec_bits", [0, 1, 3, 40])
     def test_recycled_cells_read_the_first_bits(self, rec_bits):
@@ -800,6 +820,42 @@ class TestBootstrapKernels:
             counts = np.bincount(a * nb + b, minlength=na * nb)
             assert _pair_tv(counts, na, nb, 10, make_rng(0))[0] == \
                 one_hot_pair_tv(a, b, na, nb, 10, make_rng(0))[0]
+
+    @pytest.mark.parametrize("na,nb,n_boot", [
+        (4, 4, 1000),      # one slice
+        (16, 16, 1024),    # four whole slices of 256 replicates
+        (9, 9, 1000),      # 809 replicates, then a short slice of 191
+        (200, 200, 30),    # one replicate per slice
+    ])
+    def test_sliced_pair_tv_equals_one_draw(self, na, nb, n_boot):
+        # the one-shot expression: all replicates drawn and reduced at once
+        counts = make_rng(na).poisson(4, size=na * nb)
+        counts[::7] = 0
+        ref_rng = make_rng(59)
+        reps = counts + np.sqrt(counts) * ref_rng.standard_normal(
+            (n_boot, counts.size))
+        joint = (reps / reps.sum(axis=-1, keepdims=True)).reshape(n_boot, na, nb)
+        prod = joint.sum(-1)[..., :, None] * joint.sum(-2)[..., None, :]
+        tvs = np.abs(joint - prod).sum(axis=(-2, -1))
+        rng = make_rng(59)
+        got = _pair_tv(counts, na, nb, n_boot, rng)
+        assert np.array(got[1:]).tobytes() == \
+            np.array(_percentile_ci(tvs)).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_pair_tv_holds_one_slice_of_replicates(self):
+        # 125 x 125 cells, the 5-symbol output pair table at --window 3: one
+        # (1000, cells) float64 draw is 125 MB, and its temporaries peaked
+        # at 596 MiB
+        counts = make_rng(89).poisson(3, size=125 * 125)
+        _pair_tv(counts, 125, 125, 10, make_rng(90))
+        tracemalloc.start()
+        try:
+            _pair_tv(counts, 125, 125, 1000, make_rng(90))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_ci_endpoints_match_per_trial_bootstrap(self, code_bt):
         # same replicate mean and covariance as per-trial Poisson(1) weights:

@@ -9,15 +9,19 @@ spec.  On the workloads' uniform adder, with both worker counts, it runs
 ``sweep --n-list 4,8 --k 2 --idealized --trials 9000`` and the Monte-Carlo
 corners of ``simulate --n 4 --k 8 --idealized --trials 9000``: as it is, at
 ``--n 2``, and with ``--no-recycle``, ``--rec-bits 0`` or ``--window 3``.
-Each run has its own directory of one temporary directory.  Prints one
-``sha256  path`` line per output file, sorted by path, so that the digests of
-two trees compare with ``diff``.
+On a noisy 2-user channel whose spec it writes itself (every workload
+channel is deterministic, so its noise draws reach no output), it runs
+``simulate --mode multi --n 8 --k 3 --idealized --trials 9000`` with both
+worker counts.  Each run has its own directory of one temporary directory.
+Prints one ``sha256  path`` line per output file, sorted by path, so that the
+digests of two trees compare with ``diff``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +38,14 @@ CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
           "--n", "4", "--k", "8", "--idealized", "--trials", "9000"]
 CORNERS = {"mc": [], "mc_n2": ["--n", "2"], "mc_norecycle": ["--no-recycle"],
            "mc_recbits0": ["--rec-bits", "0"], "mc_window3": ["--window", "3"]}
+# binary inputs Bern(0.3) / Bern(0.6), four outputs, no deterministic row
+NOISY = {"inputs": [2, 2], "output": 4,
+         "transition": [[0.7, 0.1, 0.1, 0.1], [0.1, 0.6, 0.2, 0.1],
+                        [0.1, 0.2, 0.6, 0.1], [0.05, 0.05, 0.1, 0.8]],
+         "input_dists": [[0.7, 0.3], [0.4, 0.6]]}
+NOISY_CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
+                "--mode", "multi", "--n", "8", "--k", "3", "--idealized",
+                "--trials", "9000"]
 
 
 def _run(src: Path, cwd: Path, argv: list[str]) -> None:
@@ -51,20 +63,26 @@ def main(argv=None) -> int:
                    help="root of the tree to run, the one holding src/macresolve")
     src = p.parse_args(argv).src.resolve() / "src"
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [(f"{name}_seed{seed}_w{workers}", wl,
+        adder = WORKLOADS["mc_bootstrap"].spec
+        runs = [(f"{name}_seed{seed}_w{workers}", wl.spec,
                  [wl.build_argv(seed), wl.simulate_argv(seed, workers)])
                 for name, wl in WORKLOADS.items()
                 for seed in (0, 1) for workers in (1, 2)]
-        runs += [(f"{name}_region", wl, [REGION]) for name, wl in WORKLOADS.items()]
-        runs += [(f"sweep_w{workers}", WORKLOADS["mc_bootstrap"],
+        runs += [(f"{name}_region", wl.spec, [REGION])
+                 for name, wl in WORKLOADS.items()]
+        runs += [(f"sweep_w{workers}", adder,
                   [SWEEP + ["--workers", str(workers)]]) for workers in (1, 2)]
-        runs += [(f"{tag}_w{workers}", WORKLOADS["mc_bootstrap"],
+        runs += [(f"{tag}_w{workers}", adder,
                   [CORNER + flags + ["--workers", str(workers)]])
                  for tag, flags in CORNERS.items() for workers in (1, 2)]
-        for tag, wl, argvs in runs:
+        runs += [(f"noisy_w{workers}", NOISY,
+                  [NOISY_CORNER + ["--workers", str(workers)]])
+                 for workers in (1, 2)]
+        for tag, spec, argvs in runs:
             cwd = Path(tmp, tag)
-            cwd.mkdir()
-            wl.write_spec(cwd / "channel.json")
+            cwd.mkdir()   # the bytes of ``Workload.write_spec``
+            (cwd / "channel.json").write_text(json.dumps(spec, sort_keys=True)
+                                              + "\n")
             for cmd in argvs:
                 _run(src, cwd, cmd)
         for path in sorted(Path(tmp).glob("*/out/*")):
