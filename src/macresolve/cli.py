@@ -23,7 +23,6 @@ import logging
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
@@ -180,28 +179,18 @@ def cmd_region(cfg: ExperimentConfig) -> int:
 
 
 def _build_code(cfg: ExperimentConfig):
-    """The code of ``cfg``; one whose plan overdraws a block is refused first.
-
-    ``build_mac_code``'s warning of an asymptotic-only plan is held back until
-    the plan passes that check: a refused plan gets one error line.
-    """
+    """The code of ``cfg``, built from child (0,) of its seed."""
     ch, dists = cfg._spec
     if cfg.order is not None and sorted(cfg.order) != list(range(ch.n_users)):
         typed = ",".join(str(u + 1) for u in cfg.order)
         raise ValueError(f"--order {typed} is not a permutation of 1..{ch.n_users}")
     rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    with warnings.catch_warnings(record=True) as held:
-        warnings.simplefilter("always")
-        code = encoder.build_mac_code(
-            ch, dists, mode=cfg.mode, block_len=cfg.n, k=cfg.k,
-            xi=cfg.ideal_xi if cfg.idealized else cfg.xi, beta=cfg.beta,
-            target_r1=cfg.target_r1, eps_split=cfg.eps, order=cfg.order,
-            delta=cfg.ideal_delta if cfg.idealized else None, rng=rng,
-        )
-    _check_fresh_bits(code.plan)
-    for w in held:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return code
+    return encoder.build_mac_code(
+        ch, dists, mode=cfg.mode, block_len=cfg.n, k=cfg.k,
+        xi=cfg.ideal_xi if cfg.idealized else cfg.xi, beta=cfg.beta,
+        target_r1=cfg.target_r1, eps_split=cfg.eps, order=cfg.order,
+        delta=cfg.ideal_delta if cfg.idealized else None, rng=rng,
+    )
 
 
 def _check_fresh_bits(plan: encoder.LengthPlan) -> None:
@@ -221,7 +210,8 @@ def _check_fresh_bits(plan: encoder.LengthPlan) -> None:
 
 
 def cmd_build(cfg: ExperimentConfig) -> int:
-    code = _build_code(cfg)   # writes no descriptor simulate would refuse
+    code = _build_code(cfg)
+    _check_fresh_bits(code.plan)   # writes no descriptor simulate would refuse
     desc = encoder.code_to_descriptor(code, cfg.build_hash())
     out = Path(cfg.out_dir)
     _write_json(out / "descriptor.json", desc)
@@ -342,11 +332,8 @@ def cmd_simulate(cfg: ExperimentConfig, descriptor_path: str | None) -> int:
     obj = {
         "mode": mode_used,
         "metrics": [m.to_list() for m in metrics],
-        "rates": {
-            name: {"rate": str(v["rate"]), "rate_float": v["rate_float"],
-                   "limit": v["limit"], "total_fresh_bits": v["total_fresh_bits"]}
-            for name, v in rates["per_stream"].items()
-        },
+        "rates": {name: {**v, "rate": str(v["rate"])}
+                  for name, v in rates["per_stream"].items()},
         "region": region,
         "config_hash": cfg.hash(),
         "descriptor_hash": encoder.descriptor_hash(desc),
@@ -366,11 +353,9 @@ def _region_verdicts(code, rates) -> dict:
     verdicts = {}
     for subset, bound in spec.constraints.items():
         key = "+".join(str(u + 1) for u in sorted(subset))
-        verdicts[key] = {
-            "required": bound,
-            "achieved": sum(per_user[u] for u in subset),
-            "satisfied": sum(per_user[u] for u in subset) >= bound - 1e-9,
-        }
+        achieved = sum(per_user[u] for u in subset)
+        verdicts[key] = {"required": bound, "achieved": achieved,
+                         "satisfied": achieved >= bound - 1e-9}
     return {"case": tag, "rates_per_user": per_user, "verdicts": verdicts,
             "in_region": all(v["satisfied"] for v in verdicts.values())}
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -372,15 +371,9 @@ def build_mac_code(
         return compute_profile(src, n_exp, beta, mc_samples=PROFILE_SAMPLES,
                                rng=make_rng(child))
 
-    code = _assemble(ch, inputs, mode, block_len, k, xi, delta, eps_split,
+    return _assemble(ch, inputs, mode, block_len, k, xi, delta, eps_split,
                      user_order, profile,
                      lambda s: sample_hash(rng, block_len, s.hash_len))
-    if code.plan.asymptotic_only and not code.plan.idealized:
-        warnings.warn(
-            "plan is asymptotic-only: some hash lengths clamped to 0 at this N",
-            stacklevel=2,
-        )
-    return code
 
 
 def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
@@ -642,13 +635,8 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
                          read(str, "hashes", s.name, "hex"), block_len,
                          s.hash_len))
     body = _descriptor_body(code)
-    text = _body_json(body)
-    stamp = _stamp(build_hash, text)
-    # equal canonical JSON is equal JSON, since dumps keeps 1, 1.0 and true
-    # apart; the walk only names where they differ
-    if stamp == desc.get("config_hash") and text == _body_json(desc):
-        return code
-    where = _first_difference({**body, "config_hash": stamp}, desc)
+    where = _first_difference(
+        {**body, "config_hash": _stamp(build_hash, _body_json(body))}, desc)
     if where == "['config_hash']":
         raise ValueError(
             f"descriptor config_hash {desc.get('config_hash')!r} does not "
@@ -662,13 +650,15 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
 
 
 def _first_difference(built, stored, path: str = "") -> str | None:
-    """Path of the first leaf where two JSON values differ, None if none does."""
-    if type(built) is not type(stored):   # json keeps 1, 1.0 and true apart
-        return path
-    if isinstance(built, list):
+    """Path of the first leaf where two JSON values differ, None if none does.
+
+    Leaves compare by their JSON text, which keeps 1, 1.0 and true apart, and
+    0.0 and -0.0.
+    """
+    if isinstance(built, list) and isinstance(stored, list):
         built, stored = dict(enumerate(built)), dict(enumerate(stored))
-    if not isinstance(built, dict):
-        return None if built == stored else path
+    if not (isinstance(built, dict) and isinstance(stored, dict)):
+        return None if json.dumps(built) == json.dumps(stored) else path
     for key in [*built, *(key for key in stored if key not in built)]:
         at = f"{path}[{key!r}]"
         if key not in built or key not in stored:

@@ -359,10 +359,10 @@ def transmit(
     Position i of the output depends only on position i of the inputs; each
     position is an independent draw from the matching conditional row.  The
     output goes into ``out`` (the words' shape, any integer dtype that holds
-    |Z| - 1) if given, else into a new int64 array, and is returned.  The
-    work runs ``row_slices`` of the words' first axis at a time; ``rng.random``
-    fills C order one value after another, so the slices draw the same
-    stream, and leave the same generator state, as one draw of the whole shape.
+    |Z| - 1) if given, else into a new int64 array, and is returned.  A
+    caller that needs less memory per call sends ``row_slices`` of the words
+    one call at a time: ``rng.random`` fills C order one value after another,
+    so the calls draw the same stream as one call on the whole words.
     """
     # integer words index the tables as they are, without an int64 copy
     words = [np.asarray(c) for c in codewords]
@@ -394,17 +394,14 @@ def transmit(
     base = (cum[:, sure] <= 0).sum(axis=1).astype(out.dtype)
     cols = cum[:, ~sure].T
     joint_type = np.min_scalar_type(len(cum))   # holds every alphabet size
-    rows = len(words[0])
-    for sl in row_slices(rows, words[0].size // rows):
-        u = rng.random(size=words[0][sl].shape)
-        joint = words[0][sl].astype(joint_type)
-        for w, a in zip(words[1:], ch.input_alphabets[1:]):
-            joint *= a.size
-            np.add(joint, w[sl], out=joint, casting="unsafe")  # w < a.size
-        block = out[sl]
-        block[...] = base[joint]
-        for col in cols:
-            block += u >= col[joint]
+    u = rng.random(size=shape)
+    joint = words[0].astype(joint_type)
+    for w, a in zip(words[1:], ch.input_alphabets[1:]):
+        joint *= a.size
+        np.add(joint, w, out=joint, casting="unsafe")  # w < a.size
+    out[...] = base[joint]
+    for col in cols:
+        out += u >= col[joint]
     return out
 
 

@@ -17,7 +17,7 @@ from conftest import adder_mac, adder_mac3, parallel_mac
 from macresolve import cli
 from macresolve.cli import main
 from macresolve.probcore import channel_to_json, load_channel_file
-from macresolve.probcore import Dist
+from macresolve.probcore import Alphabet, Dist, MacChannel
 
 
 # a file each command writes only after it has evaluated every point
@@ -581,6 +581,29 @@ class TestDescriptorContents:
         assert rc == 1
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize("old,new,field", [
+        ('"eps": 0.0,', '"eps": -0.0,', "['eps']"),
+        ('"clamped": false,', '"clamped": 0,', "['streams'][0]['clamped']"),
+    ], ids=["zero_sign", "bool_as_int"])
+    def test_edit_to_an_equal_value_of_other_text_named(
+            self, parallel_spec, tmp_path, capsys, old, new, field):
+        # -0.0 == 0.0 and 0 == False, yet JSON writes each another way.  The
+        # exact_chain workload's config at seed 0: its idealized constants
+        # are 0, so eps is 0.0; the loader never reads `clamped`
+        args = ["--channel", parallel_spec, "--out-dir", str(tmp_path / "o"),
+                "--seed", "0", "--mode", "case2", "--idealized", "--n", "4",
+                "--k", "3"]
+        assert main(["build"] + args) == 0
+        path = tmp_path / "o" / "descriptor.json"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["simulate"] + args) == 1
+        assert f"error: descriptor field {field} differs" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_entropies_breaking_the_chain_rule_rejected(self, adder_spec,
                                                         tmp_path, capsys):
         def tamper(desc):
@@ -600,6 +623,33 @@ class TestDescriptorContents:
             lambda desc: desc["profiles"]["u"]["cond_entropies"].pop())
         assert rc == 1
         assert "profile length" in err
+
+
+class TestWidenedPlan:
+    def test_codec_seed_wider_than_the_plan_is_drawn_and_counted(self,
+                                                                tmp_path):
+        # one user seen without noise: nothing to recycle, and the codec of
+        # Bern(0.21) at N = 8, beta = 0.05 reads 7 seed bits where
+        # 8 I(X; Z) = 5.93 plans 6
+        spec = tmp_path / "identity.json"
+        spec.write_text(json.dumps(channel_to_json(
+            MacChannel((Alphabet(2),), Alphabet(2), np.eye(2)),
+            [Dist.bernoulli(0.21)])))
+        out = tmp_path / "o"
+        assert main(["simulate", "--channel", str(spec), "--out-dir", str(out),
+                     "--idealized", "--n", "8", "--k", "3", "--beta", "0.05",
+                     "--trials", "1000"]) == 0
+        [stream] = json.loads((out / "descriptor.json").read_text())["streams"]
+        assert math.ceil(8 * stream["fresh_info"]) == 6
+        assert {key: stream[key] for key in (
+            "widened", "clamped", "hash_len", "seed_len_first",
+            "seed_len_rest", "codec_width")} == {
+            "widened": True, "clamped": False, "hash_len": 0,
+            "seed_len_first": 7, "seed_len_rest": 7, "codec_width": 7}
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == "exhaustive"
+        assert report["rates"]["x1"]["total_fresh_bits"] == 3 * 7
+        assert report["rates"]["x1"]["rate"] == "7/8"
 
 
 class TestParserDefaults:

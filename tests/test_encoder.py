@@ -331,6 +331,45 @@ class TestCase2AndMulti:
         assert bt.channel_out.max() <= 3
 
 
+class TestWidenedPlan:
+    """One user seen without noise, Bern(0.21), N = 8, beta = 0.05: its codec
+    reads 7 seed bits, wider than the 0 hash bits and the 6 fresh bits that
+    8 I(X; Z) = 5.93 plans, so the plan widens the fresh bits to 7."""
+
+    @staticmethod
+    def _code():
+        ch = MacChannel((Alphabet(2),), Alphabet(2), np.eye(2))
+        return build_mac_code(ch, [Dist.bernoulli(0.21)], block_len=8, k=3,
+                              xi=0.0, delta=0.0, beta=0.05, rng=make_rng(21))
+
+    def test_each_block_codec_reads_all_seven_bits(self):
+        from macresolve.polar import encode_batch
+
+        code = self._code()
+        codec = code.codecs["x1"]
+        assert code.plan.stream("x1").widened and codec.seed_len == 7
+        bt = run_trials(code, 200, make_rng(22))
+        assert bt.fresh_lens["x1"] == [7, 7, 7]
+        assert tally_fresh_bits(bt) == {"x1": 21}
+        # no hash bits: block i is the codec of block i's 7 fresh bits, drawn
+        # after every seed and before the channel noise
+        twin = make_rng(22)
+        seeds = [twin.integers(0, 2, size=(200, 7), dtype=np.uint8)
+                 for _ in range(3)]
+        blocks = bt.unpacked("streams")["x1"]
+        for i, block_seeds in enumerate(seeds):
+            flipped = block_seeds.copy()
+            flipped[:, -1] ^= 1
+            state = twin.bit_generator.state
+            np.testing.assert_array_equal(
+                blocks[:, i], encode_batch(codec, block_seeds, twin))
+            other = make_rng(0)
+            other.bit_generator.state = state
+            # the last seed bit moves every block: x = uG, G invertible
+            assert (encode_batch(codec, flipped, other) != blocks[:, i]
+                    ).any(axis=1).all()
+
+
 class TestConstructionInputs:
     def test_one_layout_per_build_and_per_load(self, monkeypatch):
         calls = []
@@ -508,6 +547,24 @@ class TestRngConsumption:
             code, self.TRIALS.get(mode, 64), make_rng(80)))
             for mode, code in self._codes().items()}
         assert got == self.DIGESTS
+
+    def test_fresh_seeds_are_the_first_draws_in_plan_widths(self):
+        codes = [*self._codes().values(), TestWidenedPlan._code()]
+        widths = {}
+        for code in codes:
+            bt = run_trials(code, 300, make_rng(82))
+            twin = make_rng(82)   # seeds first, stream-major in plan order
+            seeds = bt.unpacked("fresh_seeds")
+            assert list(seeds) == [s.name for s in code.plan.streams]
+            for s in code.plan.streams:
+                widths[s.name] = [s.seed_len_first] + \
+                    [s.seed_len_rest] * (code.plan.k - 1)
+                assert [b.shape[1] for b in seeds[s.name]] == widths[s.name]
+                for got, w in zip(seeds[s.name], widths[s.name]):
+                    np.testing.assert_array_equal(got, twin.integers(
+                        0, 2, size=(300, w), dtype=np.uint8))
+        # widths that differ between blocks, so the block order is checked
+        assert any(len(set(w)) > 1 for w in widths.values())
 
     def test_sliced_transmit_equals_one_call_per_block(self, monkeypatch):
         # 9,000 trials of 2 x 8 symbols: row slices of 4,096, 4,096 and 808

@@ -435,9 +435,10 @@ class TestKeySpaceEngine:
 
 def plain_code(ch, inputs, n, k, seed, **kw):
     """A code without idealized constants: at N=4 every hash clamps, so R = 0."""
-    with pytest.warns(UserWarning, match="asymptotic"):
-        return build_mac_code(ch, inputs, block_len=n, k=k, xi=0.05,
-                              rng=make_rng(seed), **kw)
+    code = build_mac_code(ch, inputs, block_len=n, k=k, xi=0.05,
+                          rng=make_rng(seed), **kw)
+    assert code.plan.asymptotic_only
+    return code
 
 
 def block_laws(eng):

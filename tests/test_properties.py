@@ -7,7 +7,6 @@ import json
 import math
 import re
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -40,12 +39,10 @@ def small_codes(draw):
     if draw(st.booleans()):
         kw["xi"], kw["delta"] = draw(
             st.tuples(*[st.sampled_from([0.0, 0.05, 0.5])] * 2))
-    with warnings.catch_warnings():   # non-idealized plans clamp at this N
-        warnings.simplefilter("ignore")
-        return build_mac_code(
-            ch, inputs, mode=mode, block_len=draw(st.sampled_from([2, 4, 8])),
-            k=draw(st.integers(1, 3)), rng=make_rng(
-                draw(st.integers(0, 2 ** 32 - 1))), **kw)
+    return build_mac_code(
+        ch, inputs, mode=mode, block_len=draw(st.sampled_from([2, 4, 8])),
+        k=draw(st.integers(1, 3)), rng=make_rng(
+            draw(st.integers(0, 2 ** 32 - 1))), **kw)
 
 
 @SETTINGS

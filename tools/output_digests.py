@@ -12,9 +12,16 @@ corners of ``simulate --n 4 --k 8 --idealized --trials 9000``: as it is, at
 On a noisy 2-user channel whose spec it writes itself (every workload
 channel is deterministic, so its noise draws reach no output), it runs
 ``simulate --mode multi --n 8 --k 3 --idealized --trials 9000`` with both
-worker counts.  Each run has its own directory of one temporary directory.
-Prints one ``sha256  path`` line per output file, sorted by path, so that the
-digests of two trees compare with ``diff``.
+worker counts.  On the exact_chain workload's parallel channel it runs the
+idealized ``build --mode case2 --n 4 --k 2`` whose ``--ideal-xi 0.005`` and
+``--ideal-delta 0.005`` clamp every hash (exit 3, asymptotic-only plan); on
+a noise-free 1-user channel with Bern(0.21) input it runs
+``simulate --idealized --n 8 --k 3 --beta 0.05``, whose codec reads one seed
+bit more than the plan's fresh bits, so the plan widens them.  Every run
+names the exit code each of its commands must give.  Each run has its own
+directory of one temporary directory.  Prints one ``sha256  path`` line per
+output file, sorted by path, so that the digests of two trees compare with
+``diff``.
 """
 
 from __future__ import annotations
@@ -46,15 +53,23 @@ NOISY = {"inputs": [2, 2], "output": 4,
 NOISY_CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
                 "--mode", "multi", "--n", "8", "--k", "3", "--idealized",
                 "--trials", "9000"]
+CLAMPED_BUILD = ["build", "--channel", "channel.json", "--out-dir", "out",
+                 "--mode", "case2", "--n", "4", "--k", "2", "--idealized",
+                 "--ideal-xi", "0.005", "--ideal-delta", "0.005"]
+IDENTITY = {"inputs": [2], "output": 2, "transition": [[1, 0], [0, 1]],
+            "input_dists": [[0.79, 0.21]]}
+WIDENED = ["simulate", "--channel", "channel.json", "--out-dir", "out",
+           "--idealized", "--n", "8", "--k", "3", "--beta", "0.05",
+           "--trials", "1000"]
 
 
-def _run(src: Path, cwd: Path, argv: list[str]) -> None:
+def _run(src: Path, cwd: Path, argv: list[str], code: int) -> None:
     proc = subprocess.run([sys.executable, "-m", "macresolve.cli", *argv],
                           cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
-    if proc.returncode != 0:
+    if proc.returncode != code:
         raise SystemExit(f"{cwd.name}: {' '.join(argv)} exited "
-                         f"{proc.returncode}\n{proc.stderr}")
+                         f"{proc.returncode}, not {code}\n{proc.stderr}")
 
 
 def main(argv=None) -> int:
@@ -64,27 +79,32 @@ def main(argv=None) -> int:
     src = p.parse_args(argv).src.resolve() / "src"
     with tempfile.TemporaryDirectory() as tmp:
         adder = WORKLOADS["mc_bootstrap"].spec
+        # (directory, channel spec, commands, exit code of each command)
         runs = [(f"{name}_seed{seed}_w{workers}", wl.spec,
-                 [wl.build_argv(seed), wl.simulate_argv(seed, workers)])
+                 [wl.build_argv(seed), wl.simulate_argv(seed, workers)], 0)
                 for name, wl in WORKLOADS.items()
                 for seed in (0, 1) for workers in (1, 2)]
-        runs += [(f"{name}_region", wl.spec, [REGION])
+        runs += [(f"{name}_region", wl.spec, [REGION], 0)
                  for name, wl in WORKLOADS.items()]
         runs += [(f"sweep_w{workers}", adder,
-                  [SWEEP + ["--workers", str(workers)]]) for workers in (1, 2)]
+                  [SWEEP + ["--workers", str(workers)]], 0)
+                 for workers in (1, 2)]
         runs += [(f"{tag}_w{workers}", adder,
-                  [CORNER + flags + ["--workers", str(workers)]])
+                  [CORNER + flags + ["--workers", str(workers)]], 0)
                  for tag, flags in CORNERS.items() for workers in (1, 2)]
         runs += [(f"noisy_w{workers}", NOISY,
-                  [NOISY_CORNER + ["--workers", str(workers)]])
+                  [NOISY_CORNER + ["--workers", str(workers)]], 0)
                  for workers in (1, 2)]
-        for tag, spec, argvs in runs:
+        runs += [("clamped_build", WORKLOADS["exact_chain"].spec,
+                  [CLAMPED_BUILD], 3),
+                 ("widened", IDENTITY, [WIDENED], 0)]
+        for tag, spec, argvs, code in runs:
             cwd = Path(tmp, tag)
             cwd.mkdir()   # the bytes of ``Workload.write_spec``
             (cwd / "channel.json").write_text(json.dumps(spec, sort_keys=True)
                                               + "\n")
             for cmd in argvs:
-                _run(src, cwd, cmd)
+                _run(src, cwd, cmd, code)
         for path in sorted(Path(tmp).glob("*/out/*")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(tmp)}")
