@@ -5,14 +5,17 @@ with fresh uniform bits at rate H(S) + eps, every later block re-seeds the
 black-box source-resolvability codec with the two-universal hash of the
 previous block's output sequence (rate H(S | side-info) - eps/2)
 concatenated with fresh bits (rate I(S; side-info) + eps).  Every mode is the
-same construction: one chain per (possibly virtual) user, then one
+same construction: one chain per user of a (possibly virtual) MAC, each
+conditioned on Z and the users before it in a chain order, then one
 channel word per real user.  ``_stream_specs`` is the only place that says
-which chains a mode runs and which streams form which channel word (kept on
-the code as ``MacCode.channel_inputs``):
+which channel, chain order and channel words (kept on the code as
+``MacCode.channel_inputs``) a mode has:
 
 * case 1 (I(XY;Z) > I(X;Z) + I(Y;Z)): transmitter 2 is rate-split into
-  virtual users U, V and sends Y = max(U, V);
-* case 2 (equality): transmitter 2 runs a single chain for Y directly;
+  virtual users U, V, the chains run on the virtual MAC (X, U, V) in the
+  order (U, X, V), and transmitter 2 sends Y = max(U, V);
+* case 2 (equality): transmitter 2 runs a single chain for Y directly,
+  in the order (X, Y);
 * L users: one chain per transmitter, chained in the user order that selects
   the targeted corner of the dominant face.
 
@@ -42,7 +45,7 @@ from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
     conditional_entropy, channel_from_json, channel_to_json, json_reader, \
     mutual_information, pack_bits, read_numbers, row_slices, transmit, \
     unpack_bits
-from .ratesplit import SplitPoint, split_joint, split_rates, solve_eps
+from .ratesplit import SplitPoint, split_channel, split_rates, solve_eps
 
 __all__ = [
     "StreamPlan",
@@ -193,50 +196,50 @@ def _stream_specs(
 ) -> Layout:
     """The mode's joint law, chains, analysed sizes, channel words and split.
 
-    A chain is (name, source, axis, conditioning axes), in plan order; the
-    sizes are those of the (possibly virtual) users the analysis is stated
-    for; the words give each real user's channel word in user order.  Both
-    two-user modes are analysed as the 3-user virtual MAC (X, U, V), sizes
-    (|X|, |Y|, |Y|); case 1 splits Y at ``eps_split`` (the one place a
-    split is made) and sends Y = max(U, V).  Multi mode chains user
-    ``order[l]`` conditioned on Z and the users earlier in ``order``
-    (0-based), and user l sends stream ``x{l+1}``.  Build and load both
-    pass through here, so this is where a split outside case 1 or an order
-    outside multi mode is refused.
+    A mode names its (possibly virtual) channel, the law and stream name of
+    each of its users, their plan order and chain order, and each real
+    user's channel word in user order.  Case 1 splits Y at ``eps_split``
+    (the one place a split is made) into the virtual MAC (X, U, V) of
+    ``split_channel``, chained (U, X, V), and sends Y = max(U, V); case 2
+    chains (X, Y); multi mode chains ``order`` (0-based), and user l sends
+    stream ``x{l+1}``.  One rule then makes the chains, (name, source, axis,
+    conditioning axes) in plan order: each stream is conditioned on Z and
+    on the streams before it in the chain order.  Both two-user modes are
+    analysed as the 3-user virtual MAC, sizes (|X|, |Y|, |Y|).  Build and
+    load both pass through here, so this is where a split outside case 1 or
+    an order outside multi mode is refused.
     """
     sizes = tuple(a.size for a in ch.input_alphabets)
     if eps_split is not None and mode != "case1":
         raise ValueError(f"a rate split applies to case 1 only, not {mode}")
     if order is not None and mode != "multi":
         raise ValueError(f"a user order applies to multi mode only, not {mode}")
+    split = None
     if mode == "case1":
         if eps_split is None:
             raise ValueError("case 1 needs a rate-split point")
-        # Y is the last input; split_joint refuses all but two binary users
+        # Y is the last input; split_channel refuses all but two binary users
         split = split_rates(ch, inputs[0], float(inputs[-1].pmf[1]), eps_split)
-        j = split_joint(ch, inputs[0], split.p_u, split.p_v)
-        u, v, x, y, z = range(5)
-        specs = [("x", inputs[0], x, [u, z]), ("u", split.p_u, u, [z]),
-                 ("v", split.p_v, v, [u, z, x])]
-        words = (("x", ("x",)), ("y", ("u", "v")))
-        return j, specs, sizes + sizes[1:], words, split
-    if mode == "case2":
-        x, y, z = range(3)
-        specs = [("x", inputs[0], x, [z]), ("y", inputs[1], y, [z, x])]
-        words = (("x", ("x",)), ("y", ("y",)))
-        return (ch.joint_with_output(list(inputs)), specs, sizes + sizes[1:],
-                words, None)
-    if mode == "multi":
+        vch, names, chain = split_channel(ch), ("x", "u", "v"), (1, 0, 2)
+        laws, plan = [inputs[0], split.p_u, split.p_v], (0, 1, 2)
+    elif mode == "case2":
+        vch, laws, names = ch, list(inputs), ("x", "y")
+        plan = chain = (0, 1)
+    elif mode == "multi":
         if order is None or sorted(order) != list(range(ch.n_users)):
             raise ValueError(
                 f"order {order} is not a permutation of 0..{ch.n_users - 1}")
-        specs = [(f"x{user + 1}", inputs[user], user,
-                  [ch.n_users] + list(order[:pos]))
-                 for pos, user in enumerate(order)]
-        words = tuple((f"x{user + 1}", (f"x{user + 1}",))
-                      for user in range(ch.n_users))
-        return ch.joint_with_output(list(inputs)), specs, sizes, words, None
-    raise ValueError(f"unknown mode {mode!r}")
+        vch, laws = ch, list(inputs)
+        names = tuple(f"x{user + 1}" for user in range(ch.n_users))
+        plan = chain = tuple(order)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    words = ((("x", ("x",)), ("y", ("u", "v"))) if mode == "case1"
+             else tuple((name, (name,)) for name in names))
+    specs = [(names[a], laws[a], a, [vch.n_users, *chain[:chain.index(a)]])
+             for a in plan]
+    return (vch.joint_with_output(laws), specs,
+            sizes if mode == "multi" else sizes + sizes[1:], words, split)
 
 
 def make_plan(
@@ -652,13 +655,15 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
 def _first_difference(built, stored, path: str = "") -> str | None:
     """Path of the first leaf where two JSON values differ, None if none does.
 
-    Leaves compare by their JSON text, which keeps 1, 1.0 and true apart, and
-    0.0 and -0.0.
+    Values compare by their JSON text, which keeps 1, 1.0 and true apart, and
+    0.0 and -0.0; the walk descends only into a subtree whose text differs.
     """
+    if json.dumps(built, sort_keys=True) == json.dumps(stored, sort_keys=True):
+        return None
     if isinstance(built, list) and isinstance(stored, list):
         built, stored = dict(enumerate(built)), dict(enumerate(stored))
     if not (isinstance(built, dict) and isinstance(stored, dict)):
-        return None if json.dumps(built) == json.dumps(stored) else path
+        return path
     for key in [*built, *(key for key in stored if key not in built)]:
         at = f"{path}[{key!r}]"
         if key not in built or key not in stored:

@@ -148,12 +148,8 @@ def _region(ch: MacChannel, inputs: list[Dist]) -> RegionSpec:
             rates[u] = mutual_information(j, [u], [z], earlier)
             earlier.append(u)
         corners[sigma] = tuple(rates)
-    dom = None
-    if n_users == 2:
-        dom = (
-            mutual_information(j, [0], [2]),
-            mutual_information(j, [0], [2], [1]),
-        )
+    # two users: R1 of corners (1,2) and (2,1), [I(X;Z), I(X;Z|Y)]
+    dom = (corners[0, 1][0], corners[1, 0][0]) if n_users == 2 else None
     return RegionSpec(n_users, constraints, corners, dominant_r1=dom)
 
 

@@ -8,7 +8,9 @@ Y = max(U, V), parameterized continuously by eps in [0, 1]:
 
 where q = P(Y = 1).  Then (1-a)(1-b) = 1-q exactly, so max(U, V) has the law
 of Y for every eps.  At eps = 0 the U user degenerates to the constant 0 and
-V carries Y; at eps = 1 the roles swap.  The three split rates
+V carries Y; at eps = 1 the roles swap.  The split is a virtual 3-user MAC
+(X, U, V) -> Z with q(z | x, u, v) = q(z | x, max(u, v)) (``split_channel``),
+and its three rates, the corner of chain order (U, X, V),
 
     R1 = I(X; Z | U),  R_U = I(U; Z),  R_V = I(V; Z | U X)
 
@@ -32,12 +34,12 @@ from .probcore import (
     BIT,
     Dist,
     InfeasibleTargetError,
-    JointDist,
     MacChannel,
     mutual_information,
 )
 
-__all__ = ["SplitPoint", "split_dists", "split_rates", "solve_eps", "split_joint"]
+__all__ = ["SplitPoint", "split_dists", "split_rates", "solve_eps",
+           "split_channel"]
 
 RATE_SUM_TOL = 1e-9
 SOLVE_TOL = 1e-6
@@ -92,36 +94,28 @@ def split_dists(q: float, eps: float) -> tuple[Dist, Dist]:
     return Dist.bernoulli(a), Dist.bernoulli(b)
 
 
-def split_joint(
-    ch: MacChannel, p_x: Dist, p_u: Dist, p_v: Dist
-) -> JointDist:
-    """Exact joint over (U, V, X, Y, Z) with U, V, X independent, Y = max(U, V)."""
+def split_channel(ch: MacChannel) -> MacChannel:
+    """The virtual MAC (X, U, V) -> Z with q(z | x, u, v) = q(z | x, max(u, v))."""
     if ch.n_users != 2:
         raise ValueError("rate splitting applies to two-user channels")
     if any(a.size != 2 for a in ch.input_alphabets):
         raise ValueError("rate splitting requires binary input alphabets")
-    pmf = np.zeros((2, 2, 2, 2, ch.output_alphabet.size))
-    for u in range(2):
-        for v in range(2):
-            y = max(u, v)
-            pmf[u, v, :, y, :] = (
-                p_u.pmf[u] * p_v.pmf[v] * p_x.pmf[:, None] * ch.transition[:, y, :]
-            )
-    return JointDist((BIT, BIT, BIT, BIT, ch.output_alphabet), pmf)
-
-
-# axis order in the split joint
-_U, _V, _X, _Y, _Z = range(5)
+    return MacChannel((BIT,) * 3, ch.output_alphabet,
+                      ch.transition[:, np.maximum.outer([0, 1], [0, 1])])
 
 
 def split_rates(ch: MacChannel, p_x: Dist, q: float, eps: float) -> SplitPoint:
-    """Evaluate the split at one eps: build the exact joint and read off rates."""
+    """Evaluate the split at one eps: the rates of the virtual MAC (X, U, V).
+
+    Their sum is checked against I(XY; Z) of the real channel.
+    """
     p_u, p_v = split_dists(q, eps)
-    j = split_joint(ch, p_x, p_u, p_v)
-    r1 = mutual_information(j, [_X], [_Z], [_U])
-    r_u = mutual_information(j, [_U], [_Z])
-    r_v = mutual_information(j, [_V], [_Z], [_U, _X])
-    i_xy_z = mutual_information(j, [_X, _Y], [_Z])
+    j = split_channel(ch).joint_with_output([p_x, p_u, p_v])   # (X, U, V, Z)
+    r1 = mutual_information(j, [0], [3], [1])
+    r_u = mutual_information(j, [1], [3])
+    r_v = mutual_information(j, [2], [3], [1, 0])
+    i_xy_z = mutual_information(
+        ch.joint_with_output([p_x, Dist.bernoulli(q)]), [0, 1], [2])
     if abs(r1 + r_u + r_v - i_xy_z) > RATE_SUM_TOL:
         raise AssertionError(
             f"split-rate sum {r1 + r_u + r_v} != I(XY;Z) = {i_xy_z}"
@@ -130,10 +124,9 @@ def split_rates(ch: MacChannel, p_x: Dist, q: float, eps: float) -> SplitPoint:
 
 
 def _r1_interval(ch: MacChannel, p_x: Dist, q: float) -> tuple[float, float]:
-    j = split_joint(ch, p_x, *split_dists(q, 0.0))
-    lo = mutual_information(j, [_X], [_Z])
-    hi = mutual_information(j, [_X], [_Z], [_Y])
-    return lo, hi
+    """[I(X; Z), I(X; Z | Y)] of the real channel with Y ~ Bern(q)."""
+    j = ch.joint_with_output([p_x, Dist.bernoulli(q)])
+    return mutual_information(j, [0], [2]), mutual_information(j, [0], [2], [1])
 
 
 def solve_eps(

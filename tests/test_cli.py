@@ -540,6 +540,9 @@ class TestDescriptorContents:
         (lambda desc: desc.update(profiles=[]), "['profiles']"),
         (lambda desc: desc["channel"]["transition"][1].append({}),
          "['channel']['transition'][1][3]"),
+        # the int reads back as the float 1.0, which JSON writes otherwise
+        (lambda desc: desc["profiles"]["x"]["cond_entropies"].__setitem__(3, 1),
+         "['profiles']['x']['cond_entropies'][3]"),
     ])
     def test_mistyped_field_named(self, adder_spec, tmp_path, capsys, edit,
                                   field):

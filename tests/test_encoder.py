@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import adder_mac, adder_mac3, parallel_mac, random_mac
+from conftest import adder_mac, adder_mac3, parallel_mac, random_input, \
+    random_mac
 from macresolve import encoder
 from macresolve.encoder import (
     _chain_encode,
@@ -22,8 +23,8 @@ from macresolve.encoder import (
     tally_fresh_bits,
 )
 from macresolve.probcore import Dist, MacChannel, Alphabet, make_rng, \
-    mutual_information, transmit
-from macresolve.ratesplit import solve_eps, split_rates
+    conditional_entropy, mutual_information, transmit
+from macresolve.ratesplit import solve_eps, split_channel, split_rates
 
 UNIF = Dist.bernoulli(0.5)
 BUILD = "0123456789abcdef"   # stands in for a build config's hash
@@ -95,6 +96,25 @@ class TestPlan:
             mutual_information(j, [2], [3]), abs=1e-12)
         assert plan.streams[2].fresh_info == pytest.approx(
             mutual_information(j, [1], [3, 2, 0]), abs=1e-12)
+
+    def test_case1_streams_follow_the_chain_rule(self):
+        # chain order (U, X, V) on the virtual MAC (X, U, V) -> Z, axes 0..3
+        rng = np.random.default_rng(5)
+        given = {"x": (0, [3, 1]), "u": (1, [3]), "v": (2, [3, 1, 0])}
+        for eps in [0.0, 1.0, *rng.uniform(0, 1, 18).tolist()]:
+            ch = random_mac(rng)
+            p_x, p_y = random_input(rng), random_input(rng)
+            plan = make_plan(ch, [p_x, p_y], "case1", 16, 2, 0.0, delta=0.0,
+                             eps_split=eps)
+            sp = split_rates(ch, p_x, float(p_y.pmf[1]), eps)
+            j = split_channel(ch).joint_with_output([p_x, sp.p_u, sp.p_v])
+            assert [s.name for s in plan.streams] == ["x", "u", "v"]
+            for s in plan.streams:
+                axis, cond = given[s.name]
+                assert s.recycle_entropy == pytest.approx(
+                    conditional_entropy(j, [axis], cond), abs=1e-12)
+                assert s.fresh_info == pytest.approx(
+                    mutual_information(j, [axis], cond), abs=1e-12)
 
     def test_multi_order_must_be_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
@@ -275,8 +295,6 @@ class TestCase2AndMulti:
         ch = parallel_mac()
         plan = make_plan(ch, [p_x, p_y], "case2", 8, 2, 0.0, delta=0.0)
         j = ch.joint_with_output([p_x, p_y])
-        from macresolve.probcore import conditional_entropy
-
         assert plan.stream("x").recycle_entropy == pytest.approx(
             conditional_entropy(j, [0], [2]), abs=1e-12)
         assert plan.stream("y").recycle_entropy == pytest.approx(

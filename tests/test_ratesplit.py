@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import adder_mac, random_input, random_mac
-from macresolve.probcore import Dist, InfeasibleTargetError, \
-    mutual_information
-from macresolve.ratesplit import solve_eps, split_dists, \
-    split_joint, split_rates
+from macresolve.probcore import Alphabet, Dist, InfeasibleTargetError, \
+    MacChannel, mutual_information
+from macresolve.ratesplit import solve_eps, split_channel, split_dists, \
+    split_rates
 
 PX = Dist.bernoulli(0.5)
 
@@ -85,15 +85,23 @@ class TestSplitRates:
             i_xy_z = mutual_information(j, [0, 1], [2])
             assert sum(sp.rates) == pytest.approx(i_xy_z, abs=1e-9)
 
-    def test_joint_respects_max_composition(self, rng):
-        pu, pv = split_dists(0.4, 0.3)
-        j = split_joint(adder_mac(), PX, pu, pv)
-        # P(Y = max(U,V)) = 1 in the joint
-        pmf = j.pmf
-        for u in range(2):
-            for v in range(2):
-                wrong_y = 1 - max(u, v)
-                assert pmf[u, v, :, wrong_y, :].sum() == 0.0
+    def test_split_channel_is_max_composition(self, rng):
+        for _ in range(20):
+            ch = random_mac(rng)
+            sch = split_channel(ch)
+            assert sch.n_users == 3
+            for x in range(2):
+                for u in range(2):
+                    for v in range(2):
+                        assert np.array_equal(sch.transition[x, u, v],
+                                              ch.transition[x, max(u, v)])
+
+    def test_split_channel_refuses_other_shapes(self, rng):
+        with pytest.raises(ValueError, match="two-user"):
+            split_channel(random_mac(rng, 3))
+        with pytest.raises(ValueError, match="binary"):
+            split_channel(MacChannel((Alphabet(2), Alphabet(3)), Alphabet(2),
+                                     np.full((2, 3, 2), 0.5)))
 
 
 class TestSolveEps:

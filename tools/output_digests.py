@@ -11,8 +11,10 @@ corners of ``simulate --n 4 --k 8 --idealized --trials 9000``: as it is, at
 ``--n 2``, and with ``--no-recycle``, ``--rec-bits 0`` or ``--window 3``.
 On a noisy 2-user channel whose spec it writes itself (every workload
 channel is deterministic, so its noise draws reach no output), it runs
-``simulate --mode multi --n 8 --k 3 --idealized --trials 9000`` with both
-worker counts.  On the exact_chain workload's parallel channel it runs the
+``simulate --n 8 --k 3 --idealized --trials 9000`` with both worker counts,
+with ``--mode multi`` and in the case 1 that ``auto`` resolves to (off the
+adder, where a case-1 plan's float sums depend on the order they are
+taken in).  On the exact_chain workload's parallel channel it runs the
 idealized ``build --mode case2 --n 4 --k 2`` whose ``--ideal-xi 0.005`` and
 ``--ideal-delta 0.005`` clamp every hash (exit 3, asymptotic-only plan); on
 a noise-free 1-user channel with Bern(0.21) input it runs
@@ -51,8 +53,8 @@ NOISY = {"inputs": [2, 2], "output": 4,
                         [0.1, 0.2, 0.6, 0.1], [0.05, 0.05, 0.1, 0.8]],
          "input_dists": [[0.7, 0.3], [0.4, 0.6]]}
 NOISY_CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
-                "--mode", "multi", "--n", "8", "--k", "3", "--idealized",
-                "--trials", "9000"]
+                "--n", "8", "--k", "3", "--idealized", "--trials", "9000"]
+NOISY_MODES = {"noisy": ["--mode", "multi"], "noisy_case1": []}  # auto: case 1
 CLAMPED_BUILD = ["build", "--channel", "channel.json", "--out-dir", "out",
                  "--mode", "case2", "--n", "4", "--k", "2", "--idealized",
                  "--ideal-xi", "0.005", "--ideal-delta", "0.005"]
@@ -92,9 +94,9 @@ def main(argv=None) -> int:
         runs += [(f"{tag}_w{workers}", adder,
                   [CORNER + flags + ["--workers", str(workers)]], 0)
                  for tag, flags in CORNERS.items() for workers in (1, 2)]
-        runs += [(f"noisy_w{workers}", NOISY,
-                  [NOISY_CORNER + ["--workers", str(workers)]], 0)
-                 for workers in (1, 2)]
+        runs += [(f"{tag}_w{workers}", NOISY,
+                  [NOISY_CORNER + flags + ["--workers", str(workers)]], 0)
+                 for tag, flags in NOISY_MODES.items() for workers in (1, 2)]
         runs += [("clamped_build", WORKLOADS["exact_chain"].spec,
                   [CLAMPED_BUILD], 3),
                  ("widened", IDENTITY, [WIDENED], 0)]
