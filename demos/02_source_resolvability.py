@@ -9,7 +9,7 @@ blocks before the asymptotics bite.  The seed rate already tracks H(X).
 
 import numpy as np
 
-from macresolve import Dist, ResolvabilityCode, compute_profile, make_rng
+from macresolve import Dist, compute_profile, make_rng
 from macresolve.polar import encode_batch, output_pmf_exact, profile_to_csv
 from macresolve.probcore import all_bit_rows
 
@@ -18,8 +18,7 @@ h_x = 0.8812908992306927
 
 for n in (2, 3, 4):
     block = 1 << n
-    prof = compute_profile(source, n, beta=0.25)
-    code = ResolvabilityCode(prof)
+    code = compute_profile(source, n, beta=0.25)
     weights = all_bit_rows(block).sum(axis=1)
     target = 0.3 ** weights * 0.7 ** (block - weights)
     tv = np.abs(output_pmf_exact(code) - target).sum()
@@ -28,12 +27,11 @@ for n in (2, 3, 4):
           f"middle {code.local_randomness_bits} bits, exact distance {tv:.4f}")
 
 # one encoded block, seeded explicitly
-prof = compute_profile(source, 3)
-code = ResolvabilityCode(prof)
+code = compute_profile(source, 3)
 rng = make_rng(7)
 seed = rng.integers(0, 2, code.seed_len, dtype=np.uint8)
 print("seed   :", seed)
 print("block  :", encode_batch(code, seed[None], rng)[0])
 
-profile_to_csv(prof, "profile_bern03_n8.csv")
+profile_to_csv(code, "profile_bern03_n8.csv")
 print("wrote profile_bern03_n8.csv (index, cond_entropy, in_v_set, in_h_set)")

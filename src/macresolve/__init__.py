@@ -17,7 +17,7 @@ from .probcore import (
     transmit,
     variational_distance,
 )
-from .polar import PolarProfile, ResolvabilityCode, compute_profile, polar_transform
+from .polar import ResolvabilityCode, compute_profile, polar_transform
 from .hashing import ToeplitzHash, hashed_joint_dist_exact, sample_hash
 from .ratesplit import SplitPoint, solve_eps, split_dists, split_rates
 from .encoder import (

@@ -39,8 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hashing import ToeplitzHash, sample_hash
-from .polar import EXACT_CAP_N, PolarProfile, ResolvabilityCode, \
-    compute_profile, encode_batch
+from .polar import EXACT_CAP_N, ResolvabilityCode, compute_profile, \
+    encode_batch
 from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
     conditional_entropy, channel_from_json, channel_to_json, json_reader, \
     mutual_information, pack_bits, read_numbers, row_slices, transmit, \
@@ -367,7 +367,8 @@ def build_mac_code(
 
     seed = int(rng.integers(0, 2 ** 63 - 1)) if block_len > EXACT_CAP_N else None
 
-    def profile(idx: int, name: str, src: Dist, n_exp: int) -> PolarProfile:
+    def codec_of(idx: int, name: str, src: Dist,
+                 n_exp: int) -> ResolvabilityCode:
         if seed is None:
             return compute_profile(src, n_exp, beta)
         child = np.random.SeedSequence(seed, spawn_key=(idx,))
@@ -375,25 +376,25 @@ def build_mac_code(
                                rng=make_rng(child))
 
     return _assemble(ch, inputs, mode, block_len, k, xi, delta, eps_split,
-                     user_order, profile,
+                     user_order, codec_of,
                      lambda s: sample_hash(rng, block_len, s.hash_len))
 
 
 def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
               block_len: int, k: int, xi: float, delta: float | None,
               eps_split: float | None, user_order: tuple[int, ...] | None,
-              profile: Callable[[int, str, Dist, int], PolarProfile],
+              codec_of: Callable[[int, str, Dist, int], ResolvabilityCode],
               hash_of: Callable[[StreamPlan], ToeplitzHash]) -> MacCode:
     """The code of ``make_plan``'s plan with the given codecs and hashes.
 
-    ``profile(idx, name, source, n)`` gives the profile of the stream at plan
-    position idx, and ``hash_of(stream_plan)`` its hash; the profiles'
-    seed lengths are the plan's minimum codec widths.
+    ``codec_of(idx, name, source, n)`` gives the codec of the stream at plan
+    position idx, and ``hash_of(stream_plan)`` its hash; the codecs' seed
+    lengths are the plan's minimum codec widths.
     """
     layout = _stream_specs(ch, inputs, mode, eps_split, user_order)
     _, specs, _, words, split = layout
     n_exp = _block_exp(block_len)
-    codecs = {name: ResolvabilityCode(profile(idx, name, src, n_exp))
+    codecs = {name: codec_of(idx, name, src, n_exp)
               for idx, (name, src, _, _) in enumerate(specs)}
     plan = _plan(layout, mode, block_len, k, xi, delta,
                  {name: codec.seed_len for name, codec in codecs.items()})
@@ -589,10 +590,10 @@ def _descriptor_body(code: MacCode) -> dict:
         "hashes": {name: {"in_len": h.in_len, "out_len": h.out_len,
                           "hex": h.to_hex()}
                    for name, h in code.hashes.items()},
-        "profiles": {name: {"n": c.profile.n, "beta": c.profile.beta,
-                            "source": c.profile.source.pmf.tolist(),
-                            "exact": c.profile.exact,
-                            "cond_entropies": c.profile.cond_entropies.tolist()}
+        "profiles": {name: {"n": c.n, "beta": c.beta,
+                            "source": c.source.pmf.tolist(),
+                            "exact": c.exact,
+                            "cond_entropies": c.cond_entropies.tolist()}
                      for name, c in code.codecs.items()},
         "user_order": list(code.user_order) if code.user_order else None,
     }
@@ -626,14 +627,15 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
     xi, block_len = read(float, "xi"), read(int, "block_len")
     delta = read(float, "delta") if read(bool, "idealized") else None
 
-    def profile(idx: int, name: str, src: Dist, n_exp: int) -> PolarProfile:
-        return PolarProfile.from_entropies(
+    def codec_of(idx: int, name: str, src: Dist,
+                 n_exp: int) -> ResolvabilityCode:
+        return ResolvabilityCode(
             src, n_exp, read(float, "profiles", name, "beta"),
             read_numbers(read, "profiles", name, "cond_entropies"),
             read(bool, "profiles", name, "exact"))
 
     code = _assemble(ch, inputs, mode, block_len, read(int, "k"), xi, delta,
-                     eps_split, order, profile,
+                     eps_split, order, codec_of,
                      lambda s: ToeplitzHash.from_hex(
                          read(str, "hashes", s.name, "hex"), block_len,
                          s.hash_len))

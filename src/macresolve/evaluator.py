@@ -30,6 +30,7 @@ from .encoder import BatchTranscript, MacCode, classify_two_user, run_trials
 from .hashing import hashed_joint_dist_exact, sample_hash
 from .polar import EXACT_CAP_N, iid_block_pmf, output_pmf_exact
 from .probcore import (
+    EXACT_STATE_BUDGET,
     BudgetError,
     Dist,
     JointDist,
@@ -63,7 +64,6 @@ __all__ = [
     "joint_tv_bound",
 ]
 
-EXACT_STATE_BUDGET = 1 << 24
 # the exhaustive pass holds at most this many entries of a |Z|^(kN) output law
 # (and of the recycled-row products) at once
 EXACT_CHUNK_ENTRIES = 1 << 15
@@ -502,7 +502,7 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
     # reference curves from the analysis, evaluated with the exact codec TVs
     codec_tv = max(
         float(np.abs(eng.p1[name] -
-                     iid_block_pmf(code.codecs[name].profile.source,
+                     iid_block_pmf(code.codecs[name].source,
                                    plan.block_len)).sum())
         for name in eng.names
     )

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probcore import Alphabet, BudgetError, JointDist, all_bit_rows, bits_to_index
+from .probcore import EXACT_STATE_BUDGET, Alphabet, BudgetError, JointDist, \
+    all_bit_rows, bits_to_index
 
 __all__ = ["ToeplitzHash", "bits_to_hex", "sample_hash",
            "hashed_joint_dist_exact"]
 
-HASH_STATE_BUDGET = 1 << 24
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -131,14 +131,14 @@ def hashed_joint_dist_exact(
 
     Axis l of ``j`` must have size 2^{h_list[l].in_len}; symbols are read as
     bit blocks, first bit most significant.  The last axis (Z) passes through
-    untouched.  Refuses joints above ``HASH_STATE_BUDGET`` states.
+    untouched.  Refuses joints above ``EXACT_STATE_BUDGET`` states.
     """
     n_users = len(h_list)
     if j.n_axes != n_users + 1:
         raise ValueError(f"joint has {j.n_axes} axes, expected {n_users + 1}")
-    if j.pmf.size > HASH_STATE_BUDGET:
+    if j.pmf.size > EXACT_STATE_BUDGET:
         raise BudgetError(
-            f"joint has {j.pmf.size} states, budget is {HASH_STATE_BUDGET}"
+            f"joint has {j.pmf.size} states, budget is {EXACT_STATE_BUDGET}"
         )
     tables = []
     for l, h in enumerate(h_list):

@@ -44,7 +44,6 @@ from .probcore import Dist, all_bit_rows, entropy, row_slices
 
 __all__ = [
     "EXACT_CAP_N",
-    "PolarProfile",
     "ResolvabilityCode",
     "polar_transform",
     "compute_profile",
@@ -106,24 +105,33 @@ def iid_block_pmf(source: Dist, n_sym: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PolarProfile:
-    """Conditional-entropy profile of one binary source at block length 2^n.
+class ResolvabilityCode:
+    """Black-box source-resolvability encoder for one binary source at block
+    length 2^n, built from its conditional-entropy profile.
 
-    ``cond_entropies[i]`` is H(A^{i+1} | A^{1:i}) in bits.  ``v_set`` holds the
-    0-based coordinates with conditional entropy above ``1 - delta_n`` (seed
-    positions), ``h_set`` those above ``delta_n``; ``v_set <= h_set``.
-    ``exact`` records whether the entropies came from full enumeration or from
-    sampled surprisals (unbiased, used beyond the enumeration cap).
+    ``cond_entropies[i]`` is H(A^{i+1} | A^{1:i}) in bits; ``exact`` records
+    whether they came from full enumeration or from sampled surprisals
+    (unbiased, used beyond the enumeration cap).  Everything else is derived
+    from them here, with delta_N = 2^(-N^beta): ``v_set`` holds the 0-based
+    coordinates above ``1 - delta_n`` (the seed), ``h_set`` those above
+    ``delta_n``; their difference is the sampled middle and the rest are set
+    by argmax.  ``seed_len`` equals |v_set|; the seed rate seed_len / N
+    approaches H(X) as N grows.  ``local_randomness_bits`` meters the
+    middle-set sampling consumed per encoded block, reported separately from
+    the seed and vanishing in rate.
     """
 
-    n: int
     source: Dist
-    cond_entropies: np.ndarray
+    n: int
     beta: float
-    delta_n: float
-    v_set: frozenset[int]
-    h_set: frozenset[int]
+    cond_entropies: np.ndarray
     exact: bool = True
+    delta_n: float = field(init=False)
+    v_set: frozenset[int] = field(init=False)
+    h_set: frozenset[int] = field(init=False)
+    seed_len: int = field(init=False)
+    # per-coordinate tier: 0 seed, 1 sampled middle, 2 argmax
+    _tiers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_sym = 1 << self.n
@@ -144,23 +152,17 @@ class PolarProfile:
                 raise ValueError(
                     f"chain rule violated: sum {total} vs N*H(X) {target}"
                 )
-        if not self.v_set <= self.h_set:
-            raise ValueError("v_set must be contained in h_set")
-
-    @classmethod
-    def from_entropies(cls, source: Dist, n: int, beta: float,
-                       cond_entropies: np.ndarray | list[float],
-                       exact: bool) -> "PolarProfile":
-        """Profile with the delta_N thresholds applied to given entropies.
-
-        delta_N = 2^(-N^beta); coordinates above 1 - delta_N form ``v_set``,
-        those above delta_N form ``h_set``.
-        """
-        ce = np.asarray(cond_entropies, dtype=np.float64)
-        delta_n = 2.0 ** (-((1 << n) ** beta))
-        v = frozenset(np.flatnonzero(ce > 1.0 - delta_n).tolist())
-        h = frozenset(np.flatnonzero(ce > delta_n).tolist())
-        return cls(n, source, ce, beta, delta_n, v, h, exact=exact)
+        delta_n = 2.0 ** (-(n_sym ** self.beta))
+        # delta_N <= 1/2, so every seed coordinate is above delta_N too
+        tiers = np.where(ce > 1.0 - delta_n, 0,
+                         np.where(ce > delta_n, 1, 2)).astype(np.int8)
+        tiers.setflags(write=False)
+        v_set = frozenset(np.flatnonzero(tiers == 0).tolist())
+        h_set = frozenset(np.flatnonzero(tiers < 2).tolist())
+        for name, value in (("delta_n", delta_n), ("v_set", v_set),
+                            ("h_set", h_set), ("seed_len", len(v_set)),
+                            ("_tiers", tiers)):
+            object.__setattr__(self, name, value)
 
     @property
     def block_len(self) -> int:
@@ -170,6 +172,10 @@ class PolarProfile:
     def mid_set(self) -> frozenset[int]:
         return self.h_set - self.v_set
 
+    @property
+    def local_randomness_bits(self) -> int:
+        return len(self.mid_set)
+
 
 def compute_profile(
     source: Dist,
@@ -178,8 +184,8 @@ def compute_profile(
     *,
     mc_samples: int | None = None,
     rng: np.random.Generator | None = None,
-) -> PolarProfile:
-    """Profile a binary source at block length N = 2^n.
+) -> ResolvabilityCode:
+    """The codec of a binary source at block length N = 2^n, from its profile.
 
     Each conditional entropy is the mean surprisal -log2 q(A^j | A^{1:j-1}),
     with the conditionals from one SC pass over a set of blocks.  Exact mode
@@ -214,40 +220,8 @@ def compute_profile(
         return a[j]
 
     _sc_iid(p1, a.shape, surprisal)
-    return PolarProfile.from_entropies(source, n, beta, np.clip(ce, 0.0, 1.0),
-                                       exact=mc_samples is None)
-
-
-@dataclass(frozen=True)
-class ResolvabilityCode:
-    """Black-box source-resolvability encoder for one binary source.
-
-    ``seed_len`` equals |v_set|; the seed rate seed_len / N approaches H(X)
-    as N grows.  ``local_randomness_bits`` meters the middle-set sampling
-    consumed per encoded block, reported separately from the seed and
-    vanishing in rate.
-    """
-
-    profile: PolarProfile
-    seed_len: int = field(init=False)
-    # per-coordinate tier: 0 seed, 1 sampled middle, 2 argmax
-    _tiers: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "seed_len", len(self.profile.v_set))
-        t = np.full(self.block_len, 2, dtype=np.int8)
-        t[sorted(self.profile.mid_set)] = 1
-        t[sorted(self.profile.v_set)] = 0
-        t.setflags(write=False)
-        object.__setattr__(self, "_tiers", t)
-
-    @property
-    def block_len(self) -> int:
-        return self.profile.block_len
-
-    @property
-    def local_randomness_bits(self) -> int:
-        return len(self.profile.mid_set)
+    return ResolvabilityCode(source, n, beta, np.clip(ce, 0.0, 1.0),
+                             exact=mc_samples is None)
 
 
 def _left_law(p_l, p_r):
@@ -345,7 +319,7 @@ def encode_batch(
             return (rng.random(batch) < pj).astype(np.uint8)
         return (pj > 0.5 + TIE_TOL).astype(np.uint8)
 
-    p1 = float(code.profile.source.pmf[1])
+    p1 = float(code.source.pmf[1])
     return _sc_iid(p1, (code.block_len, batch), decide, seeded).T.copy()
 
 
@@ -384,19 +358,19 @@ def output_pmf_exact(
             px[:] *= a[j] == (pj > 0.5 + TIE_TOL)
         return a[j]
 
-    _sc_iid(float(code.profile.source.pmf[1]), a.shape, weigh)
+    _sc_iid(float(code.source.pmf[1]), a.shape, weigh)
     return px
 
 
-def profile_to_csv(profile: PolarProfile, path) -> None:
+def profile_to_csv(code: ResolvabilityCode, path) -> None:
     """Write the profile as CSV: index, cond_entropy, in_v_set, in_h_set."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["index", "cond_entropy", "in_v_set", "in_h_set"])
-        for i in range(profile.block_len):
+        for i in range(code.block_len):
             w.writerow([
                 i + 1,
-                f"{profile.cond_entropies[i]:.12g}",
-                int(i in profile.v_set),
-                int(i in profile.h_set),
+                f"{code.cond_entropies[i]:.12g}",
+                int(i in code.v_set),
+                int(i in code.h_set),
             ])

@@ -52,6 +52,9 @@ PMF_ATOL = 1e-12  # normalization tolerance on construction
 SLICE_ENTRIES = 1 << 16  # entries per slice of work over a batch of trials
 
 
+EXACT_STATE_BUDGET = 1 << 24  # float64 entries an exact table holds at once
+
+
 class BudgetError(RuntimeError):
     """Raised when an exact enumeration would exceed its state budget."""
 

@@ -45,7 +45,7 @@ def test_criterion_1_polar_oracle():
         n_sym = 1 << n
         prof = compute_profile(src, n, beta=0.25)
         chain_ok &= abs(prof.cond_entropies.sum() - n_sym * entropy(src)) <= 1e-9
-        code = ResolvabilityCode(prof)
+        code = ResolvabilityCode(src, n, prof.beta, prof.cond_entropies)
         w = all_bit_rows(n_sym).sum(axis=1)
         target = 0.3 ** w * 0.7 ** (n_sym - w)
         tvs.append(float(np.abs(output_pmf_exact(code) - target).sum()))
@@ -179,9 +179,9 @@ def _oracle_codec_law(codec, clamp_bits):
     transformed-block pmf by summing over source sequences, and walks every
     seed/sampling path of the three-tier encoder.
     """
-    n = codec.profile.n
+    n = codec.n
     n_sym = 1 << n
-    p1 = float(codec.profile.source.pmf[1])
+    p1 = float(codec.source.pmf[1])
     f = np.array([[1, 0], [1, 1]])
     g = np.array([1])
     for _ in range(n):
@@ -195,8 +195,8 @@ def _oracle_codec_law(codec, clamp_bits):
         qa[a_int] = (p1 ** w) * ((1 - p1) ** (n_sym - w))
         xi_of_a[a_int] = int("".join(map(str, x)), 2)
     margs = [qa.reshape(1 << (i + 1), -1).sum(axis=1) for i in range(n_sym)]
-    v = sorted(codec.profile.v_set)
-    mid = codec.profile.mid_set
+    v = sorted(codec.v_set)
+    mid = codec.mid_set
     clamp = list(clamp_bits)
     law = np.zeros(1 << n_sym)
 

@@ -491,8 +491,8 @@ class TestDescriptor:
         for code, blob, sampled in zip(codes, blobs, (True, True, False)):
             code2 = code_from_descriptor(json.loads(blob), BUILD)
             for s in code.plan.streams:
-                prof = code.codecs[s.name].profile
-                prof2 = code2.codecs[s.name].profile
+                prof = code.codecs[s.name]
+                prof2 = code2.codecs[s.name]
                 assert prof.exact == prof2.exact == (not sampled)
                 assert prof.cond_entropies.tobytes() == \
                     prof2.cond_entropies.tobytes()

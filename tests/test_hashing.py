@@ -210,7 +210,7 @@ class TestHashedJointExact:
     def test_budget_guard(self, rng, monkeypatch):
         import macresolve.hashing as hashing_mod
 
-        monkeypatch.setattr(hashing_mod, "HASH_STATE_BUDGET", 1 << 6)
+        monkeypatch.setattr(hashing_mod, "EXACT_STATE_BUDGET", 1 << 6)
         j = self._correlated_joint(rng, 6, 2)
         h = sample_hash(make_rng(0), 6, 2)
         with pytest.raises(BudgetError):

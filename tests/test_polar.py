@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from macresolve import polar
 from macresolve.polar import (
     EXACT_CAP_N,
-    PolarProfile,
     ResolvabilityCode,
     TIE_TOL,
     _sc,
@@ -71,7 +70,7 @@ def prefix_output_pmf(code, clamp) -> np.ndarray:
     """Encoder-output law built coordinate by coordinate over prefix tables,
     then pushed through the involution to index it by the block."""
     n_sym = code.block_len
-    qa = prefix_joint_pmf(float(code.profile.source.pmf[1]), code.profile.n)
+    qa = prefix_joint_pmf(float(code.source.pmf[1]), code.n)
     tiers = code._tiers
     pt = np.array([1.0])
     prev_marg = np.array([1.0])
@@ -146,7 +145,7 @@ def ref_encode_batch(code, seeds, rng):
     """encode_batch driven coordinate by coordinate by _sc_conditional."""
     batch = seeds.shape[0]
     n_sym = code.block_len
-    p1 = float(code.profile.source.pmf[1])
+    p1 = float(code.source.pmf[1])
     tiers = code._tiers
     decided = np.zeros((batch, n_sym), dtype=np.uint8)
     seed_cursor = 0
@@ -316,12 +315,11 @@ class TestScConditional:
         # exact profiles and output laws come from the SC pass over all
         # blocks; the prefix tables must give the same numbers
         src = Dist.bernoulli(p)
-        prof = compute_profile(src, n)
+        code = compute_profile(src, n)
         ref = prefix_entropies(p, n)
-        assert np.abs(prof.cond_entropies - ref).max() <= 1e-12
-        oracle = PolarProfile.from_entropies(src, n, prof.beta, ref, True)
-        assert prof.v_set == oracle.v_set and prof.h_set == oracle.h_set
-        code = ResolvabilityCode(prof)
+        assert np.abs(code.cond_entropies - ref).max() <= 1e-12
+        oracle = ResolvabilityCode(src, n, code.beta, ref, True)
+        assert code.v_set == oracle.v_set and code.h_set == oracle.h_set
         if code.block_len > 8:
             return  # up to 2^17 clamp prefixes at N = 16; too slow for Tier-1
         for m in range(code.seed_len + 1):
@@ -334,10 +332,9 @@ class TestScConditional:
         # sampled profiles and encodings equal the reference bit for bit
         src = Dist.bernoulli(p)
         for n in range(1, 9):
-            prof = compute_profile(src, n, mc_samples=64, rng=make_rng(n))
-            assert np.array_equal(prof.cond_entropies,
+            code = compute_profile(src, n, mc_samples=64, rng=make_rng(n))
+            assert np.array_equal(code.cond_entropies,
                                   ref_sampled_entropies(p, n, 64, make_rng(n)))
-            code = ResolvabilityCode(prof)
             seeds = make_rng(n + 10).integers(0, 2, size=(64, code.seed_len),
                                               dtype=np.uint8)
             got = encode_batch(code, seeds, make_rng(n + 20))
@@ -366,11 +363,10 @@ class TestScConditional:
 
         def run():
             rng = make_rng(n)
-            prof = compute_profile(src, n, mc_samples=4096, rng=rng)
-            code = ResolvabilityCode(prof)
+            code = compute_profile(src, n, mc_samples=4096, rng=rng)
             seeds = rng.integers(0, 2, size=(4096, code.seed_len),
                                  dtype=np.uint8)
-            return prof.cond_entropies, encode_batch(code, seeds, rng), \
+            return code.cond_entropies, encode_batch(code, seeds, rng), \
                 rng.random()
 
         tables = run()
@@ -383,20 +379,20 @@ class TestScConditional:
 
 class TestEncode:
     def test_uniform_source_output_uniform(self):
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.5), 2))
+        code = compute_profile(Dist.bernoulli(0.5), 2)
         assert code.seed_len == 4
         px = output_pmf_exact(code)
         assert np.allclose(px, 1 / 16, atol=1e-15)
 
     def test_point_mass_all_zero(self):
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.0), 2))
+        code = compute_profile(Dist.bernoulli(0.0), 2)
         assert code.seed_len == 0
         out = encode_batch(code, np.zeros((1, 0), dtype=np.uint8),
                            make_rng(0))[0]
         assert not out.any()
 
     def test_seed_length_checked(self):
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.3), 2))
+        code = compute_profile(Dist.bernoulli(0.3), 2)
         with pytest.raises(ValueError, match="seed"):
             encode_batch(code, np.zeros((1, code.seed_len + 1), dtype=np.uint8),
                          make_rng(0))
@@ -411,7 +407,7 @@ class TestEncode:
         src = Dist.bernoulli(0.3)
         n = 3
         n_sym = 1 << n
-        code = ResolvabilityCode(compute_profile(src, n))
+        code = compute_profile(src, n)
         # independent joint over transformed blocks, via an explicit kron matrix
         f = np.array([[1, 0], [1, 1]])
         g = np.array([1])
@@ -426,8 +422,8 @@ class TestEncode:
         margs = [qa.reshape(1 << (i + 1), -1).sum(axis=1) for i in range(n_sym)]
 
         acc = np.zeros(1 << n_sym)
-        v = sorted(code.profile.v_set)
-        mid = code.profile.mid_set
+        v = sorted(code.v_set)
+        mid = code.mid_set
 
         def walk(pos, prefix_int, weight, seed_iter):
             if weight == 0.0:
@@ -458,7 +454,7 @@ class TestEncode:
         # Spec asks 1e6 trials at TV <= 0.01; the plug-in TV noise floor of a
         # 256-cell histogram at 1e6 samples is ~0.011, so 4e6 trials are used
         # to make the stated tolerance statistically meaningful.
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.3), 3))
+        code = compute_profile(Dist.bernoulli(0.3), 3)
         rng = make_rng(99)
         trials = 4_000_000
         seeds = rng.integers(0, 2, size=(trials, code.seed_len), dtype=np.uint8)
@@ -469,8 +465,11 @@ class TestEncode:
     def test_batch_matches_single_encode(self):
         # with the middle set emptied the encoder is a function of the seed,
         # so every batch row must equal the single encode of its seed
-        prof = compute_profile(Dist.bernoulli(0.3), 3)
-        code = ResolvabilityCode(dataclasses.replace(prof, h_set=prof.v_set))
+        code = compute_profile(Dist.bernoulli(0.3), 3)
+        ce = code.cond_entropies
+        code = dataclasses.replace(
+            code, cond_entropies=np.where(ce > 1 - code.delta_n, ce, 0.0),
+            exact=False)
         assert code.local_randomness_bits == 0
         seeds = all_bit_rows(code.seed_len).astype(np.uint8)
         batch = encode_batch(code, seeds, make_rng(7))
@@ -481,11 +480,11 @@ class TestEncode:
 
 class TestOutputDistExact:
     def test_uniform_tv_zero(self):
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.5), 3))
+        code = compute_profile(Dist.bernoulli(0.5), 3)
         assert np.abs(output_pmf_exact(code) - iid_pmf(0.5, 8)).sum() < 1e-12
 
     def test_point_mass_tv_zero(self):
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(1.0), 2))
+        code = compute_profile(Dist.bernoulli(1.0), 2)
         px = output_pmf_exact(code)
         assert px[15] == pytest.approx(1.0, abs=1e-15)
 
@@ -494,22 +493,21 @@ class TestOutputDistExact:
         # block lengths (polarization is still far away at desk scale).
         expect = {2: 0.24640000000000006, 3: 0.54800704, 4: 0.64501900315532723}
         for n, tv in expect.items():
-            code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.3), n))
+            code = compute_profile(Dist.bernoulli(0.3), n)
             got = np.abs(output_pmf_exact(code) - iid_pmf(0.3, 1 << n)).sum()
             assert got == pytest.approx(tv, abs=1e-12)
 
     def test_cap_enforced(self):
         prof = compute_profile(Dist.bernoulli(0.3), 4)
-        big = compute_profile(Dist.bernoulli(0.3), 5, mc_samples=2000,
-                              rng=make_rng(0))
-        code = ResolvabilityCode(big)
+        code = compute_profile(Dist.bernoulli(0.3), 5, mc_samples=2000,
+                               rng=make_rng(0))
         with pytest.raises(ValueError, match="cap"):
             output_pmf_exact(code)
         assert EXACT_CAP_N >= (1 << prof.n)
 
     def test_clamped_seed_prefix(self):
         # clamping the full seed pins the block through the involution
-        code = ResolvabilityCode(compute_profile(Dist.bernoulli(0.5), 2))
+        code = compute_profile(Dist.bernoulli(0.5), 2)
         clamp = np.array([1, 0, 1, 1], dtype=np.uint8)
         px = output_pmf_exact(code, clamp)
         x = polar_transform(clamp)

@@ -9,6 +9,9 @@ spec.  On the workloads' uniform adder, with both worker counts, it runs
 ``sweep --n-list 4,8 --k 2 --idealized --trials 9000`` and the Monte-Carlo
 corners of ``simulate --n 4 --k 8 --idealized --trials 9000``: as it is, at
 ``--n 2``, and with ``--no-recycle``, ``--rec-bits 0`` or ``--window 3``.
+On the same adder it runs two exhaustive corners of ``simulate --n 4
+--idealized``: ``--mode case1 --k 3``, whose key transition A runs over
+R = 7 key bits (exact_chain's has R = 0, a single key), and ``--k 1``.
 On a noisy 2-user channel whose spec it writes itself (every workload
 channel is deterministic, so its noise draws reach no output), it runs
 ``simulate --n 8 --k 3 --idealized --trials 9000`` with both worker counts,
@@ -47,6 +50,10 @@ CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
           "--n", "4", "--k", "8", "--idealized", "--trials", "9000"]
 CORNERS = {"mc": [], "mc_n2": ["--n", "2"], "mc_norecycle": ["--no-recycle"],
            "mc_recbits0": ["--rec-bits", "0"], "mc_window3": ["--window", "3"]}
+EXACT = ["simulate", "--channel", "channel.json", "--out-dir", "out",
+         "--n", "4", "--idealized"]
+EXACT_CORNERS = {"exact_case1": ["--mode", "case1", "--k", "3"],
+                 "exact_k1": ["--k", "1"]}
 # binary inputs Bern(0.3) / Bern(0.6), four outputs, no deterministic row
 NOISY = {"inputs": [2, 2], "output": 4,
          "transition": [[0.7, 0.1, 0.1, 0.1], [0.1, 0.6, 0.2, 0.1],
@@ -94,6 +101,8 @@ def main(argv=None) -> int:
         runs += [(f"{tag}_w{workers}", adder,
                   [CORNER + flags + ["--workers", str(workers)]], 0)
                  for tag, flags in CORNERS.items() for workers in (1, 2)]
+        runs += [(tag, adder, [EXACT + flags], 0)
+                 for tag, flags in EXACT_CORNERS.items()]
         runs += [(f"{tag}_w{workers}", NOISY,
                   [NOISY_CORNER + flags + ["--workers", str(workers)]], 0)
                  for tag, flags in NOISY_MODES.items() for workers in (1, 2)]
