@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -268,6 +269,14 @@ class _ExactEngine:
     |Z|^(kN)-entry law K_k B is only ever formed a chunk of rows at a time
     (``output_tvs``), so the budget's "output law" entry bounds the cells
     enumerated, not a table in memory.
+
+    E, C, A and B are built on first read and kept until ``release``.  The
+    budget bounds each of them, so they are released at their last use, in
+    an order that leaves at most two budget-size tables live: C (the block
+    steps and B) goes before A is formed from E and the per-stream laws, E
+    goes before the carry grows past its first step, and A once the carry is
+    formed.  ``exact_report`` and ``output_tvs`` keep that order; a table
+    read again after it was released is built again, with the same bytes.
     """
 
     def __init__(self, code: MacCode):
@@ -282,18 +291,21 @@ class _ExactEngine:
         self.qz = target_output_dist(code.channel, list(code.input_dists)).pmf
         self.p1 = {name: output_pmf_exact(code.codecs[name])
                    for name in self.names}
-        self.emission = self._emission_table()
         if code.plan.k >= 2:
             self._init_keys(key_lens)
-        if code.plan.k >= 3:
-            self.a_table = self._keyed(self.c_table).reshape(self.n_keys, -1)
+
+    def release(self, *tables: str) -> None:
+        """Drop the named tables; a later read builds them again."""
+        for name in tables:
+            self.__dict__.pop(name, None)
 
     def _stream_grids(self) -> np.ndarray:
         """(streams, joint states): each joint state's word index per stream."""
         n = len(self.names)
         return np.indices((self.stream_dim,) * n).reshape(n, -1)
 
-    def _emission_table(self) -> np.ndarray:
+    @cached_property
+    def emission(self) -> np.ndarray:
         """(joint stream states, |Z|^N) law of one output block."""
         per_stream = dict(zip(self.names, self._stream_grids()))
         rows = all_bit_rows(self.n_sym)
@@ -307,13 +319,12 @@ class _ExactEngine:
         return em
 
     def _init_keys(self, key_lens: list[int]) -> None:
-        """Per-stream laws C_s and word keys, the joint keys, C and B = C E."""
+        """Per-stream laws C_s and word keys, and the joint keys."""
         words = all_bit_rows(self.n_sym)
         grids = self._stream_grids()
         self.e_key = np.zeros(self.n_states, dtype=np.int64)   # full hash
         self.keys = np.zeros(self.n_states, dtype=np.int64)    # first c_s bits
         self.stream_laws = []
-        self.c_table = np.ones((1, 1))
         for grid, name, c in zip(grids, self.names, key_lens):
             codec, h = self.code.codecs[name], self.code.hashes[name]
             full = bits_to_index(h.apply_batch(words))
@@ -326,11 +337,42 @@ class _ExactEngine:
             else:  # the one clamp is empty: the block-1 law
                 laws = self.p1[name][None]
             self.stream_laws.append((laws, word_key))
-            self.c_table = np.kron(self.c_table, laws)
         bounds = np.cumsum(np.bincount(self.keys, minlength=self.n_keys))
         self.key_groups = np.split(np.argsort(self.keys, kind="stable"),
                                    bounds[:-1])
-        self.b_table = self.c_table @ self.emission
+
+    @cached_property
+    def c_table(self) -> np.ndarray:
+        """C = kron_s C_s, (keys, joint stream states)."""
+        c_table = np.ones((1, 1))
+        for laws, _ in self.stream_laws:
+            c_table = np.kron(c_table, laws)
+        return c_table
+
+    @cached_property
+    def b_table(self) -> np.ndarray:
+        """B = C E, (keys, |Z|^N).  E is read first: the last step of its
+        build holds E and its 1/|Z| part, so nothing else should be live."""
+        emission = self.emission
+        return self.c_table @ emission
+
+    @cached_property
+    def a_table(self) -> np.ndarray:
+        """A as (keys, |Z|^N keys), one key group r' at a time.
+
+        C's columns of a group are formed from the per-stream laws as the
+        products ``np.kron`` forms, in its order, so A has the floats of
+        ``_keyed(C)`` and C itself is not read.
+        """
+        grids = self._stream_grids()
+        out = np.empty((self.n_keys, self.zn, self.n_keys))
+        for r, idx in enumerate(self.key_groups):
+            cols = np.ones((1, len(idx)))
+            for (laws, _), grid in zip(self.stream_laws, grids):
+                cols = (cols[:, None] * laws[:, grid[idx]]).reshape(
+                    len(cols) * len(laws), len(idx))
+            out[:, :, r] = cols @ self.emission[idx]
+        return out.reshape(self.n_keys, -1)
 
     def _keyed(self, weights: np.ndarray) -> np.ndarray:
         """(m, states) -> (m, zn, keys): sum of weights[., w] E[w, .] per key of w."""
@@ -358,10 +400,18 @@ class _ExactEngine:
         return states
 
     def _carry(self, state_pmf: np.ndarray, blocks: int) -> np.ndarray:
-        """(|Z|^(N(blocks-1)), keys) law of the first blocks-1 outputs and a key."""
+        """(|Z|^(N(blocks-1)), keys) law of the first blocks-1 outputs and a key.
+
+        Past two blocks this is the last use of E and of A: A is formed from
+        E once the first step has read E, E is released before the steps
+        through A, and A when they are done.
+        """
         carry = self._keyed(state_pmf[None])[0]             # (zn, keys)
-        for _ in range(blocks - 2):
-            carry = (carry @ self.a_table).reshape(-1, self.n_keys)
+        if blocks > 2:
+            a_table = self.a_table
+            self.release("emission", "a_table")
+            for _ in range(blocks - 2):
+                carry = (carry @ a_table).reshape(-1, self.n_keys)
         return carry
 
     def joint_z_pmf(self) -> np.ndarray:
@@ -383,6 +433,8 @@ class _ExactEngine:
         prod_{i<k} p_{Z_i}[rows] times p_{Z_k}, so every entry has the
         arithmetic of the whole table, and ``_pairwise_sums`` adds the chunks
         up as numpy sums the whole table.  No |Z|^(kN)-entry array is made.
+        It is the engine's last pass and releases every table: C as soon as
+        B is formed, so that C is gone before A is.
         """
         k = self.code.plan.k
         state = self.block1_state_pmf()
@@ -390,8 +442,11 @@ class _ExactEngine:
             law = (state @ self.emission)[None]
             law_rows = lambda r0, r1: law[r0:r1]
         else:
+            b_table = self.b_table
+            self.release("c_table")
             carry = self._carry(state, k)
-            law_rows = lambda r0, r1: carry[r0:r1] @ self.b_table
+            law_rows = lambda r0, r1: carry[r0:r1] @ b_table
+        self.release("emission", "b_table")
         target = self.target_z_pow(k - 1)
         if block_laws is not None:
             prod = np.array([1.0])
@@ -435,16 +490,22 @@ def _pairwise_sums(n_rows: int, row_len: int, diffs) -> list[float]:
     EXACT_CHUNK_ENTRIES (>= 128) gives the whole array's ``.sum()`` bit for
     bit.
     """
-    def walk(lo: int, n: int) -> list:
-        if n <= EXACT_CHUNK_ENTRIES:
-            r0 = lo // row_len
-            off = lo - r0 * row_len
-            return [d[off:off + n].sum() for d in diffs(r0, -(-(lo + n) // row_len))]
-        half = n // 2
-        half -= half % 8
-        return [a + b for a, b in zip(walk(lo, half), walk(lo + half, n - half))]
+    return [float(s) for s in _walk(0, n_rows * row_len, row_len, diffs)]
 
-    return [float(s) for s in walk(0, n_rows * row_len)]
+
+def _walk(lo: int, n: int, row_len: int, diffs) -> list:
+    """Sums of entries lo..lo+n-1 by ``_pairwise_sums``' tree.  A function of
+    the module, not a closure that calls itself through its own cell: that
+    would be a reference cycle holding ``diffs``, and through it every table
+    the caller's chunks read, until a cyclic garbage collection."""
+    if n <= EXACT_CHUNK_ENTRIES:
+        r0 = lo // row_len
+        off = lo - r0 * row_len
+        return [d[off:off + n].sum() for d in diffs(r0, -(-(lo + n) // row_len))]
+    half = n // 2
+    half -= half % 8
+    return [a + b for a, b in zip(_walk(lo, half, row_len, diffs),
+                                  _walk(lo + half, n - half, row_len, diffs))]
 
 
 def tv_exhaustive(code: MacCode) -> float:
@@ -465,20 +526,20 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
     Every row is read from the k block states of one ``block_states`` pass.
     The joint and inter-block TVs come from one pass over row chunks of the
     k-block output law (``_ExactEngine.output_tvs``), equal bit for bit to
-    the sums over the whole tables, which are never held.
+    the sums over the whole tables, which are never held.  B is formed
+    first and C is released after the block states, before A is formed; the
+    output pass, which releases E, comes after E's other reads.
     """
     eng = _ExactEngine(code)
     plan = code.plan
     q_block = eng.target_z_pow(1)
-    states = eng.block_states()
-    block_z = [state @ eng.emission for state in states]
-    tvs = eng.output_tvs(block_z if plan.k >= 2 else None)
-    rows = [MetricRow("joint_output_tv", tvs[0])]
-    rows += [MetricRow(f"block{i}_output_tv", float(np.abs(pz - q_block).sum()))
-             for i, pz in enumerate(block_z, start=1)]
-
     if plan.k >= 2:
-        rows.append(MetricRow("interblock_product_tv", tvs[1]))
+        b_table = eng.b_table
+    states = eng.block_states()
+    eng.release("c_table")
+    block_z = [state @ eng.emission for state in states]
+    dependence = []
+    if plan.k >= 2:
         # recycled bits of block i vs output of block i-1 (exact law)
         # hashes keep at most N bits: 2^R x |Z|^N is within the emission table
         total_r = sum(s.hash_len for s in plan.streams)
@@ -491,13 +552,20 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
                 hi = lo + step
                 np.add.at(joint_ez, eng.e_key[lo:hi],
                           m_prev[lo:hi, None] * eng.emission[lo:hi])
-            rows.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}",
-                                  float(_dependence_tv(joint_ez))))
+            dependence.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}",
+                                        float(_dependence_tv(joint_ez))))
         # consecutive output blocks vs product of their marginals
         for i, m_prev in enumerate(states[:-1], start=2):
-            pair = eng._carry(m_prev, 2) @ eng.b_table
-            rows.append(MetricRow(f"consecutive_output_tv_block{i}",
-                                  float(_dependence_tv(pair))))
+            pair = eng._carry(m_prev, 2) @ b_table
+            dependence.append(MetricRow(f"consecutive_output_tv_block{i}",
+                                        float(_dependence_tv(pair))))
+    tvs = eng.output_tvs(block_z if plan.k >= 2 else None)
+    rows = [MetricRow("joint_output_tv", tvs[0])]
+    rows += [MetricRow(f"block{i}_output_tv", float(np.abs(pz - q_block).sum()))
+             for i, pz in enumerate(block_z, start=1)]
+    if plan.k >= 2:
+        rows.append(MetricRow("interblock_product_tv", tvs[1]))
+        rows += dependence
 
     # reference curves from the analysis, evaluated with the exact codec TVs
     codec_tv = max(

@@ -215,7 +215,7 @@ def compute_profile(
     ce = np.empty(n_sym)
 
     def surprisal(j, pj):
-        prob = np.where(a[j] == 1, pj, 1.0 - pj)
+        prob = _exchange(a[j], 1.0 - pj, pj)[0]
         ce[j] = float(reduce(-np.log2(np.clip(prob, 1e-300, None))))
         return a[j]
 
@@ -229,11 +229,25 @@ def _left_law(p_l, p_r):
     return p_l * (1.0 - p_r) + (1.0 - p_l) * p_r
 
 
+def _exchange(s, a, b):
+    """float64 a and b exchanged where the 0/1 ints s are 1: bit for bit
+    ``np.where(s == 1, b, a)`` and ``np.where(s == 1, a, b)``, as new arrays.
+
+    On uint64 views, d = -s & (a ^ b), then a ^ d and b ^ d: no branch per
+    entry, which ``np.where`` pays in mispredictions on random s.
+    """
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    d = np.negative(s, dtype=np.int64).view(np.uint64)
+    d &= a ^ b
+    a = a ^ d
+    d ^= b
+    return a.view(np.float64), d.view(np.float64)
+
+
 def _right_law(p_l, p_r, s):
     """P(x_R = 1 | x_L ^ x_R = s) of the same bits; 1/2 where s is impossible."""
-    g = np.where(s == 1, 1.0 - p_l, p_l)        # P(x_L = s ^ 1)
+    g, tot = _exchange(s, p_l, 1.0 - p_l)       # P(x_L = s ^ 1), P(x_L = s)
     g *= p_r
-    tot = np.where(s == 1, p_l, 1.0 - p_l)      # P(x_L = s)
     tot *= 1.0 - p_r
     tot += g
     np.divide(g, tot, out=g, where=tot > 0)
@@ -353,7 +367,7 @@ def output_pmf_exact(
             bit = next(clamp_bits, None)
             px[:] *= 0.5 if bit is None else a[j] == bit
         elif tiers[j] == 1:
-            px[:] *= np.where(a[j] == 1, pj, 1.0 - pj)
+            px[:] *= _exchange(a[j], 1.0 - pj, pj)[0]
         else:
             px[:] *= a[j] == (pj > 0.5 + TIE_TOL)
         return a[j]

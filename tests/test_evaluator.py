@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -538,6 +539,46 @@ class TestStreamedTvs:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+    @pytest.mark.parametrize("call", ["output_tvs", "exact_report"])
+    def test_no_table_outlives_the_call(self, call):
+        # with the cyclic collector off, only reference counts free memory:
+        # a reference cycle in the output walk would hold its chunks' tables,
+        # and through them the engine, after the call returns
+        code = small_code(parallel_mac(), BERN_36, 4, 3, 80, mode="case2")
+        laws = block_laws(_ExactEngine(code))
+        eng = _ExactEngine(code)
+        run = {"output_tvs": lambda: eng.output_tvs(laws),
+               "exact_report": lambda: exact_report(code)}[call]
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            run()
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert abs(after - before) <= 64 << 10
+
+    def test_report_holds_two_budget_tables_at_most(self):
+        # the 2-user adder in case 1, N=4, k=3 (R = 7): E 2.5, C 4.0, A 10.1
+        # and the carry 6.4 MiB; A and the carry are live together while the
+        # carry forms, and no third table is live beside any two
+        code = small_code(adder_mac(), [UNIF, UNIF], 4, 3, 82, mode="case1")
+        eng = _ExactEngine(code)
+        entries = [eng.n_states * eng.zn, eng.n_keys * eng.n_states,
+                   eng.n_keys ** 2 * eng.zn, eng.n_keys * eng.zn ** 2]
+        del eng
+        tracemalloc.start()
+        try:
+            exact_report(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * sum(sorted(entries)[-2:]) + (2 << 20)
 
 
 def window_rows(code, trials, rng, n_boot=1000, **kw):

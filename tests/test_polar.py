@@ -377,6 +377,34 @@ class TestScConditional:
         assert tables[2] == dense[2]
 
 
+def where_right_law(p_l, p_r, s):
+    """``polar._right_law`` with its two selects as ``np.where`` (reference)."""
+    g = np.where(s == 1, 1.0 - p_l, p_l)
+    g *= p_r
+    tot = np.where(s == 1, p_l, 1.0 - p_l)
+    tot *= 1.0 - p_r
+    tot += g
+    np.divide(g, tot, out=g, where=tot > 0)
+    g[tot <= 0] = 0.5
+    return g
+
+
+class TestRightLaw:
+    @pytest.mark.parametrize("shape", [(16, 4096), (6144,)])
+    def test_exchange_equals_where(self, shape):
+        rng = make_rng(11)
+        p_l, p_r = rng.random(shape), rng.random(shape)
+        # priors 0, 1 and 1/2 in every pairing; (p_l, p_r, s) = (1, 0, 0)
+        # makes s impossible, the tot <= 0 branch
+        for p in (p_l, p_r):
+            edge = rng.random(shape) < 0.4
+            p[edge] = np.array([0.0, 1.0, 0.5])[rng.integers(0, 3, edge.sum())]
+        s = rng.integers(0, 2, shape, dtype=np.uint8)
+        assert np.any((p_l == 1.0) & (p_r == 0.0) & (s == 0))
+        got = polar._right_law(p_l, p_r, s)
+        assert got.tobytes() == where_right_law(p_l, p_r, s).tobytes()
+
+
 class TestEncode:
     def test_uniform_source_output_uniform(self):
         code = compute_profile(Dist.bernoulli(0.5), 2)

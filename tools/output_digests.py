@@ -12,6 +12,10 @@ corners of ``simulate --n 4 --k 8 --idealized --trials 9000``: as it is, at
 On the same adder it runs two exhaustive corners of ``simulate --n 4
 --idealized``: ``--mode case1 --k 3``, whose key transition A runs over
 R = 7 key bits (exact_chain's has R = 0, a single key), and ``--k 1``.
+On the 2-user xor channel with uniform inputs, whose spec it writes itself,
+it runs ``simulate --mode multi --idealized --n 8 --k 3``: the emission
+table, the codec law C, the key transition A and the carry of that
+exhaustive run each have exactly the 2^24 entries of the per-table budget.
 On a noisy 2-user channel whose spec it writes itself (every workload
 channel is deterministic, so its noise draws reach no output), it runs
 ``simulate --n 8 --k 3 --idealized --trials 9000`` with both worker counts,
@@ -54,6 +58,11 @@ EXACT = ["simulate", "--channel", "channel.json", "--out-dir", "out",
          "--n", "4", "--idealized"]
 EXACT_CORNERS = {"exact_case1": ["--mode", "case1", "--k", "3"],
                  "exact_k1": ["--k", "1"]}
+XOR = {"inputs": [2, 2], "output": 2,
+       "transition": [[1, 0], [0, 1], [0, 1], [1, 0]],
+       "input_dists": [[0.5, 0.5], [0.5, 0.5]]}
+BUDGET_CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
+                 "--mode", "multi", "--idealized", "--n", "8", "--k", "3"]
 # binary inputs Bern(0.3) / Bern(0.6), four outputs, no deterministic row
 NOISY = {"inputs": [2, 2], "output": 4,
          "transition": [[0.7, 0.1, 0.1, 0.1], [0.1, 0.6, 0.2, 0.1],
@@ -103,6 +112,7 @@ def main(argv=None) -> int:
                  for tag, flags in CORNERS.items() for workers in (1, 2)]
         runs += [(tag, adder, [EXACT + flags], 0)
                  for tag, flags in EXACT_CORNERS.items()]
+        runs += [("exact_budget_xor", XOR, [BUDGET_CORNER], 0)]
         runs += [(f"{tag}_w{workers}", NOISY,
                   [NOISY_CORNER + flags + ["--workers", str(workers)]], 0)
                  for tag, flags in NOISY_MODES.items() for workers in (1, 2)]
