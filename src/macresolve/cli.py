@@ -5,7 +5,8 @@ and descriptor hashes, JSON is written with sorted keys, Monte-Carlo trials
 are chunked by fixed trial index with one child generator per chunk, and
 each chunk returns fixed-size integer-valued count tables that the caller
 only adds up, so byte-identical results hold across reruns and across worker
-counts.  The ``--workers`` are threads of this one process.
+counts.  ``--workers`` threads (at most one per chunk and per core) hold the
+GIL between a chunk's many small numpy calls (README, "Performance").
 
 Exit codes: 0 success, 2 infeasible rate target, 3 asymptotic-only plan
 (clamped hash lengths at this N); a code over the exhaustive budget runs
@@ -232,8 +233,8 @@ def cmd_build(cfg: ExperimentConfig) -> int:
 def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
     """Count tables of all trials of ``code``: each chunk's, added key by key.
 
-    Up to ``cfg.workers`` threads share ``code``, whose arrays are all fixed
-    when it is built, and only read it.
+    Up to ``cfg.workers`` threads, at most one per chunk and per core, share
+    ``code``, whose arrays are all fixed when it is built, and only read it.
     """
     def run_chunk(i: int) -> dict:
         rng = make_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1, i)))
@@ -242,7 +243,10 @@ def _mc_features_parallel(code: encoder.MacCode, cfg: ExperimentConfig) -> dict:
             window=cfg.window, rec_bits=cfg.rec_bits, recycle=cfg.recycle)
 
     chunks = range(-(-cfg.trials // CHUNK_TRIALS))
-    workers = min(cfg.workers, len(chunks))
+    cores = os.cpu_count() or 1
+    if cfg.workers > cores:
+        log.info("--workers %d clamped to %d cores", cfg.workers, cores)
+    workers = min(cfg.workers, len(chunks), cores)
     if workers == 1:   # on the calling thread, as a single-threaded tracer needs
         results = [run_chunk(i) for i in chunks]
     else:
@@ -297,8 +301,9 @@ def _evaluate(code: encoder.MacCode, cfg: ExperimentConfig, route: str | None
               ) -> tuple[str, list[evaluator.MetricRow], list[str]]:
     """Mode, metric rows and notes of ``code``'s report on ``_admit``'s route;
     Monte-Carlo rows gain the hash-uniformity floor of the whole-run bound."""
-    bound = evaluator.joint_tv_bound(code.plan.k, 0.0,
-                                     *evaluator.analysis_delta0(code))
+    plan, analysis = code.plan, code.analysis
+    bound = evaluator.joint_tv_bound(plan.k, 0.0, evaluator.delta0(
+        plan.block_len, plan.xi, analysis.hash_const), len(analysis.sizes))
     vacuous = [f"the finite-N analysis bound is vacuous here ({bound:.3g} > 2)"
                ] if bound > 2.0 else []
     if route is None:

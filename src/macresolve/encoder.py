@@ -8,8 +8,8 @@ concatenated with fresh bits (rate I(S; side-info) + eps).  Every mode is the
 same construction: one chain per user of a (possibly virtual) MAC, each
 conditioned on Z and the users before it in a chain order, then one
 channel word per real user.  ``_stream_specs`` is the only place that says
-which channel, chain order and channel words (kept on the code as
-``MacCode.channel_inputs``) a mode has:
+which channel, chain order, channel words and analysis (kept on the code as
+``MacCode.channel_inputs`` and ``MacCode.analysis``) a mode has:
 
 * case 1 (I(XY;Z) > I(X;Z) + I(Y;Z)): transmitter 2 is rate-split into
   virtual users U, V, the chains run on the virtual MAC (X, U, V) in the
@@ -41,15 +41,16 @@ import numpy as np
 from .hashing import ToeplitzHash, sample_hash
 from .polar import EXACT_CAP_N, ResolvabilityCode, compute_profile, \
     encode_batch
-from .probcore import Dist, JointDist, MacChannel, entropy, make_rng, \
-    conditional_entropy, channel_from_json, channel_to_json, json_reader, \
-    mutual_information, pack_bits, read_numbers, row_slices, transmit, \
-    unpack_bits
+from .probcore import Dist, JointDist, MacChannel, entropy, exact_log2, \
+    make_rng, conditional_entropy, channel_from_json, channel_to_json, \
+    json_reader, mutual_information, pack_bits, read_numbers, row_slices, \
+    transmit, unpack_bits
 from .ratesplit import SplitPoint, split_channel, split_rates, solve_eps
 
 __all__ = [
     "StreamPlan",
     "LengthPlan",
+    "Analysis",
     "MacCode",
     "BatchTranscript",
     "make_plan",
@@ -75,14 +76,6 @@ def _ceil_bits(x: float) -> int:
     return max(0, math.ceil(x - 1e-9))
 
 
-def _block_exp(block_len: int) -> int:
-    """n with N = 2^n; any other N is refused."""
-    n_exp = block_len.bit_length() - 1
-    if block_len < 1 or 1 << n_exp != block_len:
-        raise ValueError(f"N must be a power of two, got {block_len}")
-    return n_exp
-
-
 def delta_concentration(sizes: Sequence[int], block_len: int) -> float:
     """Concentration term of an L-user construction over alphabet ``sizes``.
 
@@ -92,6 +85,15 @@ def delta_concentration(sizes: Sequence[int], block_len: int) -> float:
     return math.log2(math.prod(sizes) + 3) * math.sqrt(
         (2.0 / block_len) * (len(sizes) + math.log2(block_len))
     )
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A code's finite-N analysis: the input sizes of the L-user MAC it is
+    analysed as, and c of its hash-uniformity term 2/N + c 2^(-N xi / 2)."""
+
+    sizes: tuple[int, ...]
+    hash_const: float
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ def classify_two_user(ch: MacChannel, p_x: Dist, p_y: Dist) -> str:
 
 
 Layout = tuple[JointDist, list[tuple[str, Dist, int, list[int]]],
-               tuple[int, ...], ChannelWords, SplitPoint | None]
+               Analysis, ChannelWords, SplitPoint | None]
 
 
 def _stream_specs(
@@ -194,7 +196,7 @@ def _stream_specs(
     eps_split: float | None,
     order: Sequence[int] | None,
 ) -> Layout:
-    """The mode's joint law, chains, analysed sizes, channel words and split.
+    """The mode's joint law, chains, analysis, channel words and split.
 
     A mode names its (possibly virtual) channel, the law and stream name of
     each of its users, their plan order and chain order, and each real
@@ -205,15 +207,17 @@ def _stream_specs(
     stream ``x{l+1}``.  One rule then makes the chains, (name, source, axis,
     conditioning axes) in plan order: each stream is conditioned on Z and
     on the streams before it in the chain order.  Both two-user modes are
-    analysed as the 3-user virtual MAC, sizes (|X|, |Y|, |Y|).  Build and
-    load both pass through here, so this is where a split outside case 1 or
-    an order outside multi mode is refused.
+    analysed as the 3-user virtual MAC, sizes (|X|, |Y|, |Y|) and c = sqrt(7),
+    multi mode as its L users with c = 2^(L/2).  Build, ``make_plan`` and
+    load pass through here, so this is where a split outside case 1, an order
+    outside multi mode and a two-user mode on another channel are refused.
     """
-    sizes = tuple(a.size for a in ch.input_alphabets)
     if eps_split is not None and mode != "case1":
         raise ValueError(f"a rate split applies to case 1 only, not {mode}")
     if order is not None and mode != "multi":
         raise ValueError(f"a user order applies to multi mode only, not {mode}")
+    if mode in ("case1", "case2") and ch.n_users != 2:
+        raise ValueError(f"{mode} needs a two-user channel")
     split = None
     if mode == "case1":
         if eps_split is None:
@@ -238,8 +242,10 @@ def _stream_specs(
              else tuple((name, (name,)) for name in names))
     specs = [(names[a], laws[a], a, [vch.n_users, *chain[:chain.index(a)]])
              for a in plan]
-    return (vch.joint_with_output(laws), specs,
-            sizes if mode == "multi" else sizes + sizes[1:], words, split)
+    sizes = tuple(a.size for a in ch.input_alphabets)
+    analysis = (Analysis(sizes, 2.0 ** (len(sizes) / 2.0)) if mode == "multi"
+                else Analysis(sizes + sizes[1:], math.sqrt(7.0)))
+    return vch.joint_with_output(laws), specs, analysis, words, split
 
 
 def make_plan(
@@ -274,13 +280,14 @@ def _plan(layout: Layout, mode: str, block_len: int, k: int, xi: float,
     ``min_widths`` (per stream) raises rest-block fresh lengths to a codec's
     wider input, which only an idealized delta can need.
     """
-    joint, specs, sizes, _, _ = layout
-    _block_exp(block_len)
+    joint, specs, analysis, _, _ = layout
+    exact_log2(block_len)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if xi <= 0 and delta is None:
         raise ValueError("xi must be > 0 (or pass an idealized delta)")
-    plan_delta = delta_concentration(sizes, block_len) if delta is None else delta
+    plan_delta = (delta_concentration(analysis.sizes, block_len)
+                  if delta is None else delta)
     eps = 2.0 * (plan_delta + xi)
     streams = tuple(
         _plan_stream(name, entropy(src),
@@ -299,7 +306,8 @@ class MacCode:
 
     ``codecs`` and ``hashes`` are keyed by stream name in plan order.
     ``channel_inputs`` gives, per channel user in user order, the word's
-    name and the streams it is the bitwise max of.  ``user_order`` (multi
+    name and the streams it is the bitwise max of, and ``analysis`` the
+    finite-N analysis its bounds are read in.  ``user_order`` (multi
     mode) maps chain position to 0-based user index.  ``_assemble`` is its
     one constructor, and derives every field.
     """
@@ -311,6 +319,7 @@ class MacCode:
     codecs: dict[str, ResolvabilityCode]
     hashes: dict[str, ToeplitzHash]
     channel_inputs: ChannelWords
+    analysis: Analysis
     user_order: tuple[int, ...] | None = None
 
 
@@ -332,16 +341,19 @@ def build_mac_code(
     """Compose plan, rate split, polar profiles, and hashes into a MacCode.
 
     Mode ``auto`` resolves two-user channels to case1/case2 by the exact
-    dichotomy; requesting the wrong case raises, and so do ``eps_split`` or
-    ``target_r1`` outside case 1 (or both at once) and an ``order`` outside
-    multi mode.  Case 1 splits at ``eps_split``, at the eps ``solve_eps``
-    finds for ``target_r1``, or else at 0.5.  ``xi`` and ``delta`` are
-    ``make_plan``'s.  This is the only place a code is profiled: beyond
-    ``EXACT_CAP_N`` each stream samples ``PROFILE_SAMPLES`` blocks from one
-    seed drawn from ``rng``, with its plan position as spawn key.  Hash
-    functions are sampled once here and stay fixed for all blocks and trials.
+    dichotomy, others to multi; the wrong case raises, and so does
+    ``target_r1`` outside case 1 or with ``eps_split`` (``_stream_specs``
+    refuses the rest).  Case 1 splits at ``eps_split``, at the eps
+    ``solve_eps`` finds for ``target_r1``, or else at 0.5.  ``xi`` and
+    ``delta`` are ``make_plan``'s.  This is the only place a code is
+    profiled: beyond ``EXACT_CAP_N`` each stream samples ``PROFILE_SAMPLES``
+    blocks from one seed drawn from ``rng``, with its plan position as spawn
+    key.  Hash functions are sampled once here and stay fixed for all blocks
+    and trials.
     """
     inputs = list(inputs)
+    if target_r1 is not None and eps_split is not None:
+        raise ValueError("give a rate split's eps or its target r1, not both")
     if mode in ("auto", "case1", "case2") and ch.n_users == 2:
         actual = classify_two_user(ch, inputs[0], inputs[1])
         if mode not in ("auto", actual):
@@ -349,16 +361,12 @@ def build_mac_code(
                 f"channel is {actual} (dichotomy at {CASE_TOL}); refusing {mode}"
             )
         mode = actual
-    elif mode in ("case1", "case2"):
-        raise ValueError(f"{mode} needs a two-user channel")
+        if mode == "case1" and eps_split is None:
+            eps_split = 0.5 if target_r1 is None else solve_eps(
+                ch, inputs[0], float(inputs[1].pmf[1]), target_r1).eps
     elif mode == "auto":
         mode = "multi"
-    if target_r1 is not None and eps_split is not None:
-        raise ValueError("give a rate split's eps or its target r1, not both")
-    if mode == "case1" and eps_split is None:
-        eps_split = 0.5 if target_r1 is None else solve_eps(
-            ch, inputs[0], float(inputs[1].pmf[1]), target_r1).eps
-    elif target_r1 is not None:
+    if target_r1 is not None and mode != "case1":
         raise ValueError(f"a rate split's target r1 applies to case 1 only, "
                          f"not {mode}")
     if order is None and mode == "multi":
@@ -392,15 +400,15 @@ def _assemble(ch: MacChannel, inputs: Sequence[Dist], mode: str,
     lengths are the plan's minimum codec widths.
     """
     layout = _stream_specs(ch, inputs, mode, eps_split, user_order)
-    _, specs, _, words, split = layout
-    n_exp = _block_exp(block_len)
+    _, specs, analysis, words, split = layout
+    n_exp = exact_log2(block_len)
     codecs = {name: codec_of(idx, name, src, n_exp)
               for idx, (name, src, _, _) in enumerate(specs)}
     plan = _plan(layout, mode, block_len, k, xi, delta,
                  {name: codec.seed_len for name, codec in codecs.items()})
     hashes = {s.name: hash_of(s) for s in plan.streams}
     return MacCode(ch, tuple(inputs), plan, split, codecs, hashes, words,
-                   user_order=user_order)
+                   analysis, user_order=user_order)
 
 
 # -- encoding ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .probcore import (
     MacChannel,
     all_bit_rows,
     bits_to_index,
+    exact_log2,
     min_entropy_conditional,
     mutual_information,
     row_slices,
@@ -57,8 +58,6 @@ __all__ = [
     "assemble_mc_metrics",
     "lhl_bound_check",
     "delta0",
-    "delta0_multi",
-    "analysis_delta0",
     "delta_block",
     "delta_recycle",
     "delta_joint_recycle",
@@ -169,28 +168,10 @@ def region_multi(ch: MacChannel, inputs: list[Dist]) -> RegionSpec:
 # -- finite-N reference curves (reported, typically vacuous at desk scale) ------
 
 
-def delta0(block_len: int, xi: float) -> float:
-    """Hash-uniformity constant 2/N + sqrt(7) 2^(-N xi / 2), two-user."""
-    return 2.0 / block_len + math.sqrt(7.0) * 2.0 ** (-block_len * xi / 2.0)
-
-
-def delta0_multi(block_len: int, xi: float, n_users: int) -> float:
-    """L-user hash-uniformity constant 2/N + 2^(L/2) 2^(-N xi / 2)."""
-    return 2.0 / block_len + 2.0 ** (n_users / 2.0) * 2.0 ** (-block_len * xi / 2.0)
-
-
-def analysis_delta0(code: MacCode) -> tuple[float, int]:
-    """(delta0, L) of the analysis that matches the code's mode.
-
-    Two-user codes are analysed as the 3-user virtual MAC (X, U, V) with
-    the two-user hash constant sqrt(7) = sqrt(2^3 - 1); L-user codes use
-    2^(L/2).  The bound helpers below take L as ``n_users``.
-    """
-    plan = code.plan
-    if plan.mode == "multi":
-        n_users = code.channel.n_users
-        return delta0_multi(plan.block_len, plan.xi, n_users), n_users
-    return delta0(plan.block_len, plan.xi), 3
+def delta0(block_len: int, xi: float, hash_const: float) -> float:
+    """Hash-uniformity term 2/N + c 2^(-N xi / 2), c that of the code's
+    ``Analysis``; the helpers below take its L = len(sizes) as ``n_users``."""
+    return 2.0 / block_len + hash_const * 2.0 ** (-block_len * xi / 2.0)
 
 
 def delta_block(i: int, codec_tv: float, d0: float, n_users: int) -> float:
@@ -382,10 +363,7 @@ class _ExactEngine:
         return out
 
     def block1_state_pmf(self) -> np.ndarray:
-        p = np.array([1.0])
-        for name in self.names:
-            p = np.multiply.outer(p, self.p1[name]).reshape(-1)
-        return p
+        return _product([self.p1[name] for name in self.names])
 
     def advance(self, state_pmf: np.ndarray) -> np.ndarray:
         """One block-Markov step of the joint stream-state law, via the joint key."""
@@ -449,9 +427,7 @@ class _ExactEngine:
         self.release("emission", "b_table")
         target = self.target_z_pow(k - 1)
         if block_laws is not None:
-            prod = np.array([1.0])
-            for pz in block_laws[:-1]:
-                prod = np.multiply.outer(prod, pz).reshape(-1)
+            prod = _product(block_laws[:-1])
 
         def diffs(r0: int, r1: int) -> list[np.ndarray]:
             p = law_rows(r0, r1).reshape(-1)
@@ -464,6 +440,14 @@ class _ExactEngine:
             return refs
 
         return _pairwise_sums(len(target), self.zn, diffs)
+
+
+def _product(laws: list[np.ndarray]) -> np.ndarray:
+    """``np.multiply.outer`` folded over ``laws`` from [1.0], flat."""
+    p = np.array([1.0])
+    for law in laws:
+        p = np.multiply.outer(p, law).reshape(-1)
+    return p
 
 
 def _times_iid(law: np.ndarray, qz: np.ndarray, symbols: int) -> np.ndarray:
@@ -574,7 +558,8 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
                                    plan.block_len)).sum())
         for name in eng.names
     )
-    d0, n_users = analysis_delta0(code)
+    d0 = delta0(plan.block_len, plan.xi, code.analysis.hash_const)
+    n_users = len(code.analysis.sizes)
     rows.append(MetricRow("codec_tv_worst_stream", codec_tv))
     rows.append(MetricRow("bound_delta0", d0))
     rows.append(MetricRow("bound_delta_block_k",
@@ -846,15 +831,11 @@ def lhl_bound_check(
     n_users = joint.n_axes - 1
     if len(hash_lens) != n_users:
         raise ValueError(f"{len(hash_lens)} hash lengths for {n_users} sources")
-    in_lens = []
-    for l in range(n_users):
-        size = joint.axes[l].size
-        n_l = size.bit_length() - 1
-        if 1 << n_l != size:
-            raise ValueError(f"axis {l} size {size} is not a power of two")
-        if hash_lens[l] > n_l:
-            raise ValueError(f"hash length {hash_lens[l]} exceeds input bits {n_l}")
-        in_lens.append(n_l)
+    in_lens = [exact_log2(joint.axes[l].size, f"axis {l} size")
+               for l in range(n_users)]
+    # drawn first, as the loop drew them: sample_hash refuses r > n_l early
+    tuples = [[sample_hash(rng, n_l, r) for n_l, r in zip(in_lens, hash_lens)]
+              for _ in range(n_hashes)]
     q_z = joint.marginal_dist(n_users)
 
     bound_sq = 0.0
@@ -869,8 +850,7 @@ def lhl_bound_check(
     total_r = sum(hash_lens)
     ideal = np.full((1 << total_r,), 2.0 ** (-total_r))[:, None] * q_z.pmf[None, :]
     tv_sum = 0.0
-    for _ in range(n_hashes):
-        hs = [sample_hash(rng, in_lens[l], hash_lens[l]) for l in range(n_users)]
+    for hs in tuples:
         hashed = hashed_joint_dist_exact(hs, joint)
         flat = hashed.pmf.reshape(1 << total_r, q_z.alphabet.size)
         tv_sum += float(np.abs(flat - ideal).sum())

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probcore import Dist, all_bit_rows, entropy, row_slices
+from .probcore import Dist, all_bit_rows, entropy, exact_log2, row_slices
 
 __all__ = [
     "EXACT_CAP_N",
@@ -69,9 +69,7 @@ def polar_transform(bits: np.ndarray) -> np.ndarray:
     work runs coordinate-major, so a batched result is a transposed view.
     """
     x = np.moveaxis(np.asarray(bits), -1, 0)
-    n_sym = x.shape[0]
-    if n_sym == 0 or (n_sym & (n_sym - 1)) != 0:
-        raise ValueError(f"length must be a power of two, got {n_sym}")
+    exact_log2(x.shape[0], "length")
     x = np.array(x, dtype=np.uint8, order="C")
     x &= 1
     return np.moveaxis(_transform_cm(x), 0, -1)

@@ -451,6 +451,14 @@ def unpack_bits(packed: np.ndarray, n: int) -> np.ndarray:
     return bits if n % 8 == 0 else np.ascontiguousarray(bits[..., :n])
 
 
+def exact_log2(size: int, what: str = "N") -> int:
+    """n with size = 2^n; any other ``size`` is refused, naming ``what``."""
+    n_exp = size.bit_length() - 1
+    if size < 1 or 1 << n_exp != size:
+        raise ValueError(f"{what} must be a power of two, got {size}")
+    return n_exp
+
+
 def all_bit_rows(n: int) -> np.ndarray:
     """All 2^n bit rows in index order, shape (2^n, n)."""
     return index_to_bits(np.arange(1 << n), n)

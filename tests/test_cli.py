@@ -576,6 +576,8 @@ class TestDescriptorContents:
          "case 1 needs a rate-split point"),
         ("adder3_spec", lambda desc: desc.update(mode="case1"),
          "a user order applies to multi mode only, not case1"),
+        ("adder3_spec", lambda desc: desc.update(mode="case2", user_order=None),
+         "case2 needs a two-user channel"),
     ])
     def test_field_the_mode_does_not_take_refused(self, request, tmp_path,
                                                   capsys, spec, edit, message):
@@ -720,8 +722,10 @@ class TestSimulateRefusesBeforeWork:
         assert "supports L <= 4" in capsys.readouterr().err
         assert not (tmp_path / "s" / OUTPUT[command]).exists()
 
-    def test_pool_has_no_more_workers_than_chunks(self, adder_spec,
-                                                  monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of each pool ``cli`` makes; the pools run their
+        tasks on the calling thread, so no thread is started."""
         sizes = []
 
         class SerialPool:
@@ -738,12 +742,33 @@ class TestSimulateRefusesBeforeWork:
                 return [fn(item) for item in items]
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_chunks(self, adder_spec,
+                                                  monkeypatch, pool_sizes):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(cli.evaluator, "mc_chunk_features",
                             lambda code, n_trials, rng, **kw: {"trials": n_trials})
         cfg = cli.ExperimentConfig(channel=adder_spec, workers=8,
                                    trials=2 * cli.CHUNK_TRIALS)
         assert cli._mc_features_parallel(None, cfg) == {"trials": cfg.trials}
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    def test_pool_has_no_more_workers_than_cores(self, adder_spec, monkeypatch,
+                                                 pool_sizes, caplog):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg = cli.ExperimentConfig(channel=adder_spec, n=2, k=2, idealized=True,
+                                   trials=3 * cli.CHUNK_TRIALS)
+        code = cli._build_code(cfg)
+        serial = cli._mc_features_parallel(code, cfg)
+        assert pool_sizes == [] and not caplog.records
+        with caplog.at_level(logging.INFO, logger="macresolve"):
+            clamped = cli._mc_features_parallel(code, replace(cfg, workers=100000))
+        assert pool_sizes == [2]
+        assert [r.getMessage() for r in caplog.records] == [
+            "--workers 100000 clamped to 2 cores"]
+        for key in serial:
+            np.testing.assert_array_equal(clamped[key], serial[key])
 
 
 class TestChunkThreads:
@@ -760,12 +785,14 @@ class TestChunkThreads:
         assert cli._mc_features_parallel(None, cfg) == {"trials": cfg.trials}
         assert pids == [os.getpid()] * 2
 
-    def test_racing_threads_leave_the_code_unchanged(self, adder_spec):
+    def test_racing_threads_leave_the_code_unchanged(self, adder_spec,
+                                                     monkeypatch):
         # four threads that switch every microsecond share one code: none of
         # its codecs or hashes gains, loses or replaces a member
         cfg = cli.ExperimentConfig(channel=adder_spec, n=16, k=2, idealized=True,
                                    trials=3 * cli.CHUNK_TRIALS + 1000)
         code = cli._build_code(cfg)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         parts = [*code.codecs.values(), *code.hashes.values()]
         before = [dict(vars(p)) for p in parts]
         old = sys.getswitchinterval()

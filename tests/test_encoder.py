@@ -121,6 +121,14 @@ class TestPlan:
             make_plan(adder_mac3(), [UNIF] * 3, "multi", 8, 2, 0.05,
                       order=(0, 0, 1))
 
+    @pytest.mark.parametrize("mode,kw", [("case2", {}),
+                                         ("case1", {"eps_split": 0.5})])
+    def test_two_user_mode_on_three_users_refused(self, mode, kw):
+        # the plan is refused as build refuses it, not made for x and y
+        with pytest.raises(ValueError, match=f"{mode} needs a two-user channel"):
+            make_plan(adder_mac3(), [UNIF] * 3, mode, 8, 2, 0.0, delta=0.0,
+                      **kw)
+
 
 class TestChannelInputs:
     def test_case1_sends_max_of_split_users(self):

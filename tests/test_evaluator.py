@@ -20,7 +20,6 @@ from macresolve.evaluator import (
     _window_cells,
     assemble_mc_metrics,
     delta0,
-    delta0_multi,
     delta_block,
     delta_joint_recycle,
     delta_recycle,
@@ -348,7 +347,7 @@ class TestExactEngine:
         code = small_code(adder_mac(), [UNIF, UNIF], 2, 2, 27)
         rows = {m.name: m.value for m in exact_report(code)}
         # the analysis bounds are vacuous at this scale but must still hold
-        d0 = delta0(2, code.plan.xi)
+        d0 = delta0(2, code.plan.xi, code.analysis.hash_const)
         codec_tv = rows["codec_tv_worst_stream"]
         assert rows["recycled_vs_prev_output_tv_block2"] <= delta_recycle(
             2, codec_tv, d0, 3)
@@ -986,9 +985,27 @@ class TestBootstrapKernels:
 
 class TestBoundCurves:
     def test_delta0_formulas(self):
-        assert delta0(64, 0.1) == pytest.approx(2 / 64 + 7 ** 0.5 * 2 ** -3.2)
-        assert delta0_multi(64, 0.1, 3) == pytest.approx(
+        assert delta0(64, 0.1, 7 ** 0.5) == pytest.approx(
+            2 / 64 + 7 ** 0.5 * 2 ** -3.2)
+        assert delta0(64, 0.1, 2 ** 1.5) == pytest.approx(
             2 / 64 + 2 ** 1.5 * 2 ** -3.2)
+
+    @pytest.mark.parametrize("ch,inputs,mode,n_users,const", [
+        (adder_mac(), [UNIF, UNIF], "case1", 3, 7 ** 0.5),
+        (parallel_mac(), [UNIF, UNIF], "case2", 3, 7 ** 0.5),
+        (adder_mac(), [UNIF, UNIF], "multi", 2, 2.0),
+        (adder_mac3(), [UNIF] * 3, "multi", 3, 2 ** 1.5),
+    ])
+    def test_exact_report_reads_the_modes_analysis(self, ch, inputs, mode,
+                                                   n_users, const):
+        code = build_mac_code(ch, inputs, mode=mode, block_len=2, k=2,
+                              xi=0.1, rng=make_rng(3))
+        assert len(code.analysis.sizes) == n_users
+        rows = {m.name: m.value for m in exact_report(code)}
+        assert rows["bound_delta0"] == pytest.approx(
+            2 / 2 + const * 2 ** (-2 * 0.1 / 2), rel=1e-15)
+        assert rows["bound_joint_tv"] == joint_tv_bound(
+            2, rows["codec_tv_worst_stream"], rows["bound_delta0"], n_users)
 
     def test_block_bound_satisfies_induction_step(self):
         # the closed form obeys delta_{i+1} = 3 (d + d0 + delta_i)
