@@ -302,8 +302,8 @@ def _evaluate(code: encoder.MacCode, cfg: ExperimentConfig, route: str | None
     """Mode, metric rows and notes of ``code``'s report on ``_admit``'s route;
     Monte-Carlo rows gain the hash-uniformity floor of the whole-run bound."""
     plan, analysis = code.plan, code.analysis
-    bound = evaluator.joint_tv_bound(plan.k, 0.0, evaluator.delta0(
-        plan.block_len, plan.xi, analysis.hash_const), len(analysis.sizes))
+    bound = analysis.joint_tv_bound(
+        plan.k, 0.0, analysis.delta0(plan.block_len, plan.xi))
     vacuous = [f"the finite-N analysis bound is vacuous here ({bound:.3g} > 2)"
                ] if bound > 2.0 else []
     if route is None:
@@ -395,12 +395,20 @@ def cmd_sweep(cfg: ExperimentConfig, n_list, k_list, eps_list) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+def _items(text: str) -> list[str]:
+    """A list flag's comma-separated items; argparse names the flag when an
+    empty list or item is refused."""
+    if "" in (items := text.split(",")):
+        raise argparse.ArgumentTypeError(f"empty list or list item in {text!r}")
+    return items
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+    return [int(t) for t in _items(text)]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
+    return [float(t) for t in _items(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +482,7 @@ def _config_from_args(args) -> ExperimentConfig:
     kw = {f.name: given[f.name] for f in fields(ExperimentConfig)
           if f.name in given}
     if "order" in kw:
-        kw["order"] = tuple(u - 1 for u in kw["order"]) or None
+        kw["order"] = tuple(u - 1 for u in kw["order"])
     if given.get("no_recycle"):
         kw["recycle"] = False
     if {"ideal_xi", "ideal_delta"} & kw.keys() and not kw.get("idealized"):

@@ -58,7 +58,6 @@ __all__ = [
     "run_trials",
     "achieved_rates",
     "classify_two_user",
-    "delta_concentration",
     "code_to_descriptor",
     "code_from_descriptor",
     "descriptor_hash",
@@ -76,24 +75,44 @@ def _ceil_bits(x: float) -> int:
     return max(0, math.ceil(x - 1e-9))
 
 
-def delta_concentration(sizes: Sequence[int], block_len: int) -> float:
-    """Concentration term of an L-user construction over alphabet ``sizes``.
-
-    log2(prod_l |X_l| + 3) * sqrt((2/N)(L + log2 N)); the two-user codes are
-    analysed as the 3-user virtual MAC with sizes (|X|, |Y|, |Y|).
-    """
-    return math.log2(math.prod(sizes) + 3) * math.sqrt(
-        (2.0 / block_len) * (len(sizes) + math.log2(block_len))
-    )
-
-
 @dataclass(frozen=True)
 class Analysis:
-    """A code's finite-N analysis: the input sizes of the L-user MAC it is
-    analysed as, and c of its hash-uniformity term 2/N + c 2^(-N xi / 2)."""
+    """A code's finite-N analysis, the one definition of delta_N, delta0 and
+    the bound family: the input sizes of the L-user MAC it is analysed as
+    (two-user codes: the virtual MAC (X, U, V), sizes (|X|, |Y|, |Y|)), and
+    c of its hash-uniformity term."""
 
     sizes: tuple[int, ...]
     hash_const: float
+
+    def delta(self, block_len: int) -> float:
+        """Concentration term log2(prod_l |X_l| + 3) sqrt((2/N)(L + log2 N))."""
+        return math.log2(math.prod(self.sizes) + 3) * math.sqrt(
+            (2.0 / block_len) * (len(self.sizes) + math.log2(block_len)))
+
+    def delta0(self, block_len: int, xi: float) -> float:
+        """Hash-uniformity term 2/N + c 2^(-N xi / 2)."""
+        return 2.0 / block_len + \
+            self.hash_const * 2.0 ** (-block_len * xi / 2.0)
+
+    def delta_block(self, i: int, codec_tv: float, d0: float) -> float:
+        """Per-block bound L(d + d0)(L^i - 1)/(L - 1) + L^(i+1) d."""
+        ell = len(self.sizes)
+        geom = float(i) if ell == 1 else (ell ** i - 1.0) / (ell - 1.0)
+        return ell * (codec_tv + d0) * geom + ell ** (i + 1) * codec_tv
+
+    def delta_recycle(self, i: int, codec_tv: float, d0: float) -> float:
+        """Recycled-vs-previous-output bound 4 delta_{i-1} + 2 delta0."""
+        return 4.0 * self.delta_block(i - 1, codec_tv, d0) + 2.0 * d0
+
+    def delta_joint_recycle(self, i: int, codec_tv: float, d0: float) -> float:
+        """Recycled-vs-all-previous-outputs bound (2^(i-1) - 1) delta_i^(1)."""
+        return (2.0 ** (i - 1) - 1.0) * self.delta_recycle(i, codec_tv, d0)
+
+    def joint_tv_bound(self, k: int, codec_tv: float, d0: float) -> float:
+        """Whole-run bound (k-1) delta_k^(2) + k delta_k."""
+        return (k - 1) * self.delta_joint_recycle(k, codec_tv, d0) + \
+            k * self.delta_block(k, codec_tv, d0)
 
 
 @dataclass(frozen=True)
@@ -266,7 +285,7 @@ def make_plan(
     recycles at H(S | conditioning) and draws I(S; conditioning) + eps fresh
     bits per rest block, computed exactly from the joint law, with
     eps = 2 (delta + xi).  ``delta`` None is the analysis term
-    ``delta_concentration``; a number replaces it (xi may then be 0) and
+    ``Analysis.delta``; a number replaces it (xi may then be 0) and
     marks the plan ``idealized``.
     """
     return _plan(_stream_specs(ch, inputs, mode, eps_split, order), mode,
@@ -281,13 +300,12 @@ def _plan(layout: Layout, mode: str, block_len: int, k: int, xi: float,
     wider input, which only an idealized delta can need.
     """
     joint, specs, analysis, _, _ = layout
-    exact_log2(block_len)
+    block_len = 1 << exact_log2(block_len)   # a numpy integer plans as its int
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if xi <= 0 and delta is None:
         raise ValueError("xi must be > 0 (or pass an idealized delta)")
-    plan_delta = (delta_concentration(analysis.sizes, block_len)
-                  if delta is None else delta)
+    plan_delta = analysis.delta(block_len) if delta is None else delta
     eps = 2.0 * (plan_delta + xi)
     streams = tuple(
         _plan_stream(name, entropy(src),
@@ -372,6 +390,7 @@ def build_mac_code(
     if order is None and mode == "multi":
         order = range(ch.n_users)
     user_order = tuple(order) if order is not None else None
+    block_len = 1 << exact_log2(block_len)   # a numpy integer builds as its int
 
     seed = int(rng.integers(0, 2 ** 63 - 1)) if block_len > EXACT_CAP_N else None
 

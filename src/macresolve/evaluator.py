@@ -14,8 +14,9 @@ Full-block variational distance over Z^{kN} cannot be estimated by sampling
 at realistic sizes, so the exact joint TV is computed in exhaustive mode
 only; windowed-marginal TV and the independence diagnostics are the scalable
 proxies and are labeled as such.  The finite-N reference curves delta_i,
-delta_i^(1), delta_i^(2) are reported alongside, and are typically vacuous
-(> 2) at desk scale; the report says so rather than hiding it.
+delta_i^(1), delta_i^(2) of the code's ``Analysis`` are reported alongside,
+and are typically vacuous (> 2) at desk scale; the report says so rather
+than hiding it.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ __all__ = [
     "mc_chunk_features",
     "assemble_mc_metrics",
     "lhl_bound_check",
-    "delta0",
-    "delta_block",
-    "delta_recycle",
-    "delta_joint_recycle",
-    "joint_tv_bound",
 ]
 
 # the exhaustive pass holds at most this many entries of a |Z|^(kN) output law
@@ -163,37 +159,6 @@ def region_multi(ch: MacChannel, inputs: list[Dist]) -> RegionSpec:
     if ch.n_users > 4:
         raise ValueError(f"exact region computation supports L <= 4, got {ch.n_users}")
     return _region(ch, list(inputs))
-
-
-# -- finite-N reference curves (reported, typically vacuous at desk scale) ------
-
-
-def delta0(block_len: int, xi: float, hash_const: float) -> float:
-    """Hash-uniformity term 2/N + c 2^(-N xi / 2), c that of the code's
-    ``Analysis``; the helpers below take its L = len(sizes) as ``n_users``."""
-    return 2.0 / block_len + hash_const * 2.0 ** (-block_len * xi / 2.0)
-
-
-def delta_block(i: int, codec_tv: float, d0: float, n_users: int) -> float:
-    """L-user per-block bound L(d + d0)(L^i - 1)/(L - 1) + L^(i+1) d."""
-    geom = float(i) if n_users == 1 else (n_users ** i - 1.0) / (n_users - 1.0)
-    return n_users * (codec_tv + d0) * geom + n_users ** (i + 1) * codec_tv
-
-
-def delta_recycle(i: int, codec_tv: float, d0: float, n_users: int) -> float:
-    """Recycled-vs-previous-output bound 4 delta_{i-1} + 2 delta0."""
-    return 4.0 * delta_block(i - 1, codec_tv, d0, n_users) + 2.0 * d0
-
-
-def delta_joint_recycle(i: int, codec_tv: float, d0: float, n_users: int) -> float:
-    """Recycled-vs-all-previous-outputs bound (2^(i-1) - 1) delta_i^(1)."""
-    return (2.0 ** (i - 1) - 1.0) * delta_recycle(i, codec_tv, d0, n_users)
-
-
-def joint_tv_bound(k: int, codec_tv: float, d0: float, n_users: int) -> float:
-    """Whole-run bound (k-1) delta_k^(2) + k delta_k."""
-    return (k - 1) * delta_joint_recycle(k, codec_tv, d0, n_users) + \
-        k * delta_block(k, codec_tv, d0, n_users)
 
 
 # -- exact (exhaustive) evaluation ----------------------------------------------
@@ -558,14 +523,13 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
                                    plan.block_len)).sum())
         for name in eng.names
     )
-    d0 = delta0(plan.block_len, plan.xi, code.analysis.hash_const)
-    n_users = len(code.analysis.sizes)
+    d0 = code.analysis.delta0(plan.block_len, plan.xi)
     rows.append(MetricRow("codec_tv_worst_stream", codec_tv))
     rows.append(MetricRow("bound_delta0", d0))
     rows.append(MetricRow("bound_delta_block_k",
-                          delta_block(plan.k, codec_tv, d0, n_users)))
+                          code.analysis.delta_block(plan.k, codec_tv, d0)))
     rows.append(MetricRow("bound_joint_tv",
-                          joint_tv_bound(plan.k, codec_tv, d0, n_users)))
+                          code.analysis.joint_tv_bound(plan.k, codec_tv, d0)))
     return rows
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -452,9 +453,14 @@ def unpack_bits(packed: np.ndarray, n: int) -> np.ndarray:
 
 
 def exact_log2(size: int, what: str = "N") -> int:
-    """n with size = 2^n; any other ``size`` is refused, naming ``what``."""
-    n_exp = size.bit_length() - 1
-    if size < 1 or 1 << n_exp != size:
+    """n with size = 2^n, a numpy integer read as its int; any other
+    ``size``, a float or a bool too, is refused, naming ``what``."""
+    try:
+        n = -1 if isinstance(size, bool) else operator.index(size)
+    except TypeError:
+        n = -1
+    n_exp = n.bit_length() - 1
+    if n < 1 or 1 << n_exp != n:
         raise ValueError(f"{what} must be a power of two, got {size}")
     return n_exp
 

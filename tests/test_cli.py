@@ -937,6 +937,26 @@ class TestOrderFlag:
         assert desc["user_order"] == [1, 0]
 
 
+class TestListFlags:
+    @pytest.mark.parametrize("command,flags", [
+        ("build", ["--mode", "case1", "--order", ""]),
+        ("build", ["--mode", "multi", "--order", ",,"]),
+        ("build", ["--mode", "multi", "--order", "2,1,"]),
+        ("sweep", ["--n-list", ""]),
+        ("sweep", ["--k-list", "2,,3"]),
+        ("sweep", ["--eps-list", ","]),
+    ])
+    def test_empty_list_or_item_refused(self, adder_spec, tmp_path, capsys,
+                                        command, flags):
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--channel", adder_spec, "--out-dir",
+                  str(tmp_path / "o"), "--idealized", *flags])
+        assert refused.value.code == 2
+        assert f"argument {flags[-2]}: empty list or list item in " \
+               f"{flags[-1]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSweepCommand:
     def test_grid_csv(self, adder_spec, tmp_path):
         rc = main(["sweep", "--channel", adder_spec, "--out-dir",

@@ -10,13 +10,13 @@ from conftest import adder_mac, adder_mac3, parallel_mac, random_input, \
     random_mac
 from macresolve import encoder
 from macresolve.encoder import (
+    Analysis,
     _chain_encode,
     achieved_rates,
     build_mac_code,
     classify_two_user,
     code_from_descriptor,
     code_to_descriptor,
-    delta_concentration,
     descriptor_hash,
     make_plan,
     run_trials,
@@ -39,7 +39,7 @@ def adder_code(n=8, k=3, seed=11, eps_split=0.5):
 class TestPlan:
     def test_concentration_constant_n1024(self):
         # log2(|Y|^2 |X| + 3) sqrt((2/1024)(3 + 10)) with binary inputs
-        d = delta_concentration((2, 2, 2), 1024)
+        d = Analysis((2, 2, 2), math.sqrt(7.0)).delta(1024)
         expect = math.log2(11) * math.sqrt((2 / 1024) * 13)
         assert d == pytest.approx(expect, abs=1e-15)
         assert d == pytest.approx(0.5512409165428579, abs=1e-12)
@@ -79,6 +79,18 @@ class TestPlan:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             make_plan(adder_mac(), [UNIF, UNIF], "case2", 12, 2, 0.05)
+
+    def test_numpy_block_length_is_read_as_its_int(self):
+        inputs = [Dist.bernoulli(0.3), Dist.bernoulli(0.6)]
+        plan = make_plan(parallel_mac(), inputs, "case2", np.int64(8), 2, 0.0,
+                         delta=0.0)
+        assert type(plan.block_len) is int
+        assert plan == make_plan(parallel_mac(), inputs, "case2", 8, 2, 0.0,
+                                 delta=0.0)
+        descs = [code_to_descriptor(build_mac_code(
+            parallel_mac(), inputs, block_len=n, k=2, xi=0.0, delta=0.0,
+            rng=make_rng(1)), BUILD) for n in (np.int64(8), 8)]
+        assert descs[0] == descs[1]
 
     def test_k_one_single_block(self):
         code = adder_code(n=4, k=1)

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import adder_mac, adder_mac3, parallel_mac, random_input, random_mac, \
     xor_mac
-from macresolve.encoder import BatchTranscript, build_mac_code, run_trials
+from macresolve.encoder import Analysis, BatchTranscript, build_mac_code, \
+    run_trials
 from macresolve import evaluator
 from macresolve.evaluator import (
     RegionSpec,
@@ -19,12 +20,7 @@ from macresolve.evaluator import (
     _replicates,
     _window_cells,
     assemble_mc_metrics,
-    delta0,
-    delta_block,
-    delta_joint_recycle,
-    delta_recycle,
     exact_report,
-    joint_tv_bound,
     lhl_bound_check,
     mc_chunk_features,
     region_2user,
@@ -48,6 +44,7 @@ from macresolve.probcore import (
 )
 
 UNIF = Dist.bernoulli(0.5)
+IDENTITY1 = MacChannel((Alphabet(2),), Alphabet(2), np.eye(2))   # 1 user
 
 
 class TestRegionTwoUser:
@@ -346,11 +343,13 @@ class TestExactEngine:
     def test_exact_independence_diagnostics_below_bounds(self):
         code = small_code(adder_mac(), [UNIF, UNIF], 2, 2, 27)
         rows = {m.name: m.value for m in exact_report(code)}
-        # the analysis bounds are vacuous at this scale but must still hold
-        d0 = delta0(2, code.plan.xi, code.analysis.hash_const)
-        codec_tv = rows["codec_tv_worst_stream"]
-        assert rows["recycled_vs_prev_output_tv_block2"] <= delta_recycle(
-            2, codec_tv, d0, 3)
+        # the analysis bounds are vacuous at this scale but must still hold;
+        # L = 3, c = sqrt(7), xi = 0: delta0 = 2/N + c, delta_1 = L(d + d0) + L^2 d
+        d0 = 2 / 2 + 7 ** 0.5
+        d = rows["codec_tv_worst_stream"]
+        assert rows["bound_delta0"] == pytest.approx(d0, rel=1e-15)
+        delta_recycle_2 = 4 * (3 * (d + d0) + 9 * d) + 2 * d0
+        assert rows["recycled_vs_prev_output_tv_block2"] <= delta_recycle_2
         assert rows["joint_output_tv"] <= rows["bound_joint_tv"]
 
 
@@ -985,9 +984,9 @@ class TestBootstrapKernels:
 
 class TestBoundCurves:
     def test_delta0_formulas(self):
-        assert delta0(64, 0.1, 7 ** 0.5) == pytest.approx(
+        assert Analysis((2, 2, 2), 7 ** 0.5).delta0(64, 0.1) == pytest.approx(
             2 / 64 + 7 ** 0.5 * 2 ** -3.2)
-        assert delta0(64, 0.1, 2 ** 1.5) == pytest.approx(
+        assert Analysis((2, 2, 2), 2 ** 1.5).delta0(64, 0.1) == pytest.approx(
             2 / 64 + 2 ** 1.5 * 2 ** -3.2)
 
     @pytest.mark.parametrize("ch,inputs,mode,n_users,const", [
@@ -995,6 +994,7 @@ class TestBoundCurves:
         (parallel_mac(), [UNIF, UNIF], "case2", 3, 7 ** 0.5),
         (adder_mac(), [UNIF, UNIF], "multi", 2, 2.0),
         (adder_mac3(), [UNIF] * 3, "multi", 3, 2 ** 1.5),
+        (IDENTITY1, [Dist.bernoulli(0.21)], "multi", 1, 2 ** 0.5),
     ])
     def test_exact_report_reads_the_modes_analysis(self, ch, inputs, mode,
                                                    n_users, const):
@@ -1002,30 +1002,48 @@ class TestBoundCurves:
                               xi=0.1, rng=make_rng(3))
         assert len(code.analysis.sizes) == n_users
         rows = {m.name: m.value for m in exact_report(code)}
-        assert rows["bound_delta0"] == pytest.approx(
-            2 / 2 + const * 2 ** (-2 * 0.1 / 2), rel=1e-15)
-        assert rows["bound_joint_tv"] == joint_tv_bound(
-            2, rows["codec_tv_worst_stream"], rows["bound_delta0"], n_users)
+        d, d0, ell = rows["codec_tv_worst_stream"], rows["bound_delta0"], n_users
+        assert d0 == pytest.approx(2 / 2 + const * 2 ** (-2 * 0.1 / 2),
+                                   rel=1e-15)
+
+        def block(i):   # L(d + d0)(L^i - 1)/(L - 1) + L^(i+1) d
+            return ell * (d + d0) * sum(ell ** j for j in range(i)) + \
+                ell ** (i + 1) * d
+        assert rows["bound_delta_block_k"] == pytest.approx(block(2), rel=1e-12)
+        # (k-1)(2^(k-1) - 1)(4 delta_(k-1) + 2 d0) + k delta_k at k = 2
+        assert rows["bound_joint_tv"] == pytest.approx(
+            4 * block(1) + 2 * d0 + 2 * block(2), rel=1e-12)
+
+    def test_one_user_report_keeps_its_bounds(self):
+        # L = 1 takes the (L^i - 1)/(L - 1) -> i branch of the block bound
+        code = build_mac_code(IDENTITY1, [Dist.bernoulli(0.21)], mode="multi",
+                              block_len=2, k=2, xi=0.1, rng=make_rng(3))
+        rows = {m.name: m.value for m in exact_report(code)}
+        assert rows["bound_delta0"] == 2.319507910772894
+        assert rows["bound_joint_tv"] == 33.669879107728946
 
     def test_block_bound_satisfies_induction_step(self):
         # the closed form obeys delta_{i+1} = 3 (d + d0 + delta_i)
         d, d0 = 0.01, 0.05
+        three = Analysis((2, 2, 2), 7 ** 0.5)
         for i in range(1, 6):
-            assert delta_block(i + 1, d, d0, 3) == pytest.approx(
-                3 * (d + d0 + delta_block(i, d, d0, 3)), rel=1e-12)
+            assert three.delta_block(i + 1, d, d0) == pytest.approx(
+                3 * (d + d0 + three.delta_block(i, d, d0)), rel=1e-12)
         for ell in (1, 2, 3):
+            an = Analysis((2,) * ell, 2.0 ** (ell / 2.0))
             for i in range(1, 6):
-                assert delta_block(i + 1, d, d0, ell) == pytest.approx(
-                    ell * (d + d0 + delta_block(i, d, d0, ell)), rel=1e-12)
+                assert an.delta_block(i + 1, d, d0) == pytest.approx(
+                    ell * (d + d0 + an.delta_block(i, d, d0)), rel=1e-12)
 
     def test_recycle_bounds_compose(self):
         d, d0 = 0.01, 0.05
-        assert delta_recycle(3, d, d0, 3) == pytest.approx(
-            4 * delta_block(2, d, d0, 3) + 2 * d0)
-        assert delta_joint_recycle(3, d, d0, 3) == pytest.approx(
-            (2 ** 2 - 1) * delta_recycle(3, d, d0, 3))
-        assert joint_tv_bound(3, d, d0, 3) == pytest.approx(
-            2 * delta_joint_recycle(3, d, d0, 3) + 3 * delta_block(3, d, d0, 3))
+        an = Analysis((2, 2, 2), 7 ** 0.5)
+        assert an.delta_recycle(3, d, d0) == pytest.approx(
+            4 * an.delta_block(2, d, d0) + 2 * d0)
+        assert an.delta_joint_recycle(3, d, d0) == pytest.approx(
+            (2 ** 2 - 1) * an.delta_recycle(3, d, d0))
+        assert an.joint_tv_bound(3, d, d0) == pytest.approx(
+            2 * an.delta_joint_recycle(3, d, d0) + 3 * an.delta_block(3, d, d0))
 
 
 class TestLhlBoundCheck:

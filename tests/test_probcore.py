@@ -16,6 +16,7 @@ from macresolve.probcore import (
     channel_to_json,
     conditional_entropy,
     entropy,
+    exact_log2,
     index_to_bits,
     load_channel_file,
     make_rng,
@@ -372,6 +373,24 @@ class TestBitPacking:
         if len(shape) == 3:   # a strided block of a (rows, k, bytes) array
             np.testing.assert_array_equal(unpack_bits(packed[:, 1], shape[-1]),
                                           bits[:, 1])
+
+
+class TestExactLog2:
+    @pytest.mark.parametrize("size,n", [(1, 0), (8, 3), (np.int64(8), 3),
+                                        (np.uint8(128), 7)],
+                             ids=["1", "8", "int64", "uint8"])
+    def test_integer_powers_of_two(self, size, n):
+        assert exact_log2(size) == n
+        assert type(exact_log2(size)) is int
+
+    @pytest.mark.parametrize("size", [0, -4, 6, 8.0, np.float64(8), True,
+                                      np.True_, "8"],
+                             ids=["0", "-4", "6", "float", "float64", "bool",
+                                  "numpy_bool", "str"])
+    def test_others_refused(self, size):
+        with pytest.raises(ValueError,
+                           match="^axis 0 size must be a power of two, got "):
+            exact_log2(size, "axis 0 size")
 
 
 class TestChannelJson:
