@@ -228,9 +228,12 @@ def _stream_specs(
     on the streams before it in the chain order.  Both two-user modes are
     analysed as the 3-user virtual MAC, sizes (|X|, |Y|, |Y|) and c = sqrt(7),
     multi mode as its L users with c = 2^(L/2).  Build, ``make_plan`` and
-    load pass through here, so this is where a split outside case 1, an order
-    outside multi mode and a two-user mode on another channel are refused.
+    load pass through here, so this is where an unknown mode, a split outside
+    case 1, an order outside multi mode and a two-user mode on another
+    channel are refused.
     """
+    if mode not in ("case1", "case2", "multi"):
+        raise ValueError(f"unknown mode {mode!r}")
     if eps_split is not None and mode != "case1":
         raise ValueError(f"a rate split applies to case 1 only, not {mode}")
     if order is not None and mode != "multi":
@@ -248,15 +251,13 @@ def _stream_specs(
     elif mode == "case2":
         vch, laws, names = ch, list(inputs), ("x", "y")
         plan = chain = (0, 1)
-    elif mode == "multi":
+    else:
         if order is None or sorted(order) != list(range(ch.n_users)):
             raise ValueError(
                 f"order {order} is not a permutation of 0..{ch.n_users - 1}")
         vch, laws = ch, list(inputs)
         names = tuple(f"x{user + 1}" for user in range(ch.n_users))
         plan = chain = tuple(order)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     words = ((("x", ("x",)), ("y", ("u", "v"))) if mode == "case1"
              else tuple((name, (name,)) for name in names))
     specs = [(names[a], laws[a], a, [vch.n_users, *chain[:chain.index(a)]])
@@ -595,7 +596,7 @@ def code_to_descriptor(code: MacCode, build_hash: str) -> dict:
     profiles.  Its ``config_hash`` stamps the body with ``build_hash``.
     """
     body = _descriptor_body(code)
-    return {**body, "config_hash": _stamp(build_hash, _body_json(body))}
+    return {**body, "config_hash": _stamp(build_hash, body)}
 
 
 def _descriptor_body(code: MacCode) -> dict:
@@ -626,10 +627,10 @@ def _descriptor_body(code: MacCode) -> dict:
     }
 
 
-def _stamp(build_hash: str, body_json: str) -> str:
-    """The ``config_hash`` of a body (as ``_body_json``) under ``build_hash``."""
-    body_hash = hashlib.sha256(body_json.encode()).hexdigest()[:16]
-    return hashlib.sha256(f"{build_hash} {body_hash}".encode()).hexdigest()[:16]
+def _stamp(build_hash: str, body: dict) -> str:
+    """The ``config_hash`` of a descriptor body under ``build_hash``."""
+    stamp = f"{build_hash} {descriptor_hash(body)}"
+    return hashlib.sha256(stamp.encode()).hexdigest()[:16]
 
 
 def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
@@ -668,7 +669,7 @@ def code_from_descriptor(desc: dict, build_hash: str) -> MacCode:
                          s.hash_len))
     body = _descriptor_body(code)
     where = _first_difference(
-        {**body, "config_hash": _stamp(build_hash, _body_json(body))}, desc)
+        {**body, "config_hash": _stamp(build_hash, body)}, desc)
     if where == "['config_hash']":
         raise ValueError(
             f"descriptor config_hash {desc.get('config_hash')!r} does not "
@@ -704,11 +705,8 @@ def _first_difference(built, stored, path: str = "") -> str | None:
 
 
 def descriptor_hash(desc: dict) -> str:
-    """Hash of the descriptor's code, its ``config_hash`` stamp left out."""
-    return hashlib.sha256(_body_json(desc).encode()).hexdigest()[:16]
-
-
-def _body_json(desc: dict) -> str:
-    """Canonical JSON of the descriptor, its ``config_hash`` stamp left out."""
-    return json.dumps({key: v for key, v in desc.items() if key != "config_hash"},
+    """Hash of the descriptor's code (its canonical JSON), its
+    ``config_hash`` stamp left out."""
+    body = json.dumps({key: v for key, v in desc.items() if key != "config_hash"},
                       sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()[:16]

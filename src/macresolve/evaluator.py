@@ -287,13 +287,23 @@ class _ExactEngine:
         self.key_groups = np.split(np.argsort(self.keys, kind="stable"),
                                    bounds[:-1])
 
+    def _c_columns(self, grids) -> np.ndarray:
+        """(keys, states): C's columns at the joint states whose word index
+        per stream is ``grids`` (index arrays that broadcast together), each
+        entry prod_s C_s[r_s, w_s] multiplied in stream order, as ``np.kron``
+        folds the C_s."""
+        cols = np.ones((1,) * (1 + np.ndim(grids[0])))
+        for (laws, _), grid in zip(self.stream_laws, grids):
+            cols = np.multiply(cols[:, None], laws[:, grid], order="C")
+            cols = cols.reshape(len(cols) * len(laws), *cols.shape[2:])
+        return cols.reshape(len(cols), -1)
+
     @cached_property
     def c_table(self) -> np.ndarray:
-        """C = kron_s C_s, (keys, joint stream states)."""
-        c_table = np.ones((1, 1))
-        for laws, _ in self.stream_laws:
-            c_table = np.kron(c_table, laws)
-        return c_table
+        """C = kron_s C_s, (keys, joint stream states).  Sparse grids keep
+        each step of the fold the size of its partial product."""
+        n = len(self.names)
+        return self._c_columns(np.indices((self.stream_dim,) * n, sparse=True))
 
     @cached_property
     def b_table(self) -> np.ndarray:
@@ -304,27 +314,19 @@ class _ExactEngine:
 
     @cached_property
     def a_table(self) -> np.ndarray:
-        """A as (keys, |Z|^N keys), one key group r' at a time.
-
-        C's columns of a group are formed from the per-stream laws as the
-        products ``np.kron`` forms, in its order, so A has the floats of
-        ``_keyed(C)`` and C itself is not read.
-        """
+        """A = ``_keyed(C)`` as (keys, |Z|^N keys).  C's columns are formed
+        one key group at a time, so C itself is not read."""
         grids = self._stream_grids()
-        out = np.empty((self.n_keys, self.zn, self.n_keys))
-        for r, idx in enumerate(self.key_groups):
-            cols = np.ones((1, len(idx)))
-            for (laws, _), grid in zip(self.stream_laws, grids):
-                cols = (cols[:, None] * laws[:, grid[idx]]).reshape(
-                    len(cols) * len(laws), len(idx))
-            out[:, :, r] = cols @ self.emission[idx]
-        return out.reshape(self.n_keys, -1)
+        return self._keyed(lambda idx: self._c_columns(grids[:, idx]),
+                           self.n_keys).reshape(self.n_keys, -1)
 
-    def _keyed(self, weights: np.ndarray) -> np.ndarray:
-        """(m, states) -> (m, zn, keys): sum of weights[., w] E[w, .] per key of w."""
-        out = np.empty((len(weights), self.zn, self.n_keys))
+    def _keyed(self, columns, rows: int) -> np.ndarray:
+        """(rows, zn, keys): per key r, the sum over the states w of key r of
+        columns(w) E[w, .], where ``columns(idx)`` gives the (rows, len(idx))
+        weights at the joint states ``idx``."""
+        out = np.empty((rows, self.zn, self.n_keys))
         for r, idx in enumerate(self.key_groups):
-            out[:, :, r] = weights[:, idx] @ self.emission[idx]
+            out[:, :, r] = columns(idx) @ self.emission[idx]
         return out
 
     def block1_state_pmf(self) -> np.ndarray:
@@ -349,7 +351,7 @@ class _ExactEngine:
         E once the first step has read E, E is released before the steps
         through A, and A when they are done.
         """
-        carry = self._keyed(state_pmf[None])[0]             # (zn, keys)
+        carry = self._keyed(lambda idx: state_pmf[None, idx], 1)[0]  # (zn, keys)
         if blocks > 2:
             a_table = self.a_table
             self.release("emission", "a_table")

@@ -132,13 +132,13 @@ def _r1_interval(ch: MacChannel, p_x: Dist, q: float) -> tuple[float, float]:
 def solve_eps(
     ch: MacChannel, p_x: Dist, q: float, target_r1: float
 ) -> SplitPoint:
-    """Find eps with |R1(eps) - target_r1| <= 1e-6 bits.
+    """Find eps with |R1(eps) - target_r1| <= 1e-6 bits, by bisection on [0, 1].
 
-    R1 is continuous in eps and its image contains
-    [I(X; Z), I(X; Z|Y)]; targets outside that interval raise
-    InfeasibleTargetError.  Only continuity is guaranteed (R1 need not be
-    monotone), so a grid pre-scan locates a sign-change bracket and plain
-    bisection finishes the job.
+    R1 is continuous in eps, from R1(0) = I(X; Z) to R1(1) = I(X; Z|Y);
+    targets outside that interval raise InfeasibleTargetError.  A target
+    within 1e-6 of an end is that end's degenerate split.  Any other lies
+    strictly between R1(0) and R1(1), so R1 - target changes sign on [0, 1]
+    and bisection finds a root (R1 need not be monotone).
     """
     lo, hi = _r1_interval(ch, p_x, q)
     if not (lo - 1e-9 <= target_r1 <= hi + 1e-9):
@@ -146,37 +146,18 @@ def solve_eps(
             f"target R1 = {target_r1} outside the achievable interval "
             f"[{lo}, {hi}]"
         )
-    # exact endpoints short-circuit to the degenerate splits
-    if abs(target_r1 - lo) <= 1e-12:
+    if abs(target_r1 - lo) <= SOLVE_TOL:
         return split_rates(ch, p_x, q, 0.0)
-    if abs(target_r1 - hi) <= 1e-12:
+    if abs(target_r1 - hi) <= SOLVE_TOL:
         return split_rates(ch, p_x, q, 1.0)
-
-    grid = np.linspace(0.0, 1.0, 65)
-    pts = [split_rates(ch, p_x, q, float(e)) for e in grid]
-    gaps = [p.r1 - target_r1 for p in pts]
-    best = int(np.argmin(np.abs(gaps)))
-    if abs(gaps[best]) <= SOLVE_TOL:
-        return pts[best]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if gaps[i] == 0.0 or gaps[i] * gaps[i + 1] < 0:
-            bracket = (float(grid[i]), gaps[i], float(grid[i + 1]), gaps[i + 1])
-            break
-    if bracket is None:
-        raise InfeasibleTargetError(
-            f"no eps bracket found for target R1 = {target_r1} "
-            f"(grid range [{min(p.r1 for p in pts)}, {max(p.r1 for p in pts)}])"
-        )
-    e_lo, g_lo, e_hi, g_hi = bracket
+    e_lo, e_hi = 0.0, 1.0   # R1 is below the target at e_lo, above at e_hi
     for _ in range(200):
         e_mid = 0.5 * (e_lo + e_hi)
         pt = split_rates(ch, p_x, q, e_mid)
-        g_mid = pt.r1 - target_r1
-        if abs(g_mid) <= SOLVE_TOL:
+        if abs(pt.r1 - target_r1) <= SOLVE_TOL:
             return pt
-        if g_lo * g_mid <= 0:
-            e_hi, g_hi = e_mid, g_mid
+        if pt.r1 > target_r1:
+            e_hi = e_mid
         else:
-            e_lo, g_lo = e_mid, g_mid
+            e_lo = e_mid
     raise AssertionError(f"bisection failed to reach {SOLVE_TOL} for {target_r1}")

@@ -578,6 +578,9 @@ class TestDescriptorContents:
          "a user order applies to multi mode only, not case1"),
         ("adder3_spec", lambda desc: desc.update(mode="case2", user_order=None),
          "case2 needs a two-user channel"),
+        ("adder_spec", lambda desc: desc.update(mode="case3"),
+         "unknown mode 'case3'"),
+        ("adder_spec", lambda desc: desc.update(k=0), "k must be >= 1, got 0"),
     ])
     def test_field_the_mode_does_not_take_refused(self, request, tmp_path,
                                                   capsys, spec, edit, message):
@@ -901,6 +904,11 @@ class TestAnalysisConstants:
         (["--idealized", "--ideal-delta", "nan"], "--ideal-delta must be finite"),
         (["--seed", "-1"], "--seed must be >= 0"),
         (["--target-r1", "nan"], "--target-r1 must be finite"),
+        (["--k", "0"], "--k must be >= 1"),
+        (["--workers", "0"], "--workers must be >= 1"),
+        (["--beta", "0.5"], "--beta must be in (0, 1/2)"),
+        (["--eps", "1.5"], "--eps must be in [0, 1]"),
+        (["--window", "4"], "--window must be in 1..3"),
     ])
     def test_bad_constant_rejected_up_front(self, parallel_spec, tmp_path,
                                             capsys, flags, message):

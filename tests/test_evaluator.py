@@ -415,6 +415,38 @@ class TestKeySpaceEngine:
         ref = gathered_emission(code, dict(zip(eng.names, eng._stream_grids())))
         assert eng.emission.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("channel, mode, n, seed", [
+        (lambda: (adder_mac(), [UNIF, UNIF]), "case1", 4, 82),
+        # a rank-deficient hash: 64 of the 128 keys have no state
+        (lambda: (adder_mac(), [UNIF, UNIF]), "case1", 4, 84),
+        (lambda: (adder_mac3(), [UNIF] * 3), "multi", 2, 82),
+    ], ids=["case1-adder-n4", "case1-adder-n4-empty-keys", "multi-adder3-n2"])
+    def test_codec_law_is_the_kron_fold(self, channel, mode, n, seed):
+        # C is kron_s C_s and A is _keyed(C), byte for byte
+        ch, inputs = channel()
+        eng = _ExactEngine(small_code(ch, inputs, n, 3, seed, mode=mode))
+        assert eng.n_keys > 1
+        kron = np.ones((1, 1))
+        for laws, _ in eng.stream_laws:
+            kron = np.kron(kron, laws)
+        assert eng.c_table.shape == kron.shape
+        assert eng.c_table.tobytes() == kron.tobytes()
+        keyed = eng._keyed(lambda idx: kron[:, idx], eng.n_keys)
+        assert eng.a_table.shape == (eng.n_keys, eng.zn * eng.n_keys)
+        assert eng.a_table.tobytes() == keyed.tobytes()
+
+    def test_codec_law_forms_in_its_own_size(self):
+        # the fold's last product is C itself, laid out as C: no copy of it
+        code = small_code(adder_mac(), [UNIF, UNIF], 4, 3, 82, mode="case1")
+        eng = _ExactEngine(code)
+        tracemalloc.start()
+        try:
+            c_table = eng.c_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * c_table.nbytes
+
     def test_unrecycled_stream_reuses_block1_law(self, monkeypatch):
         # R = 0: each stream's only clamp is empty, so C_s is its block-1 law
         code = small_code(parallel_mac(), BERN_36, 4, 3, 76, mode="case2")

@@ -129,6 +129,15 @@ class TestSolveEps:
             sp = solve_eps(ch, p_x, q, target)
             assert abs(sp.r1 - target) <= 1e-6
 
+    @pytest.mark.parametrize("target, eps", [
+        (0.55, 0.1409759521484375), (0.6, 0.27495574951171875),
+        (0.8, 0.7276229858398438), (0.95, 0.9561691284179688),
+        # R1 runs over [0.5, 1.0]: a target within 1e-6 of an end is its split
+        (0.5 + 5e-7, 0.0), (0.5 - 5e-10, 0.0), (1.0 - 5e-7, 1.0),
+        (1.0 + 5e-10, 1.0)])
+    def test_uniform_adder_solved_eps(self, target, eps):
+        assert solve_eps(adder_mac(), PX, 0.5, target).eps == eps
+
     def test_infeasible_target_cites_interval(self):
         with pytest.raises(InfeasibleTargetError, match=r"\[0.5, 1.0\]"):
             solve_eps(adder_mac(), PX, 0.5, 1.2)

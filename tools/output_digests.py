@@ -21,16 +21,18 @@ channel is deterministic, so its noise draws reach no output), it runs
 ``simulate --n 8 --k 3 --idealized --trials 9000`` with both worker counts,
 with ``--mode multi`` and in the case 1 that ``auto`` resolves to (off the
 adder, where a case-1 plan's float sums depend on the order they are
-taken in).  On the exact_chain workload's parallel channel it runs the
-idealized ``build --mode case2 --n 4 --k 2`` whose ``--ideal-xi 0.005`` and
-``--ideal-delta 0.005`` clamp every hash (exit 3, asymptotic-only plan); on
-a noise-free 1-user channel with Bern(0.21) input it runs
-``simulate --idealized --n 8 --k 3 --beta 0.05``, whose codec reads one seed
-bit more than the plan's fresh bits, so the plan widens them.  Every run
-names the exit code each of its commands must give.  Each run has its own
-directory of one temporary directory.  Prints one ``sha256  path`` line per
-output file, sorted by path, so that the digests of two trees compare with
-``diff``.
+taken in).  Two corners split at a solved eps, ``simulate --mode case1
+--n 4 --k 2 --idealized --target-r1 T``: T = 0.8 on the adder and T = 0.3
+on the noisy channel (its feasible R1 interval is [0.222, 0.340]).  On the
+exact_chain workload's parallel channel it runs the idealized ``build
+--mode case2 --n 4 --k 2`` whose ``--ideal-xi 0.005`` and ``--ideal-delta
+0.005`` clamp every hash (exit 3, asymptotic-only plan); on a noise-free
+1-user channel with Bern(0.21) input it runs ``simulate --idealized --n 8
+--k 3 --beta 0.05``, whose codec reads one seed bit more than the plan's
+fresh bits, so the plan widens them.  Every run names the exit code each of
+its commands must give.  Each run has its own directory of one temporary
+directory.  Prints one ``sha256  path`` line per output file, sorted by
+path, so that the digests of two trees compare with ``diff``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ NOISY = {"inputs": [2, 2], "output": 4,
 NOISY_CORNER = ["simulate", "--channel", "channel.json", "--out-dir", "out",
                 "--n", "8", "--k", "3", "--idealized", "--trials", "9000"]
 NOISY_MODES = {"noisy": ["--mode", "multi"], "noisy_case1": []}  # auto: case 1
+TARGET = ["simulate", "--channel", "channel.json", "--out-dir", "out",
+          "--mode", "case1", "--n", "4", "--k", "2", "--idealized",
+          "--target-r1"]
 CLAMPED_BUILD = ["build", "--channel", "channel.json", "--out-dir", "out",
                  "--mode", "case2", "--n", "4", "--k", "2", "--idealized",
                  "--ideal-xi", "0.005", "--ideal-delta", "0.005"]
@@ -116,6 +121,8 @@ def main(argv=None) -> int:
         runs += [(f"{tag}_w{workers}", NOISY,
                   [NOISY_CORNER + flags + ["--workers", str(workers)]], 0)
                  for tag, flags in NOISY_MODES.items() for workers in (1, 2)]
+        runs += [("target_adder", adder, [TARGET + ["0.8"]], 0),
+                 ("target_noisy", NOISY, [TARGET + ["0.3"]], 0)]
         runs += [("clamped_build", WORKLOADS["exact_chain"].spec,
                   [CLAMPED_BUILD], 3),
                  ("widened", IDENTITY, [WIDENED], 0)]
