@@ -60,8 +60,8 @@ __all__ = [
     "lhl_bound_check",
 ]
 
-# the exhaustive pass holds at most this many entries of a |Z|^(kN) output law
-# (and of the recycled-row products) at once
+# the exhaustive passes hold at most this many entries of a chunk of a law, of
+# its reference or of the recycled-row products at once
 EXACT_CHUNK_ENTRIES = 1 << 15
 GEOM_TOL = 1e-9
 
@@ -359,6 +359,20 @@ class _ExactEngine:
                 carry = (carry @ a_table).reshape(-1, self.n_keys)
         return carry
 
+    def recycled_law(self, state_pmf: np.ndarray) -> np.ndarray:
+        """(2^(hash bits), |Z|^N) law of a block's hashes and output: within
+        E's size, as a hash keeps at most N bits."""
+        total_r = sum(s.hash_len for s in self.code.plan.streams)
+        law = np.zeros((1 << total_r, self.zn))
+        step = max(1, EXACT_CHUNK_ENTRIES // self.zn)
+        # consecutive state ranges, in order: each cell adds its terms in
+        # the order of one unchunked np.add.at
+        for lo in range(0, self.n_states, step):
+            hi = lo + step
+            np.add.at(law, self.e_key[lo:hi],
+                      state_pmf[lo:hi, None] * self.emission[lo:hi])
+        return law
+
     def joint_z_pmf(self) -> np.ndarray:
         """Exact law of all k output blocks, flat over |Z|^(kN) (test oracle)."""
         state, k = self.block1_state_pmf(), self.code.plan.k
@@ -373,13 +387,15 @@ class _ExactEngine:
         """sum |p - q| of the k-block output law p against q_Z^(kN) and, given
         the k per-block laws, against their product.
 
-        One row per z_{<k}: a chunk of rows of p is carry[rows] @ B, of the
-        target q_Z^(N(k-1))[rows] times N more factors q_Z, and of the product
-        prod_{i<k} p_{Z_i}[rows] times p_{Z_k}, so every entry has the
-        arithmetic of the whole table, and ``_pairwise_sums`` adds the chunks
-        up as numpy sums the whole table.  No |Z|^(kN)-entry array is made.
-        It is the engine's last pass and releases every table: C as soon as
-        B is formed, so that C is gone before A is.
+        One row per z_{<k}: a chunk of rows of p is carry[rows] @ B.  The
+        references are held over z_{<k-1}, as q_Z^(N(k-2)) and prod_{i<k-1}
+        p_{Z_i}; their rows (times N factors q_Z, or p_{Z_{k-1}}) are formed
+        a run of entries at a time, and a chunk is those rows times N more,
+        or p_{Z_k}, so every entry has the whole table's arithmetic.
+        |p - ref| is taken in the chunk's buffer and ``_pairwise_sums`` adds
+        the chunks up as numpy sums the whole table.  It is the engine's last
+        pass and releases every table: C as soon as B is formed, so that C
+        is gone before A is.
         """
         k = self.code.plan.k
         state = self.block1_state_pmf()
@@ -392,21 +408,29 @@ class _ExactEngine:
             carry = self._carry(state, k)
             law_rows = lambda r0, r1: carry[r0:r1] @ b_table
         self.release("emission", "b_table")
-        target = self.target_z_pow(k - 1)
+        sym = self.n_sym if k >= 2 else 0   # k = 1: the one row is [1.0]
+        width, q = len(self.qz) ** sym, self.qz
+        # (law over z_{<k-1}, its rows over z_{<k}, a chunk of those rows)
+        refs = [(self.target_z_pow(max(k - 2, 0)), lambda t: _times_iid(t, q, sym),
+                 lambda t: _times_iid(t, q, self.n_sym))]
         if block_laws is not None:
-            prod = _product(block_laws[:-1])
+            refs.append((_product(block_laws[:-2]),
+                         lambda t: _outer(t, block_laws[-2]),
+                         lambda t: _outer(t, block_laws[-1])))
+        run = max(1, EXACT_CHUNK_ENTRIES // (8 * width))   # 1/8 chunk of rows
+        held = [0, 0, []]   # entries p0..p1-1 over z_{<k-1} and their rows
 
         def diffs(r0: int, r1: int) -> list[np.ndarray]:
+            p0, p1 = r0 // width, -(-r1 // width)
+            if not held[0] <= p0 < p1 <= held[1]:
+                p1 = min(max(p1, p0 + run), len(refs[0][0]))
+                held[:] = p0, p1, [rows(t[p0:p1]) for t, rows, _ in refs]
+            lo, hi = r0 - held[0] * width, r1 - held[0] * width
             p = law_rows(r0, r1).reshape(-1)
-            refs = [_times_iid(target[r0:r1], self.qz, self.n_sym)]
-            if block_laws is not None:
-                refs.append(np.multiply.outer(prod[r0:r1], block_laws[-1]).reshape(-1))
-            for ref in refs:  # |p - ref| in ref's buffer
-                np.subtract(p, ref, out=ref)
-                np.abs(ref, out=ref)
-            return refs
+            return [_abs_diff(p, chunk(rows[lo:hi]))
+                    for (_, _, chunk), rows in zip(refs, held[2])]
 
-        return _pairwise_sums(len(target), self.zn, diffs)
+        return _pairwise_sums(len(refs[0][0]) * width, self.zn, diffs)
 
 
 def _product(laws: list[np.ndarray]) -> np.ndarray:
@@ -464,22 +488,45 @@ def tv_exhaustive(code: MacCode) -> float:
     return _ExactEngine(code).output_tvs()[0]
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.multiply.outer(a, b)`` of laws, flat and bit for bit (a_i b_j + 0.0
+    is a_i b_j >= 0), without the buffers of numpy's broadcast loop."""
+    return np.einsum("i,j->ij", a, b).reshape(-1)
+
+
+def _abs_diff(law: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|law - ref|, written into ref's buffer."""
+    np.subtract(law, ref, out=ref)
+    return np.abs(ref, out=ref)
+
+
 def _dependence_tv(joint: np.ndarray) -> np.ndarray:
     """sum |j - j_A x j_B| of 2-D joint laws (the last two axes) against the
     product of their marginals, batched over any leading axes."""
     prod = joint.sum(-1)[..., :, None] * joint.sum(-2)[..., None, :]
-    return np.abs(joint - prod).sum(axis=(-2, -1))
+    return _abs_diff(joint, prod).sum(axis=(-2, -1))
+
+
+def _dependence_sum(joint: np.ndarray) -> float:
+    """``_dependence_tv`` of one held 2-D law, its product formed a chunk of
+    rows at a time: numpy sums a C-contiguous 2-D array as one flat array."""
+    rows, cols = joint.sum(-1), joint.sum(-2)
+    return _pairwise_sums(*joint.shape, lambda r0, r1: [_abs_diff(
+        joint[r0:r1].reshape(-1), _outer(rows[r0:r1], cols))])[0]
 
 
 def exact_report(code: MacCode) -> list["MetricRow"]:
     """Exhaustive-mode metrics: joint TV, per-block TVs, independence, bounds.
 
-    Every row is read from the k block states of one ``block_states`` pass.
-    The joint and inter-block TVs come from one pass over row chunks of the
-    k-block output law (``_ExactEngine.output_tvs``), equal bit for bit to
-    the sums over the whole tables, which are never held.  B is formed
-    first and C is released after the block states, before A is formed; the
-    output pass, which releases E, comes after E's other reads.
+    Every row is read from the k block states of one ``block_states`` pass,
+    and every distance is summed over row chunks by ``_pairwise_sums``, bit
+    for bit as numpy sums the whole table.  The joint and inter-block TVs
+    come from one pass over the k-block output law, which is never held
+    (``_ExactEngine.output_tvs``).  A recycled-bit or consecutive-pair law
+    (within E's size) is held; the product of its marginals is formed a
+    chunk at a time, and the law is dropped once its row is summed.  B is
+    formed first and C is released after the block states, before A is
+    formed; the output pass, which releases E, comes after E's other reads.
     """
     eng = _ExactEngine(code)
     plan = code.plan
@@ -491,25 +538,14 @@ def exact_report(code: MacCode) -> list["MetricRow"]:
     block_z = [state @ eng.emission for state in states]
     dependence = []
     if plan.k >= 2:
-        # recycled bits of block i vs output of block i-1 (exact law)
-        # hashes keep at most N bits: 2^R x |Z|^N is within the emission table
-        total_r = sum(s.hash_len for s in plan.streams)
-        step = max(1, EXACT_CHUNK_ENTRIES // eng.zn)
+        # recycled bits of block i vs output of block i-1
         for i, m_prev in enumerate(states[:-1], start=2):
-            joint_ez = np.zeros((1 << total_r, eng.zn))
-            # consecutive state ranges, in order: each cell adds its terms
-            # in the order of one unchunked np.add.at
-            for lo in range(0, eng.n_states, step):
-                hi = lo + step
-                np.add.at(joint_ez, eng.e_key[lo:hi],
-                          m_prev[lo:hi, None] * eng.emission[lo:hi])
-            dependence.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}",
-                                        float(_dependence_tv(joint_ez))))
-        # consecutive output blocks vs product of their marginals
+            rec = _dependence_sum(eng.recycled_law(m_prev))
+            dependence.append(MetricRow(f"recycled_vs_prev_output_tv_block{i}", rec))
+        # consecutive output blocks
         for i, m_prev in enumerate(states[:-1], start=2):
-            pair = eng._carry(m_prev, 2) @ b_table
-            dependence.append(MetricRow(f"consecutive_output_tv_block{i}",
-                                        float(_dependence_tv(pair))))
+            pair = _dependence_sum(eng._carry(m_prev, 2) @ b_table)
+            dependence.append(MetricRow(f"consecutive_output_tv_block{i}", pair))
     tvs = eng.output_tvs(block_z if plan.k >= 2 else None)
     rows = [MetricRow("joint_output_tv", tvs[0])]
     rows += [MetricRow(f"block{i}_output_tv", float(np.abs(pz - q_block).sum()))

@@ -492,6 +492,23 @@ def whole_table_tvs(eng, laws):
     return tvs
 
 
+def whole_dependence_tv(joint):
+    """The whole-array statistic: sum |j - j_A x j_B| over the last two axes,
+    with the product and |j - product| each a new array of j's size."""
+    prod = joint.sum(-1)[..., :, None] * joint.sum(-2)[..., None, :]
+    return np.abs(joint - prod).sum(axis=(-2, -1))
+
+
+def dependence_laws(eng):
+    """(row name, law) of each recycled-bit and consecutive-pair row."""
+    states, b_table = eng.block_states()[:-1], eng.b_table
+    return [(f"{name}_block{i}", law(state))
+            for name, law in (("recycled_vs_prev_output_tv", eng.recycled_law),
+                              ("consecutive_output_tv",
+                               lambda m: eng._carry(m, 2) @ b_table))
+            for i, state in enumerate(states, start=2)]
+
+
 # (id, code factory); every key length is 0 (R = 0) in these codes
 STREAMED_CONFIGS = [
     ("exact_chain-k1", lambda: small_code(parallel_mac(), BERN_36, 4, 1, 80,
@@ -529,8 +546,28 @@ class TestStreamedTvs:
         eng = _ExactEngine(make())
         laws = block_laws(eng)
         expect = whole_table_tvs(eng, laws)
+        dependence = [(law, float(whole_dependence_tv(law)))
+                      for _, law in dependence_laws(eng)]
+        assert max(law.size for law, _ in dependence) > chunk
         monkeypatch.setattr(evaluator, "EXACT_CHUNK_ENTRIES", chunk)
         assert eng.output_tvs(laws) == expect
+        for law, want in dependence:
+            assert evaluator._dependence_sum(law) == want
+
+    # the 2-user adder in case 1 at N = 4 (R = 7) at k = 3 and k = 2, and
+    # exact_chain's code at k = 2, where the consecutive pair is the whole law
+    @pytest.mark.parametrize("k,make", [
+        (3, lambda: small_code(adder_mac(), [UNIF, UNIF], 4, 3, 82, mode="case1")),
+        (2, lambda: small_code(adder_mac(), [UNIF, UNIF], 4, 2, 82, mode="case1")),
+        (2, STREAMED_CONFIGS[1][1]),
+    ], ids=["adder-R7-k3", "adder-R7-k2", "exact_chain-k2"])
+    def test_dependence_rows_equal_the_whole_array_statistic(self, k, make):
+        code = make()
+        rows = {m.name: m.value for m in exact_report(code)}
+        named = dependence_laws(_ExactEngine(code))
+        assert code.plan.k == k and len(named) == 2 * (k - 1)
+        for name, law in named:
+            assert rows[name] == float(whole_dependence_tv(law)), name
 
     def test_key_space_carry_agrees(self):
         # the 2-user adder in case 1, N=4, k=3, idealized: R = 7
@@ -560,15 +597,41 @@ class TestStreamedTvs:
 
     def test_exact_chain_report_holds_no_whole_law(self):
         # the output law, its target and the block product have 4^12 entries,
-        # 128 MB each
+        # 128 MB each; over z_{<3} they have 4^8 entries, 512 KiB, as the
+        # carry (R = 0) and E do, and the walk holds three chunks of 256 KiB
+        # (the law's rows and the two references).  The report peaks at
+        # 1.36 MiB, so neither reference over z_{<3} fits under the bound.
         code = small_code(parallel_mac(), BERN_36, 4, 3, 80, mode="case2")
+        eng = _ExactEngine(code)
+        assert eng.n_keys == 1
+        carry, table = 8 * eng.zn ** 2, 8 * eng.n_states * eng.zn
+        del eng
         tracemalloc.start()
         try:
             exact_report(code)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 << 20
+        assert peak < carry + table + 3 * 8 * evaluator.EXACT_CHUNK_ENTRIES
+
+    def test_k2_report_holds_one_pair_law(self):
+        # exact_chain's code at k = 2: the consecutive pair law is the whole
+        # output law, the size of E (512 KiB).  E and the pair law are live
+        # while the pair row is summed, with one chunk of its reference (half
+        # of E here) and the engine's vectors; the parent also held the
+        # product of the marginals, |pair - product| and |.|, pair-sized each
+        code = small_code(parallel_mac(), BERN_36, 4, 2, 80, mode="case2")
+        eng = _ExactEngine(code)
+        e_bytes = 8 * eng.n_states * eng.zn
+        assert eng.zn ** 2 == eng.n_states * eng.zn == 2 * evaluator.EXACT_CHUNK_ENTRIES
+        del eng
+        tracemalloc.start()
+        try:
+            exact_report(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * e_bytes + (64 << 10)
 
     @pytest.mark.parametrize("call", ["output_tvs", "exact_report"])
     def test_no_table_outlives_the_call(self, call):
@@ -914,6 +977,20 @@ class TestBootstrapKernels:
         assert np.array(got[1:]).tobytes() == \
             np.array(_percentile_ci(tvs)).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("na,nb,n_boot", [
+        (8, 9, 1000), (16, 16, 256), (125, 125, 3), (1, 4, 5), (9, 9, None)])
+    def test_in_place_statistic_is_the_whole_array_one(self, na, nb, n_boot):
+        # _pair_tv's shapes: (replicates, na, nb) slices and the (na, nb)
+        # point estimate; the subtraction and |.| now reuse the product
+        counts = make_rng(na + nb).poisson(4, size=na * nb)
+        counts[::7] = 0
+        c = counts.astype(np.float64) if n_boot is None else \
+            _replicates(counts, n_boot, make_rng(61))
+        joint = (c / c.sum(axis=-1, keepdims=True)).reshape(*c.shape[:-1], na, nb)
+        got = evaluator._dependence_tv(joint)
+        assert got.shape == c.shape[:-1]
+        assert got.tobytes() == whole_dependence_tv(joint).tobytes()
 
     def test_pair_tv_holds_one_slice_of_replicates(self):
         # 125 x 125 cells, the 5-symbol output pair table at --window 3: one

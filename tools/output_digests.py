@@ -9,9 +9,11 @@ spec.  On the workloads' uniform adder, with both worker counts, it runs
 ``sweep --n-list 4,8 --k 2 --idealized --trials 9000`` and the Monte-Carlo
 corners of ``simulate --n 4 --k 8 --idealized --trials 9000``: as it is, at
 ``--n 2``, and with ``--no-recycle``, ``--rec-bits 0`` or ``--window 3``.
-On the same adder it runs two exhaustive corners of ``simulate --n 4
+On the same adder it runs three exhaustive corners of ``simulate --n 4
 --idealized``: ``--mode case1 --k 3``, whose key transition A runs over
-R = 7 key bits (exact_chain's has R = 0, a single key), and ``--k 1``.
+R = 7 key bits (exact_chain's has R = 0, a single key), ``--mode case1
+--k 2``, where the consecutive-pair law is the whole output law and is
+formed by a GEMM over those 2^7 keys, and ``--k 1``.
 On the 2-user xor channel with uniform inputs, whose spec it writes itself,
 it runs ``simulate --mode multi --idealized --n 8 --k 3``: the emission
 table, the codec law C, the key transition A and the carry of that
@@ -59,6 +61,7 @@ CORNERS = {"mc": [], "mc_n2": ["--n", "2"], "mc_norecycle": ["--no-recycle"],
 EXACT = ["simulate", "--channel", "channel.json", "--out-dir", "out",
          "--n", "4", "--idealized"]
 EXACT_CORNERS = {"exact_case1": ["--mode", "case1", "--k", "3"],
+                 "exact_case1_k2": ["--mode", "case1", "--k", "2"],
                  "exact_k1": ["--k", "1"]}
 XOR = {"inputs": [2, 2], "output": 2,
        "transition": [[1, 0], [0, 1], [0, 1], [1, 0]],
